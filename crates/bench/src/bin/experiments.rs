@@ -6,12 +6,12 @@
 //!
 //! Run with `cargo run --release -p hdl-bench --bin experiments`.
 
-use hdl_base::{Database, GroundAtom, Symbol, SymbolTable};
+use hdl_base::{Atom, Database, GroundAtom, Symbol, SymbolTable, Term, Var};
 use hdl_bench::workloads::{
     chain_program, hamiltonian_program, layered_rulebase, parity_program, random_digraph, Digraph,
 };
 use hdl_core::analysis::stratify::linear_stratification;
-use hdl_core::engine::{BottomUpEngine, ProveEngine, TopDownEngine};
+use hdl_core::engine::{BottomUpEngine, MagicEngine, NaiveEngine, ProveEngine, TopDownEngine};
 use hdl_core::parser::parse_query;
 use hdl_encodings::lemma2::unary_query_rulebase;
 use hdl_encodings::tm::encode;
@@ -370,55 +370,68 @@ fn e9_hierarchy() {
 }
 
 fn e10_baseline() {
-    banner("E10: Datalog baseline (transitive closure over chains)");
+    banner("E10: Datalog baseline (tc(v0, X) over chains)");
     println!(
-        "{:>5} {:>9} {:>12} {:>12} {:>14} {:>16} {:>10}",
-        "n", "tc_pairs", "naive_us", "semi_us", "semi_emitted", "hyp_bottomup_us", "magic_us"
+        "{:>5} {:>8} {:>9} {:>9} {:>9} {:>9} {:>13} {:>13} {:>13} {:>13}",
+        "n",
+        "answers",
+        "dl_us",
+        "naive_us",
+        "semi_us",
+        "magic_us",
+        "naive_att",
+        "semi_att",
+        "magic_att",
+        "semi_new"
     );
     for n in [8usize, 16, 32, 48] {
         let mut syms = SymbolTable::new();
         let rules = hdl_bench::workloads::tc_rules(&mut syms);
         let db = hdl_bench::workloads::tc_edb(&mut syms, n);
         let tc = syms.lookup("tc").unwrap();
-        let expected = n * (n - 1) / 2;
-
-        let t0 = Instant::now();
-        let m = hdl_datalog::naive::evaluate(&rules, &db).unwrap();
-        let naive_us = t0.elapsed().as_micros();
-        assert_eq!(m.count(tc), expected);
-
-        let strat = hdl_datalog::stratify(&rules).unwrap();
-        let t0 = Instant::now();
-        let (m2, stats) = hdl_datalog::seminaive::evaluate_stratified(&rules, &db, &strat);
-        let semi_us = t0.elapsed().as_micros();
-        assert_eq!(m2.count(tc), expected);
-
+        let v0 = syms.lookup("v0").unwrap();
         let hyp_rules = hdl_core::parser::parse_program(
             "tc(X, Y) :- e(X, Y).
              tc(X, Z) :- e(X, Y), tc(Y, Z).",
             &mut syms,
         )
         .unwrap();
-        let t0 = Instant::now();
-        let mut eng = BottomUpEngine::new(&hyp_rules, &db).unwrap();
-        let m3 = eng.model().unwrap();
-        let hyp_us = t0.elapsed().as_micros();
-        assert_eq!(m3.count(tc), expected);
+        let pattern = Atom::new(tc, vec![Term::Const(v0), Term::Var(Var(0))]);
 
-        // Magic sets: point query tc(v0, X) — goal-directed bottom-up.
-        let v0 = syms.lookup("v0").unwrap();
-        let pq = hdl_datalog::magic::PointQuery {
-            pred: tc,
-            args: vec![Some(v0), None],
-        };
+        // The independent oracle: hdl-datalog's naive evaluator.
         let t0 = Instant::now();
-        let answers = hdl_datalog::magic::magic_query(&rules, &db, &pq, &mut syms).unwrap();
+        let m = hdl_datalog::naive::evaluate(&rules, &db).unwrap();
+        let expected: Vec<Vec<Symbol>> = m
+            .tuples(tc)
+            .filter(|t| t[0] == v0)
+            .map(|t| t.to_vec())
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let dl_us = t0.elapsed().as_micros();
+        assert_eq!(expected.len(), n - 1);
+
+        // Core's engines, all answering the same pattern.
+        let t0 = Instant::now();
+        let mut naive = NaiveEngine::new(&hyp_rules, &db).unwrap();
+        assert_eq!(naive.answers(&pattern).unwrap(), expected);
+        let naive_us = t0.elapsed().as_micros();
+        let t0 = Instant::now();
+        let mut semi = BottomUpEngine::new(&hyp_rules, &db).unwrap();
+        assert_eq!(semi.answers(&pattern).unwrap(), expected);
+        let semi_us = t0.elapsed().as_micros();
+        let t0 = Instant::now();
+        let mut magic = MagicEngine::new(&hyp_rules, &db).unwrap();
+        assert_eq!(magic.answers(&pattern).unwrap(), expected);
         let magic_us = t0.elapsed().as_micros();
-        assert_eq!(answers.len(), n - 1);
 
+        let semi_new: u64 = semi.stats().delta_facts_per_round.iter().sum();
         println!(
-            "{n:>5} {expected:>9} {naive_us:>12} {semi_us:>12} {:>14} {hyp_us:>16} {magic_us:>10}",
-            stats.facts_emitted
+            "{n:>5} {:>8} {dl_us:>9} {naive_us:>9} {semi_us:>9} {magic_us:>9} {:>13} {:>13} {:>13} {semi_new:>13}",
+            expected.len(),
+            naive.stats().goal_expansions,
+            semi.stats().goal_expansions,
+            magic.stats().goal_expansions,
         );
     }
 }

@@ -15,19 +15,14 @@
 //! premise evaluated inside the current fixpoint (monotone, so iteration
 //! order is irrelevant).
 //!
-//! The per-stratum closure is *semi-naive* (DESIGN.md §3.11): each round
-//! tracks the delta of facts first derived in the previous round, and a
-//! rule fires in round `r ≥ 1` only through rotations that pin one of its
-//! same-stratum positive premises to that delta
-//! (`Full^{<j} ⋈ Δ_j ⋈ Old^{>j}`). Only round 0 evaluates rules against
-//! the full model. Rules whose hypothetical premise can read the growing
-//! model (the degenerate `add ⊆ DB` case over a same-stratum goal) are
-//! re-fired fully each round instead — rotation can't see those premises
-//! flip. Rules with no hypothetical premises are *pure*: their firings
-//! need only shared reads, so a round can fan them out across scoped
-//! worker threads (see [`BottomUpEngine::set_parallelism`]), each worker
-//! carrying its own budget clone and fresh-fact buffer, merged
-//! deterministically at the round barrier.
+//! Each stratum is closed by the shared semi-naive kernel
+//! ([`crate::engine::fixpoint`], DESIGN.md §3.11): delta rotation after
+//! round 0, full re-fire of rules whose hypothetical premise can read the
+//! growing model (the degenerate `add ⊆ DB` case over a same-stratum
+//! goal), and pure firings fanned out across scoped worker threads (see
+//! [`BottomUpEngine::set_parallelism`]). This engine's part is the
+//! resolver: every premise reads the layered model, and a hypothetical
+//! premise recurses into the model of the modified database.
 //!
 //! Models are *stratum-lazy*: for an augmented database the engine only
 //! closes the strata up to the hypothetical goal's stratum. Without this,
@@ -45,60 +40,30 @@
 //! procedures.
 
 use crate::analysis::stratify::{evaluation_strata, NegationStrata};
-use crate::ast::{HypRule, Premise, Rulebase};
+use crate::ast::{Premise, Rulebase};
 use crate::engine::budget::Budget;
 use crate::engine::context::Context;
-use crate::engine::matching::{
-    chunk_tasks, collect_free, empty_layer, fire_pure, part_for, run_pure_parallel, ModelLayers,
-    Part, PureTask, RuleClass, Seed, PARALLEL_MIN_DELTA,
-};
+use crate::engine::fixpoint::{self, classify, Fixpoint, Model, Resolver};
+use crate::engine::matching::{collect_free, empty_layer, ModelLayers, Part};
 use crate::engine::stats::{EngineStats, Limits};
 use hdl_base::{
-    Atom, Bindings, Database, DbId, Error, FactId, FxHashMap, GroundAtom, MatchCounters, Result,
-    Symbol, Var,
+    Atom, Bindings, Database, DbId, Error, FxHashMap, GroundAtom, MatchCounters, Result, Symbol,
+    Var,
 };
 use std::sync::Arc;
-
-/// A partially computed perfect model: strata `0..upto` are closed.
-///
-/// Only the *derived* facts are stored — the facts the rules added above
-/// the interned database itself. The EDB layer is answered through a
-/// [`hdl_base::DbView`] of the overlay DAG, so memoizing a model for an
-/// augmented database costs O(|derived|), not a full copy of the
-/// database. The invariant `derived ∩ DB = ∅` keeps the two layers
-/// disjoint, so enumerating `view ∪ derived` never repeats a fact.
-#[derive(Debug)]
-struct ModelEntry {
-    upto: usize,
-    derived: Database,
-}
 
 /// The bottom-up engine, bound to one rulebase and one base database.
 pub struct BottomUpEngine<'rb> {
     ctx: Context<'rb>,
-    models: FxHashMap<DbId, ModelEntry>,
+    /// Partial perfect models per database; a model's closed groups are
+    /// its closed evaluation strata.
+    models: FxHashMap<DbId, Model>,
     /// Evaluation strata (hypothetical edges across recursion classes are
     /// strict — see [`evaluation_strata`]).
     eval_strata: NegationStrata,
-    /// Rule indices grouped by evaluation stratum of the head predicate,
-    /// shared immutably so fixpoint rounds need no per-round copy.
-    rules_by_stratum: Vec<Arc<[usize]>>,
-    /// Per-rule semi-naive classification, indexed like `rb.rules`.
-    classes: Vec<RuleClass>,
-    /// Worker threads for pure-rule firings within a round (1 = inline).
-    workers: usize,
-    /// Semi-naive delta-rotation on (the default). Off re-fires every
-    /// rule fully each round — the naive closure kept as the reference
-    /// baseline (see [`crate::engine::reference::NaiveEngine`]).
-    semi_naive: bool,
+    /// The kernel's share: one rule group per evaluation stratum.
+    fx: Fixpoint,
     stats: EngineStats,
-    limits: Limits,
-    budget: Budget,
-    /// Cached `budget.has_memory_limits()` for the round-loop fast path.
-    mem_limited: bool,
-    /// Fact-store size when the budget was installed; the fact cap
-    /// bounds growth past this, not absolute size (engines are reused).
-    facts_baseline: u64,
 }
 
 impl<'rb> BottomUpEngine<'rb> {
@@ -119,59 +84,26 @@ impl<'rb> BottomUpEngine<'rb> {
         for (i, rule) in rb.iter().enumerate() {
             grouped[eval_strata.stratum(rule.head.pred)].push(i);
         }
-        let rules_by_stratum = grouped.into_iter().map(Arc::from).collect();
         let classes = rb
             .iter()
             .map(|rule| {
                 let s = eval_strata.stratum(rule.head.pred);
-                let mut pure = true;
-                let mut hyp_sensitive = false;
-                let mut rot = Vec::new();
-                for (i, p) in rule.premises.iter().enumerate() {
-                    match p {
-                        Premise::Atom(a) => {
-                            if eval_strata.stratum(a.pred) == s {
-                                rot.push(i);
-                            }
-                        }
-                        // Negated predicates sit strictly below the head's
-                        // stratum (stratification), so they are closed and
-                        // round-invariant here.
-                        Premise::Neg(_) => {}
-                        Premise::Hyp { goal, .. } => {
-                            pure = false;
-                            if eval_strata.stratum(goal.pred) == s {
-                                hyp_sensitive = true;
-                            }
-                        }
-                    }
-                }
-                RuleClass {
-                    pure,
-                    hyp_sensitive,
-                    rot,
-                }
+                classify(rule, |p| eval_strata.stratum(p) == s, |_| true)
             })
             .collect();
+        let fx = Fixpoint::new(grouped.into_iter().map(Arc::from).collect(), classes);
         Ok(BottomUpEngine {
             ctx,
             models: FxHashMap::default(),
             eval_strata,
-            rules_by_stratum,
-            classes,
-            workers: 1,
-            semi_naive: true,
+            fx,
             stats: EngineStats::default(),
-            limits: Limits::default(),
-            budget: Budget::default(),
-            mem_limited: false,
-            facts_baseline: 0,
         })
     }
 
     /// Replaces the resource limits.
     pub fn with_limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
+        self.fx.limits = limits;
         self
     }
 
@@ -179,7 +111,7 @@ impl<'rb> BottomUpEngine<'rb> {
     /// within a fixpoint round (clamped to at least 1). The computed
     /// model is identical for every setting; only wall-clock changes.
     pub fn set_parallelism(&mut self, workers: usize) {
-        self.workers = workers.max(1);
+        self.fx.workers = workers.max(1);
     }
 
     /// Builder form of [`BottomUpEngine::set_parallelism`].
@@ -193,7 +125,7 @@ impl<'rb> BottomUpEngine<'rb> {
     /// pre-optimization naive closure, retained as an equivalence oracle
     /// and benchmark baseline.
     pub fn set_semi_naive(&mut self, on: bool) {
-        self.semi_naive = on;
+        self.fx.semi_naive = on;
     }
 
     /// Replaces the evaluation budget (deadline / cancellation token).
@@ -207,19 +139,7 @@ impl<'rb> BottomUpEngine<'rb> {
     /// the goal-set cap bounds the derived-fact count of the model being
     /// closed (absolute — the natural "working set" of this engine).
     pub fn set_budget(&mut self, budget: Budget) {
-        self.mem_limited = budget.has_memory_limits();
-        self.facts_baseline = self.ctx.fact_footprint();
-        self.budget = budget;
-    }
-
-    /// Probes the memory caps at a fixpoint-round boundary.
-    fn check_memory(&self, derived: usize) -> Result<()> {
-        let facts = self
-            .ctx
-            .fact_footprint()
-            .saturating_sub(self.facts_baseline);
-        self.budget
-            .check_memory(facts, derived as u64, self.ctx.dbs.max_depth() as u64)
+        self.fx.set_budget(budget, &self.ctx);
     }
 
     /// Work counters accumulated so far.
@@ -234,7 +154,7 @@ impl<'rb> BottomUpEngine<'rb> {
 
     /// The number of strata of the global stratification.
     pub fn num_strata(&self) -> usize {
-        self.rules_by_stratum.len()
+        self.fx.groups.len()
     }
 
     /// Counts derived facts whose predicate satisfies `pred_in`, summed
@@ -368,517 +288,40 @@ impl<'rb> BottomUpEngine<'rb> {
         self.ensure_model(db, upto)
     }
 
-    /// Ensures strata `0..upto` of `db`'s model are closed, running the
-    /// semi-naive fixpoint per stratum.
+    /// Ensures strata `0..upto` of `db`'s model are closed.
     fn ensure_model(&mut self, db: DbId, upto: usize) -> Result<()> {
-        let upto = upto.min(self.rules_by_stratum.len());
+        let upto = upto.min(self.num_strata());
         let mut entry = match self.models.remove(&db) {
             Some(e) => e,
             None => {
                 self.stats.calls += 1;
-                if self.models.len() as u64 >= self.limits.max_databases {
-                    // Reinsert nothing; report the blowup.
+                if self.models.len() as u64 >= self.fx.limits.max_databases {
                     return Err(Error::LimitExceeded {
                         what: "databases".into(),
-                        limit: self.limits.max_databases,
+                        limit: self.fx.limits.max_databases,
                     });
                 }
                 // O(1): the EDB layer stays in the overlay DAG; only
                 // facts the rules derive are stored here.
-                ModelEntry {
-                    upto: 0,
-                    derived: Database::new(),
-                }
+                Model::default()
             }
         };
-        let mut trajectory: Vec<u64> = Vec::new();
-        while entry.upto < upto {
-            let stratum = entry.upto;
-            let rule_ids = Arc::clone(&self.rules_by_stratum[stratum]);
-            // Semi-naive layers: `older` = derived before the previous
-            // round (seeded with lower strata), `delta` = the previous
-            // round's new facts. Both live outside `entry` while the
-            // stratum runs; any error path that keeps the partial model
-            // must merge them back first.
-            let mut older = std::mem::take(&mut entry.derived);
-            let mut delta = Database::new();
-            let mut round: u64 = 0;
-            loop {
-                self.stats.rounds += 1;
-                // A trip here drops `entry` (the stratum was never marked
-                // closed), so later queries recompute it — memo stays sound.
-                if self.mem_limited {
-                    self.check_memory(older.len() + delta.len())?;
-                }
-                hdl_base::failpoint!("bottomup::round");
-                let mut fresh: Vec<GroundAtom> = Vec::new();
-                let mut impure: Vec<(usize, Option<usize>)> = Vec::new();
-                let pure_tasks =
-                    self.schedule_round(db, &rule_ids, round, &older, &delta, &mut impure);
-                self.run_pure(db, &older, &delta, &pure_tasks, &mut fresh)?;
-                for &(rule_idx, rot_j) in &impure {
-                    self.fire_impure(rule_idx, rot_j, &older, &delta, db, &mut fresh)?;
-                }
-                if self.stats.goal_expansions > self.limits.max_expansions {
-                    older.absorb(&delta);
-                    entry.derived = older;
-                    self.models.insert(db, entry);
-                    return Err(Error::LimitExceeded {
-                        what: "rule firings".into(),
-                        limit: self.limits.max_expansions,
-                    });
-                }
-                // Round barrier: facts not seen in any layer become the
-                // next delta; the old delta ages into `older`.
-                let mut next_delta = Database::new();
-                for f in fresh {
-                    // Keep the derived layers disjoint from the EDB layer
-                    // so the model never enumerates a fact twice.
-                    if self.ctx.dbs.view(db).contains(&f)
-                        || older.contains(&f)
-                        || delta.contains(&f)
-                    {
-                        continue;
-                    }
-                    next_delta.insert(f);
-                }
-                older.absorb(&delta);
-                delta = next_delta;
-                trajectory.push(delta.len() as u64);
-                if delta.is_empty() {
-                    break;
-                }
-                round += 1;
-            }
-            entry.derived = older;
-            entry.upto += 1;
-        }
-        if !trajectory.is_empty() {
-            self.stats.delta_facts_per_round = trajectory;
-        }
-        self.models.insert(db, entry);
-        Ok(())
-    }
-
-    /// Builds the round's work list: pure tasks (chunked over their seed
-    /// premise's matches for data parallelism) and impure `(rule, rot_j)`
-    /// firings for the sequential path.
-    fn schedule_round(
-        &mut self,
-        db: DbId,
-        rule_ids: &[usize],
-        round: u64,
-        older: &Database,
-        delta: &Database,
-        impure: &mut Vec<(usize, Option<usize>)>,
-    ) -> Vec<PureTask> {
-        // (rule, rot_j, seed premise + rows) before chunking.
-        let mut seeded: Vec<(usize, Option<usize>, Option<Seed>)> = Vec::new();
-        let mut counters = MatchCounters::default();
-        let layers = ModelLayers::new(self.ctx.dbs.view(db), older, delta);
-        for &rule_idx in rule_ids {
-            let rule = &self.ctx.rb.rules[rule_idx];
-            let class = &self.classes[rule_idx];
-            if !self.semi_naive || round == 0 || class.hyp_sensitive {
-                if !class.pure {
-                    // Hypothetical recursion needs `&mut self`.
-                    impure.push((rule_idx, None));
-                    continue;
-                }
-                // Full evaluation, seeded on the first positive premise
-                // so its matches can be chunked across workers. A
-                // positive premise with no matches kills the rule.
-                let seed_idx = rule
-                    .premises
-                    .iter()
-                    .position(|p| matches!(p, Premise::Atom(_)));
-                match seed_idx {
-                    Some(i) => {
-                        let Premise::Atom(atom) = &rule.premises[i] else {
-                            unreachable!()
-                        };
-                        let mut b = Bindings::new(rule.num_vars);
-                        let rows = layers.collect_matches(Part::Full, atom, &mut b, &mut counters);
-                        if !rows.is_empty() {
-                            seeded.push((rule_idx, None, Some((i, rows))));
-                        }
-                    }
-                    None => seeded.push((rule_idx, None, None)),
-                }
-            } else if !class.rot.is_empty() {
-                // Delta rotation: one firing per rotated premise, seeded
-                // on that premise's matches against the delta. An empty
-                // seed derives nothing — skip it outright.
-                for &j in &class.rot {
-                    let Premise::Atom(atom) = &rule.premises[j] else {
-                        unreachable!("rot positions are positive atoms")
-                    };
-                    let mut b = Bindings::new(rule.num_vars);
-                    let rows = layers.collect_matches(Part::Delta, atom, &mut b, &mut counters);
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    if class.pure {
-                        seeded.push((rule_idx, Some(j), Some((j, rows))));
-                    } else {
-                        impure.push((rule_idx, Some(j)));
-                    }
-                }
-            }
-        }
-        self.stats.absorb_matches(counters);
-        // Chunk seed rows so a round dominated by one rule (e.g.
-        // transitive closure) still spreads across the pool.
-        chunk_tasks(seeded, self.workers)
-    }
-
-    /// Runs the round's pure tasks — on scoped worker threads when the
-    /// pool and the workload justify it, inline otherwise. Results are
-    /// appended to `fresh` in task order, so the outcome is deterministic
-    /// for every pool size.
-    fn run_pure(
-        &mut self,
-        db: DbId,
-        older: &Database,
-        delta: &Database,
-        tasks: &[PureTask],
-        fresh: &mut Vec<GroundAtom>,
-    ) -> Result<()> {
-        if tasks.is_empty() {
-            return Ok(());
-        }
-        let weight: usize = tasks
-            .iter()
-            .map(|t| t.seed.as_ref().map_or(64, |(_, rows)| rows.len()))
-            .sum();
-        let eligible = self.workers > 1 && tasks.len() > 1;
-        let spawn = eligible && weight >= PARALLEL_MIN_DELTA;
-        if eligible && !spawn {
-            self.stats.parallel_skipped += 1;
-        }
-        let layers = ModelLayers::new(self.ctx.dbs.view(db), older, delta);
-        if spawn {
-            self.stats.parallel_rounds += 1;
-            let (counters, result) = run_pure_parallel(
-                self.workers,
-                &self.ctx.rb.rules,
-                &self.ctx.plans,
-                &self.classes,
-                layers,
-                &self.ctx.domain,
-                "bottomup::fire",
-                &self.budget,
-                tasks,
-                fresh,
-            );
-            self.stats.absorb_matches(counters);
-            return result;
-        }
-        let mut counters = MatchCounters::default();
-        let mut result = Ok(());
-        for task in tasks {
-            if let Err(e) = fire_pure(
-                &self.ctx.rb.rules[task.rule_idx],
-                &self.ctx.plans[task.rule_idx],
-                &self.classes[task.rule_idx],
-                layers,
-                task,
-                &self.ctx.domain,
-                "bottomup::fire",
-                &mut self.budget,
-                &mut counters,
-                fresh,
-            ) {
-                result = Err(e);
-                break;
-            }
-        }
-        self.stats.absorb_matches(counters);
-        result
-    }
-
-    /// Fires one impure rule (it has hypothetical premises) against the
-    /// layered model, collecting new heads. Runs on the caller's thread:
-    /// augmenting databases and recursing into their models needs
-    /// `&mut self`.
-    fn fire_impure(
-        &mut self,
-        rule_idx: usize,
-        rot_j: Option<usize>,
-        older: &Database,
-        delta: &Database,
-        db: DbId,
-        out: &mut Vec<GroundAtom>,
-    ) -> Result<()> {
-        hdl_base::failpoint!("bottomup::fire");
-        let rb: &'rb Rulebase = self.ctx.rb;
-        let rule: &'rb HypRule = &rb.rules[rule_idx];
-        let mut bindings = Bindings::new(rule.num_vars);
-        self.walk(
-            rule,
-            rule_idx,
-            rot_j,
-            0,
-            &mut bindings,
-            older,
-            delta,
-            db,
-            out,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn walk(
-        &mut self,
-        rule: &'rb HypRule,
-        rule_idx: usize,
-        rot_j: Option<usize>,
-        idx: usize,
-        bindings: &mut Bindings,
-        older: &Database,
-        delta: &Database,
-        db: DbId,
-        out: &mut Vec<GroundAtom>,
-    ) -> Result<()> {
-        self.budget.check()?;
-        if idx == rule.premises.len() {
-            // Ground any remaining head variables over the domain
-            // (Definition 3's ground substitution).
-            let free = bindings.free_vars_of(&rule.head);
-            return self.emit_head(rule, &free, 0, bindings, out);
-        }
-        match &rule.premises[idx] {
-            Premise::Atom(atom) => {
-                // Provable instances of same-or-lower strata are exactly
-                // the layered model slice the rotation assigns to this
-                // position. Rows are collected first: the recursive walk
-                // needs `&mut self` while the view borrows the store.
-                let part = part_for(&self.classes[rule_idx], rot_j, idx);
-                let mut c = MatchCounters::default();
-                let rows = ModelLayers::new(self.ctx.dbs.view(db), older, delta)
-                    .collect_matches(part, atom, bindings, &mut c);
-                self.stats.absorb_matches(c);
-                for row in rows {
-                    for &(v, c) in &row {
-                        bindings.set(v, c);
-                    }
-                    self.walk(
-                        rule,
-                        rule_idx,
-                        rot_j,
-                        idx + 1,
-                        bindings,
-                        older,
-                        delta,
-                        db,
-                        out,
-                    )?;
-                    for &(v, _) in &row {
-                        bindings.unset(v);
-                    }
-                }
+        match fixpoint::saturate(self, db, upto, &mut entry) {
+            Ok(()) => {
+                self.models.insert(db, entry);
                 Ok(())
             }
-            Premise::Neg(atom) => {
-                let inner = self.ctx.plans[rule_idx].inner_neg_vars[idx].clone();
-                let free = bindings.free_vars_of(atom);
-                let outer: Vec<Var> = free.into_iter().filter(|v| !inner.contains(v)).collect();
-                self.neg_outer(
-                    rule, rule_idx, rot_j, idx, atom, &outer, 0, bindings, older, delta, db, out,
-                )
-            }
-            Premise::Hyp { goal, adds, dels } => {
-                let free = collect_free(goal, adds, dels, bindings);
-                self.hyp_groundings(
-                    rule, rule_idx, rot_j, idx, goal, adds, dels, &free, 0, bindings, older, delta,
-                    db, out,
-                )
+            Err(stop) => {
+                // A tripped match-attempt limit keeps the partial model
+                // for `answers_partial`; any other trip drops it (its
+                // stratum was never marked closed), so later queries
+                // recompute it and the memo stays sound.
+                if stop.kept {
+                    self.models.insert(db, entry);
+                }
+                Err(stop.error)
             }
         }
-    }
-
-    /// Enumerates outer variables of a negated premise; for each outer
-    /// assignment the premise holds iff no inner assignment is in the
-    /// model (the negated predicate's stratum is strictly lower, hence
-    /// closed; matching with inner vars unbound is the ∃-inner check).
-    #[allow(clippy::too_many_arguments)]
-    fn neg_outer(
-        &mut self,
-        rule: &'rb HypRule,
-        rule_idx: usize,
-        rot_j: Option<usize>,
-        idx: usize,
-        atom: &'rb Atom,
-        outer: &[Var],
-        opos: usize,
-        bindings: &mut Bindings,
-        older: &Database,
-        delta: &Database,
-        db: DbId,
-        out: &mut Vec<GroundAtom>,
-    ) -> Result<()> {
-        self.budget.check()?;
-        if opos == outer.len() {
-            let mut c = MatchCounters::default();
-            let witnessed = ModelLayers::new(self.ctx.dbs.view(db), older, delta).exists(
-                Part::Full,
-                atom,
-                bindings,
-                &mut c,
-            );
-            self.stats.absorb_matches(c);
-            if !witnessed {
-                self.walk(
-                    rule,
-                    rule_idx,
-                    rot_j,
-                    idx + 1,
-                    bindings,
-                    older,
-                    delta,
-                    db,
-                    out,
-                )?;
-            }
-            return Ok(());
-        }
-        let v = outer[opos];
-        for i in 0..self.ctx.domain.len() {
-            let c = self.ctx.domain[i];
-            self.stats.goal_expansions += 1;
-            bindings.set(v, c);
-            self.neg_outer(
-                rule,
-                rule_idx,
-                rot_j,
-                idx,
-                atom,
-                outer,
-                opos + 1,
-                bindings,
-                older,
-                delta,
-                db,
-                out,
-            )?;
-        }
-        bindings.unset(v);
-        Ok(())
-    }
-
-    /// Enumerates groundings of a hypothetical premise and tests each in
-    /// the (recursively computed, stratum-bounded) model of the modified
-    /// database.
-    #[allow(clippy::too_many_arguments)]
-    fn hyp_groundings(
-        &mut self,
-        rule: &'rb HypRule,
-        rule_idx: usize,
-        rot_j: Option<usize>,
-        idx: usize,
-        goal: &'rb Atom,
-        adds: &'rb [Atom],
-        dels: &'rb [Atom],
-        free: &[Var],
-        fpos: usize,
-        bindings: &mut Bindings,
-        older: &Database,
-        delta: &Database,
-        db: DbId,
-        out: &mut Vec<GroundAtom>,
-    ) -> Result<()> {
-        if fpos == free.len() {
-            let add_ids: Vec<FactId> = adds
-                .iter()
-                .map(|a| {
-                    let f = a.ground(bindings).expect("grounded");
-                    self.ctx.fact_id(f)
-                })
-                .collect();
-            let del_ids: Vec<FactId> = dels
-                .iter()
-                .map(|a| {
-                    let f = a.ground(bindings).expect("grounded");
-                    self.ctx.fact_id(f)
-                })
-                .collect();
-            let db2 = self.ctx.dbs.apply(db, &add_ids, &del_ids);
-            let goal_fact = goal.ground(bindings).expect("grounded");
-            let holds = if db2 == db {
-                // Degenerate hypothetical: every addition already present
-                // and every deletion already absent. The goal is tested
-                // inside the current fixpoint, where it behaves like a
-                // positive premise (monotone — the EDB never changes
-                // during a fixpoint, so the degeneracy is round-stable).
-                older.contains(&goal_fact)
-                    || delta.contains(&goal_fact)
-                    || self.ctx.dbs.view(db).contains(&goal_fact)
-            } else {
-                self.stats.databases_created += 1;
-                self.proves(db2, &goal_fact)?
-            };
-            if holds {
-                self.walk(
-                    rule,
-                    rule_idx,
-                    rot_j,
-                    idx + 1,
-                    bindings,
-                    older,
-                    delta,
-                    db,
-                    out,
-                )?;
-            }
-            return Ok(());
-        }
-        let v = free[fpos];
-        for i in 0..self.ctx.domain.len() {
-            let c = self.ctx.domain[i];
-            self.stats.goal_expansions += 1;
-            bindings.set(v, c);
-            self.hyp_groundings(
-                rule,
-                rule_idx,
-                rot_j,
-                idx,
-                goal,
-                adds,
-                dels,
-                free,
-                fpos + 1,
-                bindings,
-                older,
-                delta,
-                db,
-                out,
-            )?;
-        }
-        bindings.unset(v);
-        Ok(())
-    }
-
-    fn emit_head(
-        &mut self,
-        rule: &'rb HypRule,
-        free: &[Var],
-        fpos: usize,
-        bindings: &mut Bindings,
-        out: &mut Vec<GroundAtom>,
-    ) -> Result<()> {
-        if fpos == free.len() {
-            out.push(rule.head.ground(bindings).expect("head grounded"));
-            return Ok(());
-        }
-        let v = free[fpos];
-        for i in 0..self.ctx.domain.len() {
-            let c = self.ctx.domain[i];
-            self.stats.goal_expansions += 1;
-            bindings.set(v, c);
-            self.emit_head(rule, free, fpos + 1, bindings, out)?;
-        }
-        bindings.unset(v);
-        Ok(())
     }
 
     /// `∃`-grounding of a top-level hypothetical query.
@@ -894,21 +337,7 @@ impl<'rb> BottomUpEngine<'rb> {
         db: DbId,
     ) -> Result<bool> {
         if fpos == free.len() {
-            let add_ids: Vec<FactId> = adds
-                .iter()
-                .map(|a| {
-                    let f = a.ground(bindings).expect("grounded");
-                    self.ctx.fact_id(f)
-                })
-                .collect();
-            let del_ids: Vec<FactId> = dels
-                .iter()
-                .map(|a| {
-                    let f = a.ground(bindings).expect("grounded");
-                    self.ctx.fact_id(f)
-                })
-                .collect();
-            let db2 = self.ctx.dbs.apply(db, &add_ids, &del_ids);
+            let db2 = self.ctx.hypothetical_db(db, adds, dels, bindings);
             let goal_fact = goal.ground(bindings).expect("grounded");
             return self.proves(db2, &goal_fact);
         }
@@ -923,5 +352,34 @@ impl<'rb> BottomUpEngine<'rb> {
         }
         bindings.unset(v);
         Ok(false)
+    }
+}
+
+impl<'rb> Resolver<'rb> for BottomUpEngine<'rb> {
+    const ROUND_SITE: &'static str = "bottomup::round";
+    const FIRE_SITE: &'static str = "bottomup::fire";
+
+    fn split(&mut self) -> (&mut Context<'rb>, &mut Fixpoint, &mut EngineStats) {
+        (&mut self.ctx, &mut self.fx, &mut self.stats)
+    }
+
+    fn shared(&self) -> (&Context<'rb>, &Fixpoint) {
+        (&self.ctx, &self.fx)
+    }
+
+    /// Every premise reads the layered model: same-stratum predicates are
+    /// growing, lower ones closed.
+    fn layered(&self, _: Symbol, _: Symbol) -> bool {
+        true
+    }
+
+    /// A hypothetical premise's goal, in the (recursively computed,
+    /// stratum-bounded) model of the modified database.
+    fn prove(&mut self, db: DbId, fact: GroundAtom) -> Result<bool> {
+        self.proves(db, &fact)
+    }
+
+    fn working_set(&self, derived: usize) -> u64 {
+        derived as u64
     }
 }

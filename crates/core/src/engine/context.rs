@@ -138,6 +138,26 @@ impl<'rb> Context<'rb> {
         self.dbs.intern_fact(fact)
     }
 
+    /// `(db ∖ C̄θ) ∪ Āθ` for a hypothetical premise's `adds` (`Ā`) and
+    /// `dels` (`C̄`) grounded by `bindings` (Definition 3): interns the
+    /// ground additions, then the deletions, and applies both to `db`.
+    pub fn hypothetical_db(
+        &mut self,
+        db: DbId,
+        adds: &[Atom],
+        dels: &[Atom],
+        bindings: &hdl_base::Bindings,
+    ) -> DbId {
+        let mut ids = |atoms: &[Atom]| -> Vec<FactId> {
+            atoms
+                .iter()
+                .map(|a| self.fact_id(a.ground(bindings).expect("grounded")))
+                .collect()
+        };
+        let (add_ids, del_ids) = (ids(adds), ids(dels));
+        self.dbs.apply(db, &add_ids, &del_ids)
+    }
+
     /// Whether fact `f` is in database `db` (one overlay probe plus one
     /// binary search in the shared flat root).
     pub fn db_contains(&self, db: DbId, f: FactId) -> bool {

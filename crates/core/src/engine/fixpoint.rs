@@ -1,0 +1,904 @@
+//! The one semi-naive fixpoint kernel behind every bottom-up closure.
+//!
+//! `BottomUpEngine` (and through it `NaiveEngine` and `MagicEngine`)
+//! closes a database's perfect model stratum by stratum; `PROVE_Δᵢ`
+//! (§5.2.2) closes segment `Δᵢ` sub-stratum by sub-stratum (`LFPᵢ`/`Tᵢ`).
+//! Both are the same loop over *groups* of rules, each run to its
+//! fixpoint before the next starts, and this module holds its only copy:
+//!
+//! - the per-group round loop: the model split into `older` and `delta`
+//!   layers, the memory and failpoint probes, the match-attempt limit,
+//!   the round barrier and the delta trajectory;
+//! - the scheduler: full evaluation in round 0, delta rotations after it
+//!   (DESIGN.md §3.11), full re-fire of `hyp_sensitive` rules, pure
+//!   firings seeded and chunked for workers;
+//! - the pure runner: inline, or on scoped worker threads once a round
+//!   is at least [`PARALLEL_MIN_DELTA`] seed rows wide;
+//! - the premise walk: layered atoms, negation over its outer and inner
+//!   variables, hypothetical groundings and head emission;
+//! - the [`RuleClass`] classification.
+//!
+//! The engines differ only in how a premise the layered model does not
+//! hold is resolved. Bottom-up recurses into the child model of the
+//! hypothetical database; `PROVE_Δᵢ`'s `TESTᵢ⁰` hands premises defined
+//! below the segment to the `PROVE_Σᵢ₋₁` oracle. The `Resolver` trait
+//! carries exactly that difference, plus the engine's failpoint names
+//! and memory working set. The walk is generic over it, so the calls
+//! dispatch statically.
+
+use crate::ast::{HypRule, Premise};
+use crate::engine::budget::Budget;
+use crate::engine::context::Context;
+use crate::engine::matching::{collect_free, ModelLayers, Part};
+use crate::engine::stats::{EngineStats, Limits};
+use hdl_base::{
+    Atom, Bindings, Database, DbId, Error, GroundAtom, MatchCounters, Result, Symbol, Var,
+};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// Minimum total seed rows (delta width) in a round before worker
+/// threads are spawned; below this the per-round scope/merge cost
+/// outweighs the join work and parallel firing *loses* — tc_chain's
+/// ~190-fact rounds ran 2× slower at 4 workers under the old 128-row
+/// threshold. Rounds skipped by this gate are counted in
+/// `parallel_skipped`, and the fixpoint bench gates
+/// `parallel_speedup ≥ 0.95` so parallelism can no longer regress.
+pub const PARALLEL_MIN_DELTA: usize = 1024;
+
+/// Static classification of one rule for semi-naive scheduling, relative
+/// to the group whose fixpoint it belongs to.
+#[derive(Default, Clone, Debug)]
+pub struct RuleClass {
+    /// Every premise resolves against the layered model alone (no
+    /// hypothetical recursion, no oracle calls): a firing needs only
+    /// shared reads, so it can run on a worker thread.
+    pub pure: bool,
+    /// Some premise outside the rotatable set can change value while the
+    /// fixpoint grows (e.g. a degenerate hypothetical reading the growing
+    /// model). Rotation cannot see such premises flip; the rule re-fires
+    /// fully each round.
+    pub hyp_sensitive: bool,
+    /// Positions of positive premises over the growing predicates — the
+    /// premises the semi-naive rotation can pin to the delta.
+    pub rot: Vec<usize>,
+}
+
+/// Classifies `rule` for its group. `growing` holds for the predicates
+/// the group's own fixpoint derives; `layered` for the predicates read
+/// from the layered model rather than resolved below it.
+pub(crate) fn classify(
+    rule: &HypRule,
+    growing: impl Fn(Symbol) -> bool,
+    layered: impl Fn(Symbol) -> bool,
+) -> RuleClass {
+    let mut class = RuleClass {
+        pure: true,
+        ..RuleClass::default()
+    };
+    for (i, p) in rule.premises.iter().enumerate() {
+        match p {
+            Premise::Atom(a) if growing(a.pred) => class.rot.push(i),
+            // Negated predicates sit strictly below the group (or in an
+            // earlier group), so they are closed and round-invariant.
+            Premise::Atom(a) | Premise::Neg(a) => class.pure &= layered(a.pred),
+            Premise::Hyp { goal, .. } => {
+                class.pure = false;
+                class.hyp_sensitive |= growing(goal.pred);
+            }
+        }
+    }
+    class
+}
+
+/// The kernel's share of an engine: its rule groups and their
+/// classification, and the settings every round reads.
+pub(crate) struct Fixpoint {
+    /// Rule indices per group, in evaluation order (bottom-up: one group
+    /// per evaluation stratum; PROVE: one per Δ sub-stratum, segment by
+    /// segment). Shared immutably so rounds need no per-round copy.
+    pub groups: Vec<Arc<[usize]>>,
+    /// Per-rule classification, indexed like `rb.rules`.
+    pub classes: Vec<RuleClass>,
+    /// Worker threads for pure firings within a round (1 = inline).
+    pub workers: usize,
+    /// Semi-naive delta rotation (the default). Off re-fires every rule
+    /// fully each round — the naive closure kept as the reference
+    /// baseline (see [`crate::engine::reference::NaiveEngine`]).
+    pub semi_naive: bool,
+    pub limits: Limits,
+    pub budget: Budget,
+    /// Fact-store size when the budget was installed; the fact cap
+    /// bounds growth past this, not absolute size (engines are reused).
+    facts_baseline: u64,
+}
+
+impl Fixpoint {
+    pub fn new(groups: Vec<Arc<[usize]>>, classes: Vec<RuleClass>) -> Self {
+        Fixpoint {
+            groups,
+            classes,
+            workers: 1,
+            semi_naive: true,
+            limits: Limits::default(),
+            budget: Budget::default(),
+            facts_baseline: 0,
+        }
+    }
+
+    /// Installs `budget`; memory caps bound growth from this moment.
+    pub fn set_budget(&mut self, budget: Budget, ctx: &Context<'_>) {
+        self.facts_baseline = ctx.fact_footprint();
+        self.budget = budget;
+    }
+
+    /// Probes the memory caps: fact growth since the budget was set, the
+    /// engine's `working` set, and the database lattice depth.
+    pub fn check_memory(&self, ctx: &Context<'_>, working: u64) -> Result<()> {
+        let facts = ctx.fact_footprint().saturating_sub(self.facts_baseline);
+        self.budget
+            .check_memory(facts, working, ctx.dbs.max_depth() as u64)
+    }
+}
+
+/// What an engine tells the kernel — the only questions bottom-up and
+/// `PROVE_Δᵢ` answer differently.
+pub(crate) trait Resolver<'rb> {
+    /// Failpoint probed at the top of every round.
+    #[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
+    const ROUND_SITE: &'static str;
+    /// Failpoint probed once per firing (pure task or impure rule).
+    const FIRE_SITE: &'static str;
+    /// The engine's context, kernel share and counters, borrowed apart.
+    fn split(&mut self) -> (&mut Context<'rb>, &mut Fixpoint, &mut EngineStats);
+    /// Shared view of the engine's context and kernel share.
+    fn shared(&self) -> (&Context<'rb>, &Fixpoint);
+    /// Whether premise predicate `pred` of a rule with head predicate
+    /// `head` is read from the layered model (`true`) or resolved below
+    /// it through [`Resolver::prove`].
+    fn layered(&self, head: Symbol, pred: Symbol) -> bool;
+    /// Whether `fact` holds in database `db`: bottom-up closes the
+    /// child model of `db`, PROVE asks the `PROVE_Σᵢ₋₁` oracle.
+    fn prove(&mut self, db: DbId, fact: GroundAtom) -> Result<bool>;
+    /// The memory-probe working set while a model holding `derived`
+    /// facts is being closed.
+    fn working_set(&self, derived: usize) -> u64;
+    /// Called whenever a premise is handed below the layered model.
+    fn handed_below(&mut self) {}
+}
+
+/// A partially closed model: groups `0..closed` are at their fixpoint.
+///
+/// Only the *derived* facts are stored — the facts the rules added above
+/// the interned database itself. The EDB layer is answered through a
+/// [`hdl_base::DbView`] of the overlay DAG, so memoizing a model for an
+/// augmented database costs O(|derived|), not a full copy of the
+/// database. The invariant `derived ∩ DB = ∅` keeps the two layers
+/// disjoint, so enumerating `view ∪ derived` never repeats a fact.
+#[derive(Debug, Default)]
+pub(crate) struct Model {
+    pub closed: usize,
+    pub derived: Database,
+}
+
+/// Why [`saturate`] stopped before closing every group.
+pub(crate) struct Stop {
+    pub error: Error,
+    /// The match-attempt limit tripped after a round: the model holds
+    /// every fact derived so far — sound, but its group is not closed.
+    /// Otherwise the unfinished group's facts were dropped.
+    pub kept: bool,
+}
+
+impl From<Error> for Stop {
+    fn from(error: Error) -> Self {
+        Stop { error, kept: false }
+    }
+}
+
+/// Closes groups `model.closed..upto` of `db`'s model in order, each by
+/// the semi-naive fixpoint, and records the rounds' delta trajectory.
+pub(crate) fn saturate<'rb, R: Resolver<'rb>>(
+    r: &mut R,
+    db: DbId,
+    upto: usize,
+    model: &mut Model,
+) -> std::result::Result<(), Stop> {
+    let mut trajectory: Vec<u64> = Vec::new();
+    while model.closed < upto {
+        let group = Arc::clone(&r.shared().1.groups[model.closed]);
+        // Semi-naive layers: `older` = derived before the previous round
+        // (seeded with the groups already closed), `delta` = the previous
+        // round's new facts.
+        let mut older = std::mem::take(&mut model.derived);
+        let mut delta = Database::new();
+        let mut round: u64 = 0;
+        loop {
+            r.split().2.rounds += 1;
+            // A trip here leaves the model without its unfinished group;
+            // the caller drops it, so memoized models stay sound.
+            let (ctx, fx) = r.shared();
+            if fx.budget.has_memory_limits() {
+                fx.check_memory(ctx, r.working_set(older.len() + delta.len()))?;
+            }
+            hdl_base::failpoint!(R::ROUND_SITE);
+            let mut fresh: Vec<GroundAtom> = Vec::new();
+            let mut impure: Vec<(usize, Option<usize>)> = Vec::new();
+            let tasks = schedule(r, db, &group, round, &older, &delta, &mut impure);
+            run_pure(r, db, &older, &delta, &tasks, &mut fresh)?;
+            for &(rule_idx, rot_j) in &impure {
+                fire_impure(r, db, rule_idx, rot_j, &older, &delta, &mut fresh)?;
+            }
+            let (ctx, fx, stats) = r.split();
+            if stats.goal_expansions > fx.limits.max_expansions {
+                older.absorb(&delta);
+                model.derived = older;
+                return Err(Stop {
+                    error: Error::LimitExceeded {
+                        what: "rule firings".into(),
+                        limit: fx.limits.max_expansions,
+                    },
+                    kept: true,
+                });
+            }
+            // Round barrier: facts not seen in any layer become the next
+            // delta; the old delta ages into `older`. Derived facts stay
+            // disjoint from the EDB layer, so the model never enumerates
+            // a fact twice.
+            let view = ctx.dbs.view(db);
+            let mut next_delta = Database::new();
+            for f in fresh {
+                if !(view.contains(&f) || older.contains(&f) || delta.contains(&f)) {
+                    next_delta.insert(f);
+                }
+            }
+            older.absorb(&delta);
+            delta = next_delta;
+            trajectory.push(delta.len() as u64);
+            if delta.is_empty() {
+                break;
+            }
+            round += 1;
+        }
+        model.derived = older;
+        model.closed += 1;
+    }
+    if !trajectory.is_empty() {
+        r.split().2.delta_facts_per_round = trajectory;
+    }
+    Ok(())
+}
+
+/// One binding row of a matched premise: the variables the match bound.
+type Row = Vec<(Var, Symbol)>;
+
+/// A seed: the premise position consumed up front, and its match rows.
+type Seed = (usize, Vec<Row>);
+
+/// One unit of pure-rule work in a round: fire `rule_idx` under rotation
+/// `rot_j` (`None` = full evaluation), with premise `seed.0` pre-bound to
+/// each row of `seed.1` (the seed premise's matches, collected up front
+/// so they can be chunked across workers).
+struct PureTask {
+    rule_idx: usize,
+    rot_j: Option<usize>,
+    seed: Option<Seed>,
+}
+
+/// Builds the round's work list: pure tasks (chunked over their seed
+/// premise's matches for data parallelism) and impure `(rule, rot_j)`
+/// firings for the sequential path.
+fn schedule<'rb, R: Resolver<'rb>>(
+    r: &mut R,
+    db: DbId,
+    group: &[usize],
+    round: u64,
+    older: &Database,
+    delta: &Database,
+    impure: &mut Vec<(usize, Option<usize>)>,
+) -> Vec<PureTask> {
+    let (ctx, fx) = r.shared();
+    let layers = ModelLayers::new(ctx.dbs.view(db), older, delta);
+    // (rule, rot_j, seed premise + rows) before chunking.
+    let mut seeded: Vec<(usize, Option<usize>, Option<Seed>)> = Vec::new();
+    let mut counters = MatchCounters::default();
+    for &rule_idx in group {
+        let rule = &ctx.rb.rules[rule_idx];
+        let class = &fx.classes[rule_idx];
+        if !fx.semi_naive || round == 0 || class.hyp_sensitive {
+            if !class.pure {
+                // Hypothetical and oracle premises need `&mut` the engine.
+                impure.push((rule_idx, None));
+                continue;
+            }
+            // Full evaluation, seeded on the first positive premise
+            // (layered, since the rule is pure) so its matches can be
+            // chunked across workers. A positive premise with no matches
+            // kills the rule.
+            let first_atom = rule.premises.iter().enumerate().find_map(|(i, p)| match p {
+                Premise::Atom(atom) => Some((i, atom)),
+                _ => None,
+            });
+            match first_atom {
+                Some((i, atom)) => {
+                    let mut b = Bindings::new(rule.num_vars);
+                    let rows = layers.collect_matches(Part::Full, atom, &mut b, &mut counters);
+                    if !rows.is_empty() {
+                        seeded.push((rule_idx, None, Some((i, rows))));
+                    }
+                }
+                None => seeded.push((rule_idx, None, None)),
+            }
+        } else {
+            // Delta rotation: one firing per rotated premise, seeded on
+            // that premise's matches against the delta. An empty seed
+            // derives nothing — skip it outright.
+            for &j in &class.rot {
+                let Premise::Atom(atom) = &rule.premises[j] else {
+                    unreachable!("rot positions are positive atoms")
+                };
+                let mut b = Bindings::new(rule.num_vars);
+                let rows = layers.collect_matches(Part::Delta, atom, &mut b, &mut counters);
+                if rows.is_empty() {
+                    continue;
+                }
+                if class.pure {
+                    seeded.push((rule_idx, Some(j), Some((j, rows))));
+                } else {
+                    impure.push((rule_idx, Some(j)));
+                }
+            }
+        }
+    }
+    // Chunk seed rows so a round dominated by one rule (e.g. transitive
+    // closure) still spreads across the pool.
+    let tasks = chunk_tasks(seeded, fx.workers);
+    r.split().2.absorb_matches(counters);
+    tasks
+}
+
+/// Splits each seeded work item into up to `chunks` contiguous row
+/// chunks.
+fn chunk_tasks(seeded: Vec<(usize, Option<usize>, Option<Seed>)>, chunks: usize) -> Vec<PureTask> {
+    let mut tasks = Vec::new();
+    for (rule_idx, rot_j, seed) in seeded {
+        match seed {
+            Some((sidx, mut rows)) if chunks > 1 && rows.len() > 1 => {
+                let per = rows.len().div_ceil(chunks);
+                while !rows.is_empty() {
+                    let rest = rows.split_off(rows.len().min(per));
+                    tasks.push(PureTask {
+                        rule_idx,
+                        rot_j,
+                        seed: Some((sidx, std::mem::replace(&mut rows, rest))),
+                    });
+                }
+            }
+            seed => tasks.push(PureTask {
+                rule_idx,
+                rot_j,
+                seed,
+            }),
+        }
+    }
+    tasks
+}
+
+/// Runs the round's pure tasks — on scoped worker threads when the pool
+/// and the workload justify it, inline otherwise. Results are appended
+/// to `fresh` in task order, so the outcome is deterministic for every
+/// pool size.
+fn run_pure<'rb, R: Resolver<'rb>>(
+    r: &mut R,
+    db: DbId,
+    older: &Database,
+    delta: &Database,
+    tasks: &[PureTask],
+    fresh: &mut Vec<GroundAtom>,
+) -> Result<()> {
+    if tasks.is_empty() {
+        return Ok(());
+    }
+    let weight: usize = tasks
+        .iter()
+        .map(|t| t.seed.as_ref().map_or(64, |(_, rows)| rows.len()))
+        .sum();
+    let (ctx, fx, stats) = r.split();
+    let eligible = fx.workers > 1 && tasks.len() > 1;
+    let spawn = eligible && weight >= PARALLEL_MIN_DELTA;
+    if eligible && !spawn {
+        stats.parallel_skipped += 1;
+    }
+    let ctx: &Context<'rb> = ctx;
+    let layers = ModelLayers::new(ctx.dbs.view(db), older, delta);
+    let mut counters = MatchCounters::default();
+    let result = if spawn {
+        stats.parallel_rounds += 1;
+        run_pure_parallel(ctx, fx, layers, R::FIRE_SITE, tasks, &mut counters, fresh)
+    } else {
+        tasks.iter().try_for_each(|task| {
+            let mut env = Pure {
+                ctx,
+                classes: &fx.classes,
+                layers,
+                budget: &mut fx.budget,
+                counters: &mut counters,
+            };
+            env.fire(task, R::FIRE_SITE, fresh)
+        })
+    };
+    stats.absorb_matches(counters);
+    result
+}
+
+/// Fans `tasks` out over the pool's scoped threads. Each worker claims
+/// tasks from a shared cursor, carries its own budget clone (deadline and
+/// cancellation token still observed, failpoints probed per task) and
+/// match counters, and buffers derived heads per task; buffers are merged
+/// into `fresh` in task order at the barrier, so the outcome is
+/// deterministic for every pool size. Returns the first worker error.
+fn run_pure_parallel(
+    ctx: &Context<'_>,
+    fx: &Fixpoint,
+    layers: ModelLayers<'_>,
+    site: &'static str,
+    tasks: &[PureTask],
+    counters: &mut MatchCounters,
+    fresh: &mut Vec<GroundAtom>,
+) -> Result<()> {
+    let next = &AtomicUsize::new(0);
+    let abort = &AtomicBool::new(false);
+    type WorkerOut = (Vec<(usize, Vec<GroundAtom>)>, MatchCounters, Option<Error>);
+    let worker_results: Vec<WorkerOut> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..fx.workers.min(tasks.len()))
+            .map(|_| {
+                let mut budget = fx.budget.clone();
+                s.spawn(move || {
+                    let mut outs: Vec<(usize, Vec<GroundAtom>)> = Vec::new();
+                    let mut counters = MatchCounters::default();
+                    let mut err = None;
+                    while !abort.load(Ordering::Relaxed) {
+                        let t = next.fetch_add(1, Ordering::Relaxed);
+                        if t >= tasks.len() {
+                            break;
+                        }
+                        let mut env = Pure {
+                            ctx,
+                            classes: &fx.classes,
+                            layers,
+                            budget: &mut budget,
+                            counters: &mut counters,
+                        };
+                        let mut out = Vec::new();
+                        match env.fire(&tasks[t], site, &mut out) {
+                            Ok(()) => outs.push((t, out)),
+                            Err(e) => {
+                                err = Some(e);
+                                abort.store(true, Ordering::Relaxed);
+                                break;
+                            }
+                        }
+                    }
+                    (outs, counters, err)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(r) => r,
+                // An injected failpoint panic on a worker resurfaces on
+                // the caller, where the service layer's catch_unwind
+                // isolation can see it.
+                Err(p) => std::panic::resume_unwind(p),
+            })
+            .collect()
+    });
+    let mut merged: Vec<(usize, Vec<GroundAtom>)> = Vec::new();
+    let mut first_err = None;
+    for (outs, c, err) in worker_results {
+        merged.extend(outs);
+        counters.merge(c);
+        first_err = first_err.or(err);
+    }
+    if let Some(e) = first_err {
+        return Err(e);
+    }
+    merged.sort_by_key(|(t, _)| *t);
+    for (_, out) in merged {
+        fresh.extend(out);
+    }
+    Ok(())
+}
+
+/// Fires one impure rule (it has hypothetical or oracle premises) on the
+/// caller's thread: resolving those premises needs `&mut` the engine.
+fn fire_impure<'rb, R: Resolver<'rb>>(
+    r: &mut R,
+    db: DbId,
+    rule_idx: usize,
+    rot_j: Option<usize>,
+    older: &Database,
+    delta: &Database,
+    out: &mut Vec<GroundAtom>,
+) -> Result<()> {
+    hdl_base::failpoint!(R::FIRE_SITE);
+    let rule: &'rb HypRule = &r.shared().0.rb.rules[rule_idx];
+    let firing = Firing {
+        rule,
+        rule_idx,
+        rot_j,
+        seed: None,
+    };
+    let mut env = Impure {
+        r,
+        db,
+        older,
+        delta,
+    };
+    firing.walk(&mut env, 0, &mut Bindings::new(rule.num_vars), out)
+}
+
+/// What one firing's premise walk reads, charges and resolves through.
+/// [`Pure`] serves pure firings (possibly on a worker thread), which
+/// read every premise from the layered model; [`Impure`] serves impure
+/// firings and reaches the engine's [`Resolver`].
+trait Env<'rb> {
+    fn ctx(&self) -> &Context<'rb>;
+    fn class(&self, rule_idx: usize) -> &RuleClass;
+    fn layers(&self) -> ModelLayers<'_>;
+    fn budget(&mut self) -> &mut Budget;
+    /// Folds premise-match work (and domain-enumeration steps, one
+    /// attempt each) into the run's counters.
+    fn charge(&mut self, c: MatchCounters);
+    fn layered(&self, head: Symbol, pred: Symbol) -> bool;
+    fn handed_below(&mut self);
+    /// Whether `fact` holds below the layered model of the firing's
+    /// database.
+    fn prove(&mut self, fact: GroundAtom) -> Result<bool>;
+    /// Whether `goal` holds in the firing's database modified by the
+    /// grounded `adds`/`dels`.
+    fn hypothetical(
+        &mut self,
+        head: Symbol,
+        goal: &Atom,
+        adds: &[Atom],
+        dels: &[Atom],
+        bindings: &Bindings,
+    ) -> Result<bool>;
+}
+
+const ONE_STEP: MatchCounters = MatchCounters {
+    attempts: 1,
+    probes: 0,
+    hits: 0,
+};
+
+/// A pure firing's environment: shared reads plus its own budget and
+/// counters.
+struct Pure<'a, 'rb> {
+    ctx: &'a Context<'rb>,
+    classes: &'a [RuleClass],
+    layers: ModelLayers<'a>,
+    budget: &'a mut Budget,
+    counters: &'a mut MatchCounters,
+}
+
+impl<'rb> Pure<'_, 'rb> {
+    /// Fires one pure task: replays each seed row into the bindings and
+    /// walks the remaining premises. `site` is the engine's failpoint,
+    /// probed once per task so injection stays live inside worker loops.
+    fn fire(
+        &mut self,
+        task: &PureTask,
+        site: &'static str,
+        out: &mut Vec<GroundAtom>,
+    ) -> Result<()> {
+        // `failpoint!` compiles to nothing without the feature; keep
+        // `site` formally used either way.
+        let _ = site;
+        hdl_base::failpoint!(site);
+        let rule: &'rb HypRule = &self.ctx.rb.rules[task.rule_idx];
+        let firing = Firing {
+            rule,
+            rule_idx: task.rule_idx,
+            rot_j: task.rot_j,
+            seed: task.seed.as_ref().map(|(sidx, _)| *sidx),
+        };
+        let mut b = Bindings::new(rule.num_vars);
+        let Some((_, rows)) = &task.seed else {
+            return firing.walk(self, 0, &mut b, out);
+        };
+        for row in rows {
+            for &(v, c) in row {
+                b.set(v, c);
+            }
+            firing.walk(self, 0, &mut b, out)?;
+            for &(v, _) in row {
+                b.unset(v);
+            }
+        }
+        Ok(())
+    }
+}
+
+impl<'rb> Env<'rb> for Pure<'_, 'rb> {
+    fn ctx(&self) -> &Context<'rb> {
+        self.ctx
+    }
+    fn class(&self, rule_idx: usize) -> &RuleClass {
+        &self.classes[rule_idx]
+    }
+    fn layers(&self) -> ModelLayers<'_> {
+        self.layers
+    }
+    fn budget(&mut self) -> &mut Budget {
+        self.budget
+    }
+    fn charge(&mut self, c: MatchCounters) {
+        self.counters.merge(c);
+    }
+    fn layered(&self, _: Symbol, _: Symbol) -> bool {
+        true
+    }
+    fn handed_below(&mut self) {
+        unreachable!("pure rules read every premise from the layered model")
+    }
+    fn prove(&mut self, _: GroundAtom) -> Result<bool> {
+        unreachable!("pure rules read every premise from the layered model")
+    }
+    fn hypothetical(
+        &mut self,
+        _: Symbol,
+        _: &Atom,
+        _: &[Atom],
+        _: &[Atom],
+        _: &Bindings,
+    ) -> Result<bool> {
+        unreachable!("pure rules carry no hypothetical premises")
+    }
+}
+
+/// An impure firing's environment: the engine itself, and the layers of
+/// the model being closed over `db`.
+struct Impure<'a, R> {
+    r: &'a mut R,
+    db: DbId,
+    older: &'a Database,
+    delta: &'a Database,
+}
+
+impl<'a, 'rb: 'a, R: Resolver<'rb>> Env<'rb> for Impure<'a, R> {
+    fn ctx(&self) -> &Context<'rb> {
+        self.r.shared().0
+    }
+    fn class(&self, rule_idx: usize) -> &RuleClass {
+        &self.r.shared().1.classes[rule_idx]
+    }
+    fn layers(&self) -> ModelLayers<'_> {
+        ModelLayers::new(self.ctx().dbs.view(self.db), self.older, self.delta)
+    }
+    fn budget(&mut self) -> &mut Budget {
+        &mut self.r.split().1.budget
+    }
+    fn charge(&mut self, c: MatchCounters) {
+        self.r.split().2.absorb_matches(c);
+    }
+    fn layered(&self, head: Symbol, pred: Symbol) -> bool {
+        self.r.layered(head, pred)
+    }
+    fn handed_below(&mut self) {
+        self.r.handed_below();
+    }
+    fn prove(&mut self, fact: GroundAtom) -> Result<bool> {
+        self.r.prove(self.db, fact)
+    }
+    fn hypothetical(
+        &mut self,
+        head: Symbol,
+        goal: &Atom,
+        adds: &[Atom],
+        dels: &[Atom],
+        bindings: &Bindings,
+    ) -> Result<bool> {
+        let db2 = self
+            .r
+            .split()
+            .0
+            .hypothetical_db(self.db, adds, dels, bindings);
+        let goal_fact = goal.ground(bindings).expect("grounded");
+        if db2 == self.db && self.r.layered(head, goal.pred) {
+            // Degenerate hypothetical: every addition already present and
+            // every deletion already absent. The goal is tested inside the
+            // current fixpoint, where it behaves like a positive premise
+            // (monotone — the EDB never changes during a fixpoint, so the
+            // degeneracy is round-stable).
+            return Ok(self.older.contains(&goal_fact)
+                || self.delta.contains(&goal_fact)
+                || self.ctx().dbs.view(self.db).contains(&goal_fact));
+        }
+        self.r.split().2.databases_created += 1;
+        self.r.prove(db2, goal_fact)
+    }
+}
+
+/// One firing of a rule: under rotation `rot_j`, with premise `seed`
+/// (if any) already bound by the caller.
+struct Firing<'rb> {
+    rule: &'rb HypRule,
+    rule_idx: usize,
+    rot_j: Option<usize>,
+    seed: Option<usize>,
+}
+
+impl<'rb> Firing<'rb> {
+    /// Walks premises `idx..` under `b`, pushing every head it derives.
+    fn walk<E: Env<'rb>>(
+        &self,
+        env: &mut E,
+        idx: usize,
+        b: &mut Bindings,
+        out: &mut Vec<GroundAtom>,
+    ) -> Result<()> {
+        env.budget().check()?;
+        let rule = self.rule;
+        let Some(premise) = rule.premises.get(idx) else {
+            // Ground any remaining head variables over the domain
+            // (Definition 3's ground substitution).
+            let free = b.free_vars_of(&rule.head);
+            return ground_each(env, &free, 0, b, &mut |_, b| {
+                out.push(rule.head.ground(b).expect("head grounded"));
+                Ok(())
+            });
+        };
+        if self.seed == Some(idx) {
+            // Already bound from the task's seed rows.
+            return self.walk(env, idx + 1, b, out);
+        }
+        let head = rule.head.pred;
+        let mut next = |env: &mut E, b: &mut Bindings| self.walk(env, idx + 1, b, out);
+        match premise {
+            Premise::Atom(atom) if env.layered(head, atom.pred) => {
+                // Provable instances are exactly the layered model slice
+                // the rotation assigns to this position. Rows are
+                // collected first: the walk below needs `&mut` the env
+                // while the view borrows the store.
+                let part = part_for(env.class(self.rule_idx), self.rot_j, idx);
+                let mut c = MatchCounters::default();
+                let rows = env.layers().collect_matches(part, atom, b, &mut c);
+                env.charge(c);
+                for row in rows {
+                    for &(v, c) in &row {
+                        b.set(v, c);
+                    }
+                    next(env, b)?;
+                    for &(v, _) in &row {
+                        b.unset(v);
+                    }
+                }
+                Ok(())
+            }
+            Premise::Atom(atom) => {
+                // Defined below the layered model: one proof per
+                // grounding (round-invariant while this fixpoint grows).
+                env.handed_below();
+                let free = b.free_vars_of(atom);
+                ground_each(env, &free, 0, b, &mut |env, b| {
+                    if env.prove(atom.ground(b).expect("grounded"))? {
+                        next(env, b)?;
+                    }
+                    Ok(())
+                })
+            }
+            Premise::Neg(atom) => {
+                // For each outer assignment the premise holds iff no inner
+                // assignment is provable (`¬∃inner`). The negated
+                // predicate is closed: strictly lower stratum, or an
+                // earlier sub-stratum of this segment.
+                let inner = &env.ctx().plans[self.rule_idx].inner_neg_vars[idx];
+                let outer: Vec<Var> = b
+                    .free_vars_of(atom)
+                    .into_iter()
+                    .filter(|v| !inner.contains(v))
+                    .collect();
+                let layered = env.layered(head, atom.pred);
+                ground_each(env, &outer, 0, b, &mut |env, b| {
+                    env.budget().check()?;
+                    let witnessed = if layered {
+                        let mut c = MatchCounters::default();
+                        let found = env.layers().exists(Part::Full, atom, b, &mut c);
+                        env.charge(c);
+                        found
+                    } else {
+                        env.handed_below();
+                        let inner = env.ctx().plans[self.rule_idx].inner_neg_vars[idx].clone();
+                        exists_below(env, atom, &inner, 0, b)?
+                    };
+                    if !witnessed {
+                        next(env, b)?;
+                    }
+                    Ok(())
+                })
+            }
+            Premise::Hyp { goal, adds, dels } => {
+                // Tested in the (recursively computed) model of the
+                // modified database — for PROVE, the last case of TEST⁰.
+                env.handed_below();
+                let free = collect_free(goal, adds, dels, b);
+                ground_each(env, &free, 0, b, &mut |env, b| {
+                    if env.hypothetical(head, goal, adds, dels, b)? {
+                        next(env, b)?;
+                    }
+                    Ok(())
+                })
+            }
+        }
+    }
+}
+
+/// The model slice premise `idx` reads under rotation `rot_j`: the
+/// standard semi-naive assignment `Full^{<j} ⋈ Δ_j ⋈ Old^{>j}` over the
+/// rule's rotatable positions; everything else (closed-group atoms,
+/// negations) reads the full model, where it is round-invariant anyway.
+fn part_for(class: &RuleClass, rot_j: Option<usize>, idx: usize) -> Part {
+    match rot_j {
+        Some(j) if idx >= j && class.rot.contains(&idx) => {
+            if idx == j {
+                Part::Delta
+            } else {
+                Part::Old
+            }
+        }
+        _ => Part::Full,
+    }
+}
+
+/// Enumerates `vars[pos..]` over the domain, one counted attempt per
+/// step, calling `f` at every complete assignment.
+fn ground_each<'rb, E, F>(
+    env: &mut E,
+    vars: &[Var],
+    pos: usize,
+    b: &mut Bindings,
+    f: &mut F,
+) -> Result<()>
+where
+    E: Env<'rb>,
+    F: FnMut(&mut E, &mut Bindings) -> Result<()>,
+{
+    let Some(&v) = vars.get(pos) else {
+        return f(env, b);
+    };
+    for i in 0..env.ctx().domain.len() {
+        let c = env.ctx().domain[i];
+        env.charge(ONE_STEP);
+        b.set(v, c);
+        ground_each(env, vars, pos + 1, b, f)?;
+    }
+    b.unset(v);
+    Ok(())
+}
+
+/// `∃`-grounding of `vars[pos..]` making `atom` provable below the
+/// layered model (negation handed to the oracle).
+fn exists_below<'rb, E: Env<'rb>>(
+    env: &mut E,
+    atom: &Atom,
+    vars: &[Var],
+    pos: usize,
+    b: &mut Bindings,
+) -> Result<bool> {
+    let Some(&v) = vars.get(pos) else {
+        return env.prove(atom.ground(b).expect("grounded"));
+    };
+    for i in 0..env.ctx().domain.len() {
+        let c = env.ctx().domain[i];
+        b.set(v, c);
+        if exists_below(env, atom, vars, pos + 1, b)? {
+            b.unset(v);
+            return Ok(true);
+        }
+    }
+    b.unset(v);
+    Ok(false)
+}

@@ -1,13 +1,11 @@
 //! Shared premise-matching over layered models.
 //!
-//! Both bottom-up closures — [`crate::engine::bottomup::BottomUpEngine`]'s
-//! `ensure_model` and the `PROVE_Δᵢ` fixpoint in
-//! [`crate::engine::prove::ProveEngine`] — evaluate rule premises against
-//! a model split across layers: the interned EDB (a [`DbView`] over the
-//! overlay DAG), facts derived in earlier fixpoint rounds, and the facts
-//! derived in the *previous* round (the semi-naive delta). This module
-//! owns that layering so the two engines stop carrying copy-pasted match
-//! helpers, and so the semi-naive delta-rotation reads the same three
+//! The fixpoint kernel ([`crate::engine::fixpoint`]) evaluates rule
+//! premises against a model split across layers: the interned EDB (a
+//! [`DbView`] over the overlay DAG), facts derived in earlier fixpoint
+//! rounds, and the facts derived in the *previous* round (the semi-naive
+//! delta). This module owns that layering, so the semi-naive
+//! delta-rotation and the engines' model lookups read the same three
 //! layers everywhere.
 //!
 //! Layer discipline (classic semi-naive evaluation):
@@ -21,13 +19,7 @@
 //! `Full^{<j} ⋈ Δp_j ⋈ Old^{>j}`: premise `j` is pinned to the delta,
 //! premises before it read the full model, premises after it the old one.
 
-use crate::ast::{HypRule, Premise};
-use crate::engine::budget::Budget;
-use crate::engine::context::RulePlan;
-use hdl_base::{
-    Atom, Bindings, Database, DbView, Error, GroundAtom, MatchCounters, Result, Symbol, Var,
-};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use hdl_base::{Atom, Bindings, Database, DbView, MatchCounters, Symbol, Var};
 
 /// Which slice of the layered model a premise reads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -156,441 +148,6 @@ pub fn collect_free(goal: &Atom, adds: &[Atom], dels: &[Atom], bindings: &Bindin
 pub fn empty_layer() -> &'static Database {
     static EMPTY: std::sync::OnceLock<Database> = std::sync::OnceLock::new();
     EMPTY.get_or_init(Database::new)
-}
-
-/// Static classification of one rule for semi-naive scheduling, relative
-/// to the model slice its fixpoint grows.
-#[derive(Default, Clone, Debug)]
-pub struct RuleClass {
-    /// Every premise resolves against the layered model alone (no
-    /// hypothetical recursion, no oracle calls): a firing needs only
-    /// shared reads, so it can run on a worker thread.
-    pub pure: bool,
-    /// Some premise outside the rotatable set can change value while the
-    /// fixpoint grows (e.g. a degenerate hypothetical reading the growing
-    /// model). Rotation cannot see such premises flip; the rule re-fires
-    /// fully each round.
-    pub hyp_sensitive: bool,
-    /// Positions of positive premises over the growing predicates — the
-    /// premises the semi-naive rotation can pin to the delta.
-    pub rot: Vec<usize>,
-}
-
-/// One binding row of a matched premise: the variables the match bound.
-pub type Row = Vec<(Var, Symbol)>;
-
-/// A seed: the premise position consumed up front, and its match rows.
-pub type Seed = (usize, Vec<Row>);
-
-/// One unit of pure-rule work in a round: fire `rule_idx` under rotation
-/// `rot_j` (`None` = full evaluation), with premise `seed.0` pre-bound to
-/// each row of `seed.1` (the seed premise's matches, collected up front
-/// so they can be chunked across workers).
-pub struct PureTask {
-    /// Index of the rule in the rulebase.
-    pub rule_idx: usize,
-    /// The delta-rotation pivot, or `None` for full evaluation.
-    pub rot_j: Option<usize>,
-    /// Pre-bound premise position and its match rows, if seeded.
-    pub seed: Option<Seed>,
-}
-
-/// Minimum total seed rows (delta width) in a round before worker
-/// threads are spawned; below this the per-round scope/merge cost
-/// outweighs the join work and parallel firing *loses* — tc_chain's
-/// ~190-fact rounds ran 2× slower at 4 workers under the old 128-row
-/// threshold. Rounds skipped by this gate are counted in
-/// `parallel_skipped`, and the fixpoint bench gates
-/// `parallel_speedup ≥ 0.95` so parallelism can no longer regress.
-pub const PARALLEL_MIN_DELTA: usize = 1024;
-
-/// The model slice premise `idx` reads under rotation `rot_j`: the
-/// standard semi-naive assignment `Full^{<j} ⋈ Δ_j ⋈ Old^{>j}` over the
-/// rule's rotatable positions; everything else (closed-strata atoms,
-/// negations, oracle premises) reads the full model, where it is
-/// round-invariant anyway.
-pub fn part_for(class: &RuleClass, rot_j: Option<usize>, idx: usize) -> Part {
-    match rot_j {
-        None => Part::Full,
-        Some(j) => {
-            if idx < j || !class.rot.contains(&idx) {
-                Part::Full
-            } else if idx == j {
-                Part::Delta
-            } else {
-                Part::Old
-            }
-        }
-    }
-}
-
-/// Fires one pure task: replays each seed row into the bindings and walks
-/// the remaining premises. A free function over shared references so
-/// worker threads can run it; `site` is the engine's failpoint name,
-/// probed once per task so injection stays live inside worker loops.
-#[allow(clippy::too_many_arguments)]
-pub fn fire_pure(
-    rule: &HypRule,
-    plan: &RulePlan,
-    class: &RuleClass,
-    layers: ModelLayers<'_>,
-    task: &PureTask,
-    domain: &[Symbol],
-    site: &'static str,
-    budget: &mut Budget,
-    counters: &mut MatchCounters,
-    out: &mut Vec<GroundAtom>,
-) -> Result<()> {
-    // `failpoint!` compiles to nothing without the feature; keep `site`
-    // formally used either way.
-    let _ = site;
-    hdl_base::failpoint!(site);
-    let mut bindings = Bindings::new(rule.num_vars);
-    match &task.seed {
-        Some((sidx, rows)) => {
-            for row in rows {
-                for &(v, c) in row {
-                    bindings.set(v, c);
-                }
-                walk_pure(
-                    rule,
-                    plan,
-                    class,
-                    layers,
-                    task.rot_j,
-                    Some(*sidx),
-                    0,
-                    &mut bindings,
-                    domain,
-                    budget,
-                    counters,
-                    out,
-                )?;
-                for &(v, _) in row {
-                    bindings.unset(v);
-                }
-            }
-            Ok(())
-        }
-        None => walk_pure(
-            rule,
-            plan,
-            class,
-            layers,
-            task.rot_j,
-            None,
-            0,
-            &mut bindings,
-            domain,
-            budget,
-            counters,
-            out,
-        ),
-    }
-}
-
-/// The shared-read premise walk for pure rules: every positive premise
-/// matches the layered model slice its rotation assigns, negations test
-/// the full model, and head grounding enumerates the domain. Touches only
-/// shared data plus per-worker budget/counters/output.
-#[allow(clippy::too_many_arguments)]
-fn walk_pure(
-    rule: &HypRule,
-    plan: &RulePlan,
-    class: &RuleClass,
-    layers: ModelLayers<'_>,
-    rot_j: Option<usize>,
-    seed: Option<usize>,
-    idx: usize,
-    bindings: &mut Bindings,
-    domain: &[Symbol],
-    budget: &mut Budget,
-    counters: &mut MatchCounters,
-    out: &mut Vec<GroundAtom>,
-) -> Result<()> {
-    budget.check()?;
-    if idx == rule.premises.len() {
-        let free = bindings.free_vars_of(&rule.head);
-        return emit_head_pure(rule, &free, 0, bindings, domain, counters, out);
-    }
-    if seed == Some(idx) {
-        // Already bound from the task's seed rows.
-        return walk_pure(
-            rule,
-            plan,
-            class,
-            layers,
-            rot_j,
-            seed,
-            idx + 1,
-            bindings,
-            domain,
-            budget,
-            counters,
-            out,
-        );
-    }
-    match &rule.premises[idx] {
-        Premise::Atom(atom) => {
-            let part = part_for(class, rot_j, idx);
-            let rows = layers.collect_matches(part, atom, bindings, counters);
-            for row in rows {
-                for &(v, c) in &row {
-                    bindings.set(v, c);
-                }
-                walk_pure(
-                    rule,
-                    plan,
-                    class,
-                    layers,
-                    rot_j,
-                    seed,
-                    idx + 1,
-                    bindings,
-                    domain,
-                    budget,
-                    counters,
-                    out,
-                )?;
-                for &(v, _) in &row {
-                    bindings.unset(v);
-                }
-            }
-            Ok(())
-        }
-        Premise::Neg(atom) => {
-            let inner = &plan.inner_neg_vars[idx];
-            let free = bindings.free_vars_of(atom);
-            let outer: Vec<Var> = free.into_iter().filter(|v| !inner.contains(v)).collect();
-            neg_outer_pure(
-                rule, plan, class, layers, rot_j, seed, idx, atom, &outer, 0, bindings, domain,
-                budget, counters, out,
-            )
-        }
-        Premise::Hyp { .. } => unreachable!("pure rules carry no hypothetical premises"),
-    }
-}
-
-/// Domain enumeration of a negated premise's outer variables; at each
-/// full assignment the premise holds iff no inner assignment matches the
-/// (closed) model.
-#[allow(clippy::too_many_arguments)]
-fn neg_outer_pure(
-    rule: &HypRule,
-    plan: &RulePlan,
-    class: &RuleClass,
-    layers: ModelLayers<'_>,
-    rot_j: Option<usize>,
-    seed: Option<usize>,
-    idx: usize,
-    atom: &Atom,
-    outer: &[Var],
-    opos: usize,
-    bindings: &mut Bindings,
-    domain: &[Symbol],
-    budget: &mut Budget,
-    counters: &mut MatchCounters,
-    out: &mut Vec<GroundAtom>,
-) -> Result<()> {
-    budget.check()?;
-    if opos == outer.len() {
-        if !layers.exists(Part::Full, atom, bindings, counters) {
-            walk_pure(
-                rule,
-                plan,
-                class,
-                layers,
-                rot_j,
-                seed,
-                idx + 1,
-                bindings,
-                domain,
-                budget,
-                counters,
-                out,
-            )?;
-        }
-        return Ok(());
-    }
-    let v = outer[opos];
-    for &c in domain {
-        counters.attempts += 1;
-        bindings.set(v, c);
-        neg_outer_pure(
-            rule,
-            plan,
-            class,
-            layers,
-            rot_j,
-            seed,
-            idx,
-            atom,
-            outer,
-            opos + 1,
-            bindings,
-            domain,
-            budget,
-            counters,
-            out,
-        )?;
-    }
-    bindings.unset(v);
-    Ok(())
-}
-
-/// Grounds any remaining head variables over the domain and emits the
-/// resulting heads.
-fn emit_head_pure(
-    rule: &HypRule,
-    free: &[Var],
-    fpos: usize,
-    bindings: &mut Bindings,
-    domain: &[Symbol],
-    counters: &mut MatchCounters,
-    out: &mut Vec<GroundAtom>,
-) -> Result<()> {
-    if fpos == free.len() {
-        out.push(rule.head.ground(bindings).expect("head grounded"));
-        return Ok(());
-    }
-    let v = free[fpos];
-    for &c in domain {
-        counters.attempts += 1;
-        bindings.set(v, c);
-        emit_head_pure(rule, free, fpos + 1, bindings, domain, counters, out)?;
-    }
-    bindings.unset(v);
-    Ok(())
-}
-
-/// Fans `tasks` out over `workers` scoped threads. Each worker claims
-/// tasks from a shared cursor, carries its own budget clone (deadline and
-/// cancellation token still observed, failpoints probed per task) and
-/// match counters, and buffers derived heads per task; buffers are merged
-/// into `fresh` in task order at the barrier, so the outcome is
-/// deterministic for every pool size. Returns the merged match counters
-/// and the first worker error, if any.
-#[allow(clippy::too_many_arguments)]
-pub fn run_pure_parallel(
-    workers: usize,
-    rules: &[HypRule],
-    plans: &[RulePlan],
-    classes: &[RuleClass],
-    layers: ModelLayers<'_>,
-    domain: &[Symbol],
-    site: &'static str,
-    budget: &Budget,
-    tasks: &[PureTask],
-    fresh: &mut Vec<GroundAtom>,
-) -> (MatchCounters, Result<()>) {
-    let nworkers = workers.min(tasks.len());
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let next = &next;
-    let abort = &abort;
-    type WorkerOut = (Vec<(usize, Vec<GroundAtom>)>, MatchCounters, Option<Error>);
-    let worker_results: Vec<WorkerOut> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..nworkers)
-            .map(|_| {
-                let mut budget = budget.clone();
-                s.spawn(move || {
-                    let mut outs: Vec<(usize, Vec<GroundAtom>)> = Vec::new();
-                    let mut counters = MatchCounters::default();
-                    let mut err = None;
-                    while !abort.load(Ordering::Relaxed) {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= tasks.len() {
-                            break;
-                        }
-                        let task = &tasks[t];
-                        let mut out = Vec::new();
-                        match fire_pure(
-                            &rules[task.rule_idx],
-                            &plans[task.rule_idx],
-                            &classes[task.rule_idx],
-                            layers,
-                            task,
-                            domain,
-                            site,
-                            &mut budget,
-                            &mut counters,
-                            &mut out,
-                        ) {
-                            Ok(()) => outs.push((t, out)),
-                            Err(e) => {
-                                err = Some(e);
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                    (outs, counters, err)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                // An injected failpoint panic on a worker resurfaces on
-                // the caller, where the service layer's catch_unwind
-                // isolation can see it.
-                Err(p) => std::panic::resume_unwind(p),
-            })
-            .collect()
-    });
-    let mut merged: Vec<(usize, Vec<GroundAtom>)> = Vec::new();
-    let mut counters = MatchCounters::default();
-    let mut first_err = None;
-    for (outs, c, err) in worker_results {
-        merged.extend(outs);
-        counters.merge(c);
-        if first_err.is_none() {
-            first_err = err;
-        }
-    }
-    match first_err {
-        Some(e) => (counters, Err(e)),
-        None => {
-            merged.sort_by_key(|(t, _)| *t);
-            for (_, out) in merged {
-                fresh.extend(out);
-            }
-            (counters, Ok(()))
-        }
-    }
-}
-
-/// Splits each seeded work item into up to `chunks` contiguous row
-/// chunks, so a round dominated by one rule (e.g. transitive closure)
-/// still spreads across the pool.
-pub fn chunk_tasks(
-    seeded: Vec<(usize, Option<usize>, Option<Seed>)>,
-    chunks: usize,
-) -> Vec<PureTask> {
-    let mut tasks = Vec::new();
-    for (rule_idx, rot_j, seed) in seeded {
-        match seed {
-            Some((sidx, rows)) if chunks > 1 && rows.len() > 1 => {
-                let per = rows.len().div_ceil(chunks);
-                let mut rows = rows;
-                while !rows.is_empty() {
-                    let rest = rows.split_off(rows.len().min(per));
-                    tasks.push(PureTask {
-                        rule_idx,
-                        rot_j,
-                        seed: Some((sidx, std::mem::replace(&mut rows, rest))),
-                    });
-                }
-            }
-            seed => tasks.push(PureTask {
-                rule_idx,
-                rot_j,
-                seed,
-            }),
-        }
-    }
-    tasks
 }
 
 #[cfg(test)]

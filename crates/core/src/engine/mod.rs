@@ -16,11 +16,17 @@
 //! - [`prove::ProveEngine`] — the paper's own `PROVE_Σᵢ`/`PROVE_Δᵢ`
 //!   procedures (§5.2), instrumented for the Theorem 3 goal-sequence
 //!   bound. Requires a linearly stratified rulebase.
+//!
+//! The bottom-up closures — `BottomUpEngine`'s (and so `NaiveEngine`'s
+//! and `MagicEngine`'s) and `PROVE_Δᵢ`'s — all run on one semi-naive
+//! kernel, [`fixpoint`], which each engine drives through its own
+//! resolver.
 
 pub mod bottomup;
 pub mod budget;
 pub mod context;
 pub mod demand;
+pub mod fixpoint;
 pub mod matching;
 pub mod proof;
 pub mod prove;

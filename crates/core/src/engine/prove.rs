@@ -29,20 +29,18 @@ use crate::analysis::stratify::{linear_stratification, LinearStratification};
 use crate::ast::{HypRule, Premise, Rulebase};
 use crate::engine::budget::Budget;
 use crate::engine::context::Context;
-use crate::engine::matching::{
-    chunk_tasks, fire_pure, part_for, run_pure_parallel, ModelLayers, Part, PureTask, RuleClass,
-    Seed, PARALLEL_MIN_DELTA,
-};
-use crate::engine::stats::Limits;
+use crate::engine::fixpoint::{self, classify, Fixpoint, Model, Resolver, RuleClass};
+use crate::engine::matching::collect_free;
+use crate::engine::stats::{EngineStats, Limits};
 use hdl_base::{
-    Atom, Bindings, Database, DbId, Error, FactId, FxHashMap, GroundAtom, MatchCounters, Result,
-    Symbol, Var,
+    Atom, Bindings, Database, DbId, Error, FactId, FxHashMap, GroundAtom, Result, Symbol, Var,
 };
 use std::sync::Arc;
 
 const NO_CUT: u64 = u64::MAX;
 
-/// Work counters specific to the PROVE procedures.
+/// Work counters of the PROVE procedures: the Theorem 3 quantities, plus
+/// the [`EngineStats`] every engine reports (it derefs to them).
 #[derive(Default, Debug, Clone, PartialEq, Eq)]
 pub struct ProveStats {
     /// `Σ` goal expansions per stratum (index `i-1` for stratum `i`) — the
@@ -52,60 +50,43 @@ pub struct ProveStats {
     pub oracle_calls: u64,
     /// Δ perfect models computed (distinct `(stratum, db)` pairs).
     pub delta_models: u64,
-    /// Maximum Σ recursion depth.
-    pub max_depth: u64,
-    /// Memo hits on atomic goals.
-    pub memo_hits: u64,
-    /// Facts newly derived in each fixpoint round of the last Δ model
-    /// computed — the semi-naive delta trajectory.
-    pub delta_facts_per_round: Vec<u64>,
-    /// Premise matches answered via an argument-index hash probe instead
-    /// of a relation scan.
-    pub index_probes: u64,
-    /// Index probes that found at least one candidate.
-    pub index_hits: u64,
-    /// Δ fixpoint rounds whose pure-rule firings ran on worker threads.
-    pub parallel_rounds: u64,
-    /// Δ fixpoint rounds eligible for worker threads that ran inline
-    /// because the round's delta was narrower than
-    /// [`crate::engine::matching::PARALLEL_MIN_DELTA`].
-    pub parallel_skipped: u64,
-    /// Storage counters of the overlay DAG backing the database lattice,
-    /// snapshotted when the engine finished its last query.
-    pub overlay: hdl_base::OverlayStats,
+    /// Everything else: match attempts plus Σ expansions
+    /// (`goal_expansions`, the unit [`Limits::max_expansions`] bounds),
+    /// memo hits and maximum Σ depth, and the Δ fixpoint's rounds, index
+    /// probes, worker rounds, delta trajectory and overlay snapshot.
+    pub engine: EngineStats,
+}
+
+impl std::ops::Deref for ProveStats {
+    type Target = EngineStats;
+
+    fn deref(&self) -> &EngineStats {
+        &self.engine
+    }
 }
 
 /// The §5.2 proof-procedure engine.
 pub struct ProveEngine<'rb> {
     ctx: Context<'rb>,
     ls: LinearStratification,
-    /// Δ rule indices per stratum (1-based stratum → index-1), grouped by
-    /// internal negation sub-strata `Δᵢ₁,…,Δᵢₘ` (evaluation order).
-    /// Shared immutably so fixpoint rounds need no per-round copy.
-    delta_rules: Vec<Arc<[Vec<usize>]>>,
-    /// Per sub-stratum group, the semi-naive classification of its rules
-    /// (indexed like `rb.rules`; rules outside the group keep defaults).
-    /// Parallel to `delta_rules`.
-    delta_classes: Vec<Arc<[Vec<RuleClass>]>>,
-    /// Σ rule indices per stratum, shared immutably for the same reason.
+    /// Per stratum `i` (index `i-1`), the range of kernel groups holding
+    /// its Δ sub-strata `Δᵢ₁,…,Δᵢₘ` (evaluation order): groups
+    /// `segments[i-1]..segments[i]`.
+    segments: Vec<usize>,
+    /// Σ rule indices per stratum, shared immutably so an expansion never
+    /// copies its group.
     sigma_rules: Vec<Arc<[usize]>>,
-    /// Worker threads for pure Δ-rule firings within a round (1 = inline).
-    workers: usize,
     memo: FxHashMap<(FactId, DbId), bool>,
     in_progress: FxHashMap<(FactId, DbId), u64>,
     /// Memoized Δ models, storing only the facts *derived* above the keyed
     /// database — the EDB layer stays in the overlay DAG and is consulted
-    /// through a [`DbView`].
+    /// through a [`hdl_base::DbView`].
     delta_models: FxHashMap<(usize, DbId), Arc<Database>>,
+    /// The kernel's share: one rule group per Δ sub-stratum.
+    fx: Fixpoint,
     stats: ProveStats,
-    limits: Limits,
-    budget: Budget,
-    expansions_total: u64,
-    /// Cached `budget.has_memory_limits()` for the hot-path probes.
-    mem_limited: bool,
-    /// Store sizes when the budget was installed; the memory caps bound
-    /// growth past these (engines are reused across queries).
-    facts_baseline: u64,
+    /// Goal-table size when the budget was installed; the goal cap bounds
+    /// growth past it (engines are reused across queries).
     goals_baseline: u64,
 }
 
@@ -115,50 +96,53 @@ impl<'rb> ProveEngine<'rb> {
         let ctx = Context::new(rb, db)?;
         let ls = linear_stratification(rb)?;
         let k = ls.num_strata();
-        let mut delta_rules: Vec<Arc<[Vec<usize>]>> = vec![Arc::from(Vec::new()); k];
-        let mut sigma_rules: Vec<Arc<[usize]>> = vec![Arc::from(Vec::new()); k];
+        let mut groups: Vec<Arc<[usize]>> = Vec::new();
+        let mut segments = vec![0];
+        let mut classes = vec![RuleClass::default(); rb.rules.len()];
         for (i, stratum) in ls.strata.iter().enumerate() {
-            delta_rules[i] = Arc::from(substrata(rb, &ls, &stratum.delta));
-            sigma_rules[i] = Arc::from(stratum.sigma.clone());
+            let delta_part = 2 * (i + 1) - 1;
+            for group in substrata(rb, &ls, &stratum.delta) {
+                // Within a Δ sub-stratum the growing predicates are the
+                // group's own heads; the segment's other predicates are
+                // closed and EDB atoms fixed, while premises defined below
+                // the segment go to the oracle.
+                let heads: Vec<Symbol> = group.iter().map(|&r| rb.rules[r].head.pred).collect();
+                for &r in &group {
+                    classes[r] = classify(
+                        &rb.rules[r],
+                        |p| heads.contains(&p),
+                        |p| [0, delta_part].contains(&ls.part(p)),
+                    );
+                }
+                groups.push(Arc::from(group));
+            }
+            segments.push(groups.len());
         }
-        let delta_classes = delta_rules
+        let sigma_rules = ls
+            .strata
             .iter()
-            .enumerate()
-            .map(|(i, groups)| {
-                let delta_part = 2 * (i + 1) - 1;
-                let per_group: Vec<Vec<RuleClass>> = groups
-                    .iter()
-                    .map(|group| classify_group(rb, &ls, group, delta_part))
-                    .collect();
-                Arc::from(per_group)
-            })
+            .map(|stratum| Arc::from(stratum.sigma.clone()))
             .collect();
         Ok(ProveEngine {
             ctx,
             ls,
-            delta_rules,
-            delta_classes,
+            segments,
             sigma_rules,
-            workers: 1,
             memo: FxHashMap::default(),
             in_progress: FxHashMap::default(),
             delta_models: FxHashMap::default(),
+            fx: Fixpoint::new(groups, classes),
             stats: ProveStats {
                 sigma_expansions: vec![0; k],
                 ..Default::default()
             },
-            limits: Limits::default(),
-            budget: Budget::default(),
-            expansions_total: 0,
-            mem_limited: false,
-            facts_baseline: 0,
             goals_baseline: 0,
         })
     }
 
     /// Replaces the resource limits.
     pub fn with_limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
+        self.fx.limits = limits;
         self
     }
 
@@ -166,22 +150,13 @@ impl<'rb> ProveEngine<'rb> {
     /// within a fixpoint round (clamped to at least 1). The computed
     /// models are identical for every setting; only wall-clock changes.
     pub fn set_parallelism(&mut self, workers: usize) {
-        self.workers = workers.max(1);
+        self.fx.workers = workers.max(1);
     }
 
     /// Builder form of [`ProveEngine::set_parallelism`].
     pub fn with_parallelism(mut self, workers: usize) -> Self {
         self.set_parallelism(workers);
         self
-    }
-
-    /// Folds premise-match counters into the engine's accounting: each
-    /// candidate tested is one unit of [`Limits::max_expansions`] work,
-    /// and index probes/hits feed the `:stats` report.
-    fn absorb_matches(&mut self, c: MatchCounters) {
-        self.expansions_total += c.attempts;
-        self.stats.index_probes += c.probes;
-        self.stats.index_hits += c.hits;
     }
 
     /// Replaces the evaluation budget (deadline / cancellation token).
@@ -191,23 +166,8 @@ impl<'rb> ProveEngine<'rb> {
     /// Memory limits carried by the budget bound growth from this
     /// moment: current store sizes become the measurement baseline.
     pub fn set_budget(&mut self, budget: Budget) {
-        self.mem_limited = budget.has_memory_limits();
-        self.facts_baseline = self.ctx.fact_footprint();
         self.goals_baseline = (self.memo.len() + self.in_progress.len()) as u64;
-        self.budget = budget;
-    }
-
-    /// Probes the memory caps against growth since the budget was set;
-    /// `extra` adds the working set of an in-flight Δ model.
-    fn check_memory(&self, extra: usize) -> Result<()> {
-        let facts = self
-            .ctx
-            .fact_footprint()
-            .saturating_sub(self.facts_baseline);
-        let goals = ((self.memo.len() + self.in_progress.len() + extra) as u64)
-            .saturating_sub(self.goals_baseline);
-        self.budget
-            .check_memory(facts, goals, self.ctx.dbs.max_depth() as u64)
+        self.fx.set_budget(budget, &self.ctx);
     }
 
     /// Work counters.
@@ -253,20 +213,13 @@ impl<'rb> ProveEngine<'rb> {
                     self.memo.clear();
                     self.delta_models.clear();
                 }
-                let mut free: Vec<Var> = Vec::new();
-                for v in goal
-                    .vars()
-                    .chain(adds.iter().flat_map(|a| a.vars()))
-                    .chain(dels.iter().flat_map(|a| a.vars()))
-                {
-                    if bindings.get(v).is_none() && !free.contains(&v) {
-                        free.push(v);
-                    }
-                }
+                let free = collect_free(goal, adds, dels, &bindings);
                 self.exists_hyp(goal, adds, dels, &free, 0, &mut bindings, base)
             }
         };
-        self.stats.overlay = self.ctx.dbs.overlay_stats();
+        self.stats
+            .engine
+            .record_overlay(self.ctx.dbs.overlay_stats());
         result
     }
 
@@ -279,7 +232,9 @@ impl<'rb> ProveEngine<'rb> {
         let free = bindings.free_vars_of(pattern);
         let mut out = Vec::new();
         let walked = self.collect_answers(pattern, &free, 0, &mut bindings, base, &mut out);
-        self.stats.overlay = self.ctx.dbs.overlay_stats();
+        self.stats
+            .engine
+            .record_overlay(self.ctx.dbs.overlay_stats());
         walked?;
         out.sort();
         out.dedup();
@@ -327,7 +282,7 @@ impl<'rb> ProveEngine<'rb> {
     /// Dispatches a ground atomic goal by its predicate's partition:
     /// even → `PROVE_Σ`, odd → `PROVE_Δ` model, 0 → database membership.
     fn prove_atomic(&mut self, fact: FactId, db: DbId, depth: u64, cut: &mut u64) -> Result<bool> {
-        self.budget.check()?;
+        self.fx.budget.check()?;
         if self.ctx.db_contains(db, fact) {
             return Ok(true); // line 1 of PROVE_Σ / first case of TEST⁰
         }
@@ -356,26 +311,27 @@ impl<'rb> ProveEngine<'rb> {
         depth: u64,
         cut: &mut u64,
     ) -> Result<bool> {
-        if self.mem_limited {
-            self.check_memory(0)?;
+        if self.fx.budget.has_memory_limits() {
+            self.fx.check_memory(&self.ctx, self.working_set(0))?;
         }
         hdl_base::failpoint!("prove::sigma");
         let key = (goal, db);
         if let Some(&r) = self.memo.get(&key) {
-            self.stats.memo_hits += 1;
+            self.stats.engine.memo_hits += 1;
             return Ok(r);
         }
         if let Some(&d0) = self.in_progress.get(&key) {
             *cut = (*cut).min(d0);
             return Ok(false);
         }
-        self.stats.max_depth = self.stats.max_depth.max(depth);
+        let engine = &mut self.stats.engine;
+        engine.max_depth = engine.max_depth.max(depth);
+        engine.goal_expansions += 1;
         self.stats.sigma_expansions[stratum - 1] += 1;
-        self.expansions_total += 1;
-        if self.expansions_total > self.limits.max_expansions {
+        if engine.goal_expansions > self.fx.limits.max_expansions {
             return Err(Error::LimitExceeded {
                 what: "sigma goal expansions".into(),
-                limit: self.limits.max_expansions,
+                limit: self.fx.limits.max_expansions,
             });
         }
 
@@ -511,16 +467,7 @@ impl<'rb> ProveEngine<'rb> {
             }
             Premise::Hyp { goal, adds, dels } => {
                 // Line 2: (B[add: Ā, del: C̄], DB) → (B, (DB ∖ C̄) ∪ Ā).
-                let mut free: Vec<Var> = Vec::new();
-                for v in goal
-                    .vars()
-                    .chain(adds.iter().flat_map(|a| a.vars()))
-                    .chain(dels.iter().flat_map(|a| a.vars()))
-                {
-                    if bindings.get(v).is_none() && !free.contains(&v) {
-                        free.push(v);
-                    }
-                }
+                let free = collect_free(goal, adds, dels, bindings);
                 self.sigma_hyp_groundings(
                     stratum, rule, rule_idx, idx, goal, adds, dels, &free, 0, bindings, db, depth,
                     cut,
@@ -662,21 +609,7 @@ impl<'rb> ProveEngine<'rb> {
         cut: &mut u64,
     ) -> Result<bool> {
         if fpos == free.len() {
-            let add_ids: Vec<FactId> = adds
-                .iter()
-                .map(|a| {
-                    let f = a.ground(bindings).expect("grounded");
-                    self.ctx.fact_id(f)
-                })
-                .collect();
-            let del_ids: Vec<FactId> = dels
-                .iter()
-                .map(|a| {
-                    let f = a.ground(bindings).expect("grounded");
-                    self.ctx.fact_id(f)
-                })
-                .collect();
-            let db2 = self.ctx.dbs.apply(db, &add_ids, &del_ids);
+            let db2 = self.ctx.hypothetical_db(db, adds, dels, bindings);
             let gfact = goal.ground(bindings).expect("grounded");
             let gid = self.ctx.fact_id(gfact);
             if self.prove_atomic(gid, db2, depth + 1, cut)? {
@@ -763,21 +696,7 @@ impl<'rb> ProveEngine<'rb> {
         db: DbId,
     ) -> Result<bool> {
         if fpos == free.len() {
-            let add_ids: Vec<FactId> = adds
-                .iter()
-                .map(|a| {
-                    let f = a.ground(bindings).expect("grounded");
-                    self.ctx.fact_id(f)
-                })
-                .collect();
-            let del_ids: Vec<FactId> = dels
-                .iter()
-                .map(|a| {
-                    let f = a.ground(bindings).expect("grounded");
-                    self.ctx.fact_id(f)
-                })
-                .collect();
-            let db2 = self.ctx.dbs.apply(db, &add_ids, &del_ids);
+            let db2 = self.ctx.hypothetical_db(db, adds, dels, bindings);
             let gfact = goal.ground(bindings).expect("grounded");
             let gid = self.ctx.fact_id(gfact);
             let mut cut = NO_CUT;
@@ -798,623 +717,66 @@ impl<'rb> ProveEngine<'rb> {
 
     /// `PROVE_Δᵢ`: the perfect model of segment `Δᵢ` over `db`, memoized.
     ///
-    /// Implements `LFPᵢ`/`Tᵢ` (§5.2.2): the segment's rules are applied to
-    /// a growing model in sub-stratum order until fixpoint; `TESTᵢ⁰`
+    /// Implements `LFPᵢ`/`Tᵢ` (§5.2.2) on the shared semi-naive kernel:
+    /// the segment's sub-strata are closed in order, and `TESTᵢ⁰`
     /// resolves premises over lower-defined predicates through
-    /// [`Self::prove_atomic`] (the `PROVE_Σᵢ₋₁` oracle).
-    ///
-    /// Each sub-stratum's fixpoint is *semi-naive* (DESIGN.md §3.11): the
-    /// model is split into an `older` layer and the previous round's
-    /// `delta`; after round 0, rules re-fire only through rotations that
-    /// pin one of their growing-predicate premises to the delta. Oracle
-    /// premises (atoms and hypotheticals resolved below the segment) are
-    /// round-invariant, so rules carrying them still rotate — only their
-    /// layered premises drive re-firing. Pure rules (every premise
-    /// answered by the layered model) fan out across worker threads like
-    /// the bottom-up engine's.
+    /// [`Self::prove_atomic`] (the `PROVE_Σᵢ₋₁` oracle). Oracle premises
+    /// are round-invariant, so rules carrying them still rotate on their
+    /// layered premises; pure rules fan out across worker threads.
     fn delta_model(&mut self, stratum: usize, db: DbId) -> Result<Arc<Database>> {
         let key = (stratum, db);
         if let Some(m) = self.delta_models.get(&key) {
             return Ok(Arc::clone(m));
         }
         self.stats.delta_models += 1;
-        // The model stores only derived facts; the EDB layer is answered
-        // by the overlay view, so memoizing a Δ model for an augmented
-        // database costs O(|derived|) instead of a full database copy.
-        let groups = Arc::clone(&self.delta_rules[stratum - 1]);
-        let classes_by_group = Arc::clone(&self.delta_classes[stratum - 1]);
-        let delta_part = 2 * stratum - 1;
-        let mut older = Database::new();
-        let mut trajectory: Vec<u64> = Vec::new();
-        // LFPᵢ per sub-stratum, applied in order: negation within the
-        // segment only ever consults sub-strata that are already closed.
-        for (g, group) in groups.iter().enumerate() {
-            let classes: &[RuleClass] = &classes_by_group[g];
-            let mut delta = Database::new();
-            let mut round: u64 = 0;
-            loop {
-                // A trip here drops the partial model locals (they were
-                // never memoized), so Δ models stay sound.
-                if self.mem_limited {
-                    self.check_memory(older.len() + delta.len())?;
-                }
-                hdl_base::failpoint!("prove::delta_round");
-                let mut fresh: Vec<GroundAtom> = Vec::new();
-                let mut impure: Vec<(usize, Option<usize>)> = Vec::new();
-                let tasks = self.schedule_delta_round(
-                    db,
-                    group,
-                    classes,
-                    round,
-                    &older,
-                    &delta,
-                    &mut impure,
-                );
-                self.expansions_total += (tasks.len() + impure.len()) as u64;
-                if self.expansions_total > self.limits.max_expansions {
-                    return Err(Error::LimitExceeded {
-                        what: "delta rule firings".into(),
-                        limit: self.limits.max_expansions,
-                    });
-                }
-                self.run_delta_pure(db, &older, &delta, classes, &tasks, &mut fresh)?;
-                for &(rule_idx, rot_j) in &impure {
-                    self.fire_delta(
-                        rule_idx,
-                        rot_j,
-                        delta_part,
-                        &classes[rule_idx],
-                        &older,
-                        &delta,
-                        db,
-                        &mut fresh,
-                    )?;
-                }
-                // Round barrier: facts not seen in any layer become the
-                // next delta; the old delta ages into `older`. Derived
-                // facts stay disjoint from the EDB layer.
-                let mut next_delta = Database::new();
-                for f in fresh {
-                    if self.ctx.dbs.view(db).contains(&f)
-                        || older.contains(&f)
-                        || delta.contains(&f)
-                    {
-                        continue;
-                    }
-                    next_delta.insert(f);
-                }
-                older.absorb(&delta);
-                delta = next_delta;
-                trajectory.push(delta.len() as u64);
-                if delta.is_empty() {
-                    break;
-                }
-                round += 1;
-            }
-        }
-        if !trajectory.is_empty() {
-            self.stats.delta_facts_per_round = trajectory;
-        }
-        let arc = Arc::new(older);
+        // A trip of any kind drops the partial model (never memoized), so
+        // Δ models stay sound.
+        let mut model = Model {
+            closed: self.segments[stratum - 1],
+            derived: Database::new(),
+        };
+        fixpoint::saturate(self, db, self.segments[stratum], &mut model).map_err(|s| s.error)?;
+        let arc = Arc::new(model.derived);
         self.delta_models.insert(key, Arc::clone(&arc));
         Ok(arc)
     }
+}
 
-    /// Builds one Δ round's work list, mirroring the bottom-up engine's
-    /// scheduler: round 0 evaluates every rule fully; later rounds fire
-    /// only delta-rotations (seeded on the rotated premise's delta
-    /// matches, skipped outright when the seed is empty). Pure tasks are
-    /// chunked over their seed rows for data parallelism; impure `(rule,
-    /// rot_j)` firings go to the sequential oracle path.
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_delta_round(
-        &mut self,
-        db: DbId,
-        group: &[usize],
-        classes: &[RuleClass],
-        round: u64,
-        older: &Database,
-        delta: &Database,
-        impure: &mut Vec<(usize, Option<usize>)>,
-    ) -> Vec<PureTask> {
-        let mut seeded: Vec<(usize, Option<usize>, Option<Seed>)> = Vec::new();
-        let mut counters = MatchCounters::default();
-        let layers = ModelLayers::new(self.ctx.dbs.view(db), older, delta);
-        for &rule_idx in group {
-            let rule = &self.ctx.rb.rules[rule_idx];
-            let class = &classes[rule_idx];
-            if round == 0 || class.hyp_sensitive {
-                if !class.pure {
-                    impure.push((rule_idx, None));
-                    continue;
-                }
-                // Pure rules have no oracle premises, so any positive atom
-                // is layered and can seed the full evaluation; a positive
-                // premise with no matches kills the rule.
-                let seed_idx = rule
-                    .premises
-                    .iter()
-                    .position(|p| matches!(p, Premise::Atom(_)));
-                match seed_idx {
-                    Some(i) => {
-                        let Premise::Atom(atom) = &rule.premises[i] else {
-                            unreachable!()
-                        };
-                        let mut b = Bindings::new(rule.num_vars);
-                        let rows = layers.collect_matches(Part::Full, atom, &mut b, &mut counters);
-                        if !rows.is_empty() {
-                            seeded.push((rule_idx, None, Some((i, rows))));
-                        }
-                    }
-                    None => seeded.push((rule_idx, None, None)),
-                }
-            } else if !class.rot.is_empty() {
-                for &j in &class.rot {
-                    let Premise::Atom(atom) = &rule.premises[j] else {
-                        unreachable!("rot positions are positive atoms")
-                    };
-                    let mut b = Bindings::new(rule.num_vars);
-                    let rows = layers.collect_matches(Part::Delta, atom, &mut b, &mut counters);
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    if class.pure {
-                        seeded.push((rule_idx, Some(j), Some((j, rows))));
-                    } else {
-                        impure.push((rule_idx, Some(j)));
-                    }
-                }
-            }
-        }
-        self.absorb_matches(counters);
-        chunk_tasks(seeded, self.workers)
+impl<'rb> Resolver<'rb> for ProveEngine<'rb> {
+    const ROUND_SITE: &'static str = "prove::delta_round";
+    const FIRE_SITE: &'static str = "prove::delta_fire";
+
+    fn split(&mut self) -> (&mut Context<'rb>, &mut Fixpoint, &mut EngineStats) {
+        (&mut self.ctx, &mut self.fx, &mut self.stats.engine)
     }
 
-    /// Runs the round's pure Δ tasks — on scoped worker threads when the
-    /// pool and the workload justify it, inline otherwise. Results land in
-    /// `fresh` in task order, so the outcome is deterministic for every
-    /// pool size.
-    fn run_delta_pure(
-        &mut self,
-        db: DbId,
-        older: &Database,
-        delta: &Database,
-        classes: &[RuleClass],
-        tasks: &[PureTask],
-        fresh: &mut Vec<GroundAtom>,
-    ) -> Result<()> {
-        if tasks.is_empty() {
-            return Ok(());
-        }
-        let weight: usize = tasks
-            .iter()
-            .map(|t| t.seed.as_ref().map_or(64, |(_, rows)| rows.len()))
-            .sum();
-        let eligible = self.workers > 1 && tasks.len() > 1;
-        let spawn = eligible && weight >= PARALLEL_MIN_DELTA;
-        if eligible && !spawn {
-            self.stats.parallel_skipped += 1;
-        }
-        let layers = ModelLayers::new(self.ctx.dbs.view(db), older, delta);
-        if spawn {
-            self.stats.parallel_rounds += 1;
-            let (counters, result) = run_pure_parallel(
-                self.workers,
-                &self.ctx.rb.rules,
-                &self.ctx.plans,
-                classes,
-                layers,
-                &self.ctx.domain,
-                "prove::delta_fire",
-                &self.budget,
-                tasks,
-                fresh,
-            );
-            self.absorb_matches(counters);
-            return result;
-        }
-        let mut counters = MatchCounters::default();
-        let mut result = Ok(());
-        for task in tasks {
-            if let Err(e) = fire_pure(
-                &self.ctx.rb.rules[task.rule_idx],
-                &self.ctx.plans[task.rule_idx],
-                &classes[task.rule_idx],
-                layers,
-                task,
-                &self.ctx.domain,
-                "prove::delta_fire",
-                &mut self.budget,
-                &mut counters,
-                fresh,
-            ) {
-                result = Err(e);
-                break;
-            }
-        }
-        self.absorb_matches(counters);
-        result
+    fn shared(&self) -> (&Context<'rb>, &Fixpoint) {
+        (&self.ctx, &self.fx)
     }
 
-    /// One application of `Tᵢ` for a single impure Δ rule (it carries
-    /// oracle or hypothetical premises), under rotation `rot_j`.
-    #[allow(clippy::too_many_arguments)]
-    fn fire_delta(
-        &mut self,
-        rule_idx: usize,
-        rot_j: Option<usize>,
-        delta_part: usize,
-        class: &RuleClass,
-        older: &Database,
-        delta: &Database,
-        db: DbId,
-        out: &mut Vec<GroundAtom>,
-    ) -> Result<()> {
-        let rb: &'rb Rulebase = self.ctx.rb;
-        let rule: &'rb HypRule = &rb.rules[rule_idx];
-        let mut bindings = Bindings::new(rule.num_vars);
-        self.delta_walk(
-            rule,
-            rule_idx,
-            rot_j,
-            delta_part,
-            class,
-            0,
-            &mut bindings,
-            older,
-            delta,
-            db,
-            out,
-        )
+    /// Same segment (the growing derived model) or EDB (the overlay
+    /// view); anything defined below the segment goes to the oracle.
+    fn layered(&self, head: Symbol, pred: Symbol) -> bool {
+        let part = self.ls.part(pred);
+        part == 0 || part == self.ls.part(head)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn delta_walk(
-        &mut self,
-        rule: &'rb HypRule,
-        rule_idx: usize,
-        rot_j: Option<usize>,
-        delta_part: usize,
-        class: &RuleClass,
-        idx: usize,
-        bindings: &mut Bindings,
-        older: &Database,
-        delta: &Database,
-        db: DbId,
-        out: &mut Vec<GroundAtom>,
-    ) -> Result<()> {
-        self.budget.check()?;
-        if idx == rule.premises.len() {
-            let free = bindings.free_vars_of(&rule.head);
-            return self.delta_emit(rule, &free, 0, bindings, out);
-        }
-        match &rule.premises[idx] {
-            Premise::Atom(atom) => {
-                let part = self.ls.part(atom.pred);
-                if part == delta_part || part == 0 {
-                    // Same segment (growing derived model) or EDB (overlay
-                    // view): match the layer slice the rotation assigns.
-                    let slice = part_for(class, rot_j, idx);
-                    let mut c = MatchCounters::default();
-                    let rows = ModelLayers::new(self.ctx.dbs.view(db), older, delta)
-                        .collect_matches(slice, atom, bindings, &mut c);
-                    self.absorb_matches(c);
-                    for row in rows {
-                        for &(v, c) in &row {
-                            bindings.set(v, c);
-                        }
-                        self.delta_walk(
-                            rule,
-                            rule_idx,
-                            rot_j,
-                            delta_part,
-                            class,
-                            idx + 1,
-                            bindings,
-                            older,
-                            delta,
-                            db,
-                            out,
-                        )?;
-                        for &(v, _) in &row {
-                            bindings.unset(v);
-                        }
-                    }
-                    Ok(())
-                } else {
-                    // Defined below this segment: oracle per grounding
-                    // (round-invariant while this fixpoint grows).
-                    self.stats.oracle_calls += 1;
-                    let free = bindings.free_vars_of(atom);
-                    self.delta_oracle_groundings(
-                        rule, rule_idx, rot_j, delta_part, class, idx, atom, &free, 0, bindings,
-                        older, delta, db, out,
-                    )
-                }
-            }
-            Premise::Neg(atom) => {
-                let inner = self.ctx.plans[rule_idx].inner_neg_vars[idx].clone();
-                let free = bindings.free_vars_of(atom);
-                let outer: Vec<Var> = free.into_iter().filter(|v| !inner.contains(v)).collect();
-                self.delta_neg_outer(
-                    rule, rule_idx, rot_j, delta_part, class, idx, atom, &inner, &outer, 0,
-                    bindings, older, delta, db, out,
-                )
-            }
-            Premise::Hyp { goal, adds, dels } => {
-                // TEST⁰'s final case: a hypothetical premise resolved by
-                // the oracle — apply the insertions/deletions and prove
-                // below.
-                self.stats.oracle_calls += 1;
-                let mut free: Vec<Var> = Vec::new();
-                for v in goal
-                    .vars()
-                    .chain(adds.iter().flat_map(|a| a.vars()))
-                    .chain(dels.iter().flat_map(|a| a.vars()))
-                {
-                    if bindings.get(v).is_none() && !free.contains(&v) {
-                        free.push(v);
-                    }
-                }
-                self.delta_hyp_groundings(
-                    rule, rule_idx, rot_j, delta_part, class, idx, goal, adds, dels, &free, 0,
-                    bindings, older, delta, db, out,
-                )
-            }
-        }
+    /// `TESTᵢ⁰` falling through to `PROVE_Σᵢ₋₁`.
+    fn prove(&mut self, db: DbId, fact: GroundAtom) -> Result<bool> {
+        let fid = self.ctx.fact_id(fact);
+        let mut cut = NO_CUT;
+        self.prove_atomic(fid, db, 0, &mut cut)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn delta_oracle_groundings(
-        &mut self,
-        rule: &'rb HypRule,
-        rule_idx: usize,
-        rot_j: Option<usize>,
-        delta_part: usize,
-        class: &RuleClass,
-        idx: usize,
-        atom: &'rb Atom,
-        free: &[Var],
-        fpos: usize,
-        bindings: &mut Bindings,
-        older: &Database,
-        delta: &Database,
-        db: DbId,
-        out: &mut Vec<GroundAtom>,
-    ) -> Result<()> {
-        if fpos == free.len() {
-            let fact = atom.ground(bindings).expect("grounded");
-            let fid = self.ctx.fact_id(fact);
-            let mut cut = NO_CUT;
-            if self.prove_atomic(fid, db, 0, &mut cut)? {
-                self.delta_walk(
-                    rule,
-                    rule_idx,
-                    rot_j,
-                    delta_part,
-                    class,
-                    idx + 1,
-                    bindings,
-                    older,
-                    delta,
-                    db,
-                    out,
-                )?;
-            }
-            return Ok(());
-        }
-        let v = free[fpos];
-        for i in 0..self.ctx.domain.len() {
-            let c = self.ctx.domain[i];
-            self.expansions_total += 1;
-            bindings.set(v, c);
-            self.delta_oracle_groundings(
-                rule,
-                rule_idx,
-                rot_j,
-                delta_part,
-                class,
-                idx,
-                atom,
-                free,
-                fpos + 1,
-                bindings,
-                older,
-                delta,
-                db,
-                out,
-            )?;
-        }
-        bindings.unset(v);
-        Ok(())
+    /// The goal tables' growth since the budget was set, plus the Δ model
+    /// in flight.
+    fn working_set(&self, derived: usize) -> u64 {
+        ((self.memo.len() + self.in_progress.len() + derived) as u64)
+            .saturating_sub(self.goals_baseline)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn delta_neg_outer(
-        &mut self,
-        rule: &'rb HypRule,
-        rule_idx: usize,
-        rot_j: Option<usize>,
-        delta_part: usize,
-        class: &RuleClass,
-        idx: usize,
-        atom: &'rb Atom,
-        inner: &[Var],
-        outer: &[Var],
-        opos: usize,
-        bindings: &mut Bindings,
-        older: &Database,
-        delta: &Database,
-        db: DbId,
-        out: &mut Vec<GroundAtom>,
-    ) -> Result<()> {
-        if opos == outer.len() {
-            let part = self.ls.part(atom.pred);
-            let witnessed = if part == delta_part || part == 0 {
-                // Sub-strata ordering guarantees the negated predicate's
-                // tuples are complete in the growing model.
-                let mut c = MatchCounters::default();
-                let found = ModelLayers::new(self.ctx.dbs.view(db), older, delta).exists(
-                    Part::Full,
-                    atom,
-                    bindings,
-                    &mut c,
-                );
-                self.absorb_matches(c);
-                found
-            } else {
-                self.stats.oracle_calls += 1;
-                self.exists_atomic(atom, inner, 0, bindings, db)?
-            };
-            if !witnessed {
-                self.delta_walk(
-                    rule,
-                    rule_idx,
-                    rot_j,
-                    delta_part,
-                    class,
-                    idx + 1,
-                    bindings,
-                    older,
-                    delta,
-                    db,
-                    out,
-                )?;
-            }
-            return Ok(());
-        }
-        let v = outer[opos];
-        for i in 0..self.ctx.domain.len() {
-            let c = self.ctx.domain[i];
-            self.expansions_total += 1;
-            bindings.set(v, c);
-            self.delta_neg_outer(
-                rule,
-                rule_idx,
-                rot_j,
-                delta_part,
-                class,
-                idx,
-                atom,
-                inner,
-                outer,
-                opos + 1,
-                bindings,
-                older,
-                delta,
-                db,
-                out,
-            )?;
-        }
-        bindings.unset(v);
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn delta_hyp_groundings(
-        &mut self,
-        rule: &'rb HypRule,
-        rule_idx: usize,
-        rot_j: Option<usize>,
-        delta_part: usize,
-        class: &RuleClass,
-        idx: usize,
-        goal: &'rb Atom,
-        adds: &'rb [Atom],
-        dels: &'rb [Atom],
-        free: &[Var],
-        fpos: usize,
-        bindings: &mut Bindings,
-        older: &Database,
-        delta: &Database,
-        db: DbId,
-        out: &mut Vec<GroundAtom>,
-    ) -> Result<()> {
-        if fpos == free.len() {
-            let add_ids: Vec<FactId> = adds
-                .iter()
-                .map(|a| {
-                    let f = a.ground(bindings).expect("grounded");
-                    self.ctx.fact_id(f)
-                })
-                .collect();
-            let del_ids: Vec<FactId> = dels
-                .iter()
-                .map(|a| {
-                    let f = a.ground(bindings).expect("grounded");
-                    self.ctx.fact_id(f)
-                })
-                .collect();
-            let db2 = self.ctx.dbs.apply(db, &add_ids, &del_ids);
-            let gfact = goal.ground(bindings).expect("grounded");
-            let gid = self.ctx.fact_id(gfact);
-            let mut cut = NO_CUT;
-            if self.prove_atomic(gid, db2, 0, &mut cut)? {
-                self.delta_walk(
-                    rule,
-                    rule_idx,
-                    rot_j,
-                    delta_part,
-                    class,
-                    idx + 1,
-                    bindings,
-                    older,
-                    delta,
-                    db,
-                    out,
-                )?;
-            }
-            return Ok(());
-        }
-        let v = free[fpos];
-        for i in 0..self.ctx.domain.len() {
-            let c = self.ctx.domain[i];
-            self.expansions_total += 1;
-            bindings.set(v, c);
-            self.delta_hyp_groundings(
-                rule,
-                rule_idx,
-                rot_j,
-                delta_part,
-                class,
-                idx,
-                goal,
-                adds,
-                dels,
-                free,
-                fpos + 1,
-                bindings,
-                older,
-                delta,
-                db,
-                out,
-            )?;
-        }
-        bindings.unset(v);
-        Ok(())
-    }
-
-    fn delta_emit(
-        &mut self,
-        rule: &'rb HypRule,
-        free: &[Var],
-        fpos: usize,
-        bindings: &mut Bindings,
-        out: &mut Vec<GroundAtom>,
-    ) -> Result<()> {
-        if fpos == free.len() {
-            out.push(rule.head.ground(bindings).expect("head grounded"));
-            return Ok(());
-        }
-        let v = free[fpos];
-        for i in 0..self.ctx.domain.len() {
-            let c = self.ctx.domain[i];
-            self.expansions_total += 1;
-            bindings.set(v, c);
-            self.delta_emit(rule, free, fpos + 1, bindings, out)?;
-        }
-        bindings.unset(v);
-        Ok(())
+    fn handed_below(&mut self) {
+        self.stats.oracle_calls += 1;
     }
 }
 
@@ -1473,64 +835,4 @@ fn substrata(rb: &Rulebase, ls: &LinearStratification, delta: &[usize]) -> Vec<V
     }
     groups.retain(|g| !g.is_empty());
     groups
-}
-
-/// Semi-naive classification of one sub-stratum group's rules, indexed
-/// like `rb.rules` (rules outside the group keep the inert default).
-///
-/// Within a Δ sub-stratum, the growing predicates are exactly the group's
-/// own head predicates: positive premises over them are rotatable. Every
-/// other premise is round-invariant while the group's fixpoint runs —
-/// same-segment predicates from earlier sub-strata are closed, EDB atoms
-/// are fixed, and oracle premises (part below the segment) are resolved
-/// against memoized lower machinery. A rule is *pure* when no premise
-/// needs the oracle (`&mut` recursion): all its atoms and negations stay
-/// within `{delta_part, 0}` and it has no hypothetical premises. A
-/// hypothetical premise whose goal predicate lives in this very segment
-/// is conservatively `hyp_sensitive`: its verdict can flip as the model
-/// grows, so the rule re-fires fully each round.
-fn classify_group(
-    rb: &Rulebase,
-    ls: &LinearStratification,
-    group: &[usize],
-    delta_part: usize,
-) -> Vec<RuleClass> {
-    let head_preds: Vec<Symbol> = group.iter().map(|&i| rb.rules[i].head.pred).collect();
-    let mut classes = vec![RuleClass::default(); rb.rules.len()];
-    for &rule_idx in group {
-        let rule = &rb.rules[rule_idx];
-        let mut pure = true;
-        let mut hyp_sensitive = false;
-        let mut rot = Vec::new();
-        for (i, p) in rule.premises.iter().enumerate() {
-            match p {
-                Premise::Atom(a) => {
-                    let part = ls.part(a.pred);
-                    if part == delta_part && head_preds.contains(&a.pred) {
-                        rot.push(i);
-                    } else if part != delta_part && part != 0 {
-                        pure = false; // oracle call
-                    }
-                }
-                Premise::Neg(a) => {
-                    let part = ls.part(a.pred);
-                    if part != delta_part && part != 0 {
-                        pure = false; // oracle call
-                    }
-                }
-                Premise::Hyp { goal, .. } => {
-                    pure = false;
-                    if ls.part(goal.pred) == delta_part {
-                        hyp_sensitive = true;
-                    }
-                }
-            }
-        }
-        classes[rule_idx] = RuleClass {
-            pure,
-            hyp_sensitive,
-            rot,
-        };
-    }
-    classes
 }

@@ -16,12 +16,13 @@
 //!   time; both engines count premise-match attempts with the same
 //!   accounting, so the ratio isolates what delta-rotation saves.
 //!
-//! Both evaluators share the premise walk and the layered match module —
-//! the *scheduling* (which rules re-fire each round, and against which
-//! model slice) is what differs, and that is the part the semi-naive
-//! rewrite changed. Independent-implementation coverage of the walk
-//! itself comes from the top-down engine and the `PROVE` procedures,
-//! which the cross-engine tests already compare against.
+//! Both evaluators run on the fixpoint kernel
+//! ([`crate::engine::fixpoint`]) and share its premise walk — the
+//! *scheduling* (which rules re-fire each round, and against which model
+//! slice) is what differs, and that is the part the semi-naive rewrite
+//! changed. Independent-implementation coverage of the walk itself comes
+//! from the top-down engine, which the cross-engine tests compare
+//! against, and from `hdl_datalog::naive` on hypothesis-free programs.
 
 use crate::ast::{Premise, Rulebase};
 use crate::engine::bottomup::BottomUpEngine;

@@ -37,7 +37,7 @@ pub struct EngineStats {
     pub parallel_rounds: u64,
     /// Fixpoint rounds that were eligible for worker threads but ran
     /// inline because the round's delta was narrower than
-    /// [`crate::engine::matching::PARALLEL_MIN_DELTA`] — rule-level
+    /// [`crate::engine::fixpoint::PARALLEL_MIN_DELTA`] — rule-level
     /// splitting loses to scope/merge overhead on narrow deltas.
     pub parallel_skipped: u64,
     /// Magic/guard rules emitted by the demand rewrite for the last

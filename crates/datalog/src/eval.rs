@@ -1,4 +1,4 @@
-//! Shared rule-body matching for the bottom-up engines.
+//! Rule-body matching for the naive evaluator.
 //!
 //! Bodies are evaluated left to right with backtracking over the indexed
 //! database. Variables that remain unbound when a negated literal (or the
@@ -30,28 +30,18 @@ pub fn active_domain(rules: &[Rule], db: &Database) -> Vec<Symbol> {
     dom
 }
 
-/// Calls `emit` with every head fact derivable from `rule` in one step.
-///
-/// `delta_pos`: if `Some(i)`, positive literal `i` is matched against
-/// `delta` instead of `db` (the semi-naive differential); all other
-/// positive literals match `db`, and negated literals are always tested
-/// against `db` (they refer to strictly lower, already-closed strata).
-pub fn fire_rule(
-    rule: &Rule,
-    db: &Database,
-    delta: Option<(&Database, usize)>,
-    domain: &[Symbol],
-    emit: &mut impl FnMut(GroundAtom),
-) {
+/// Calls `emit` with every head fact derivable from `rule` in one step
+/// against `db`. Negated literals refer to strictly lower, already-closed
+/// strata.
+pub fn fire_rule(rule: &Rule, db: &Database, domain: &[Symbol], emit: &mut impl FnMut(GroundAtom)) {
     let mut bindings = Bindings::new(rule.num_vars);
-    walk(rule, 0, db, delta, domain, &mut bindings, emit);
+    walk(rule, 0, db, domain, &mut bindings, emit);
 }
 
 fn walk(
     rule: &Rule,
     idx: usize,
     db: &Database,
-    delta: Option<(&Database, usize)>,
     domain: &[Symbol],
     bindings: &mut Bindings,
     emit: &mut impl FnMut(GroundAtom),
@@ -62,12 +52,8 @@ fn walk(
     }
     match &rule.body[idx] {
         Literal::Pos(atom) => {
-            let source = match delta {
-                Some((d, pos)) if pos == idx => d,
-                _ => db,
-            };
-            source.for_each_match(atom, bindings, |b| {
-                walk(rule, idx + 1, db, delta, domain, b, emit);
+            db.for_each_match(atom, bindings, |b| {
+                walk(rule, idx + 1, db, domain, b, emit);
                 false
             });
         }
@@ -78,7 +64,7 @@ fn walk(
             enumerate(domain, &free, bindings, &mut |b| {
                 let fact = atom.ground(b).expect("all vars bound after enumeration");
                 if !db.contains(&fact) {
-                    walk(rule, idx + 1, db, delta, domain, b, emit);
+                    walk(rule, idx + 1, db, domain, b, emit);
                 }
             });
         }
@@ -150,7 +136,7 @@ mod tests {
         db.insert(fact(1, &[12, 13]));
         let dom = active_domain(std::slice::from_ref(&rule), &db);
         let mut out = Vec::new();
-        fire_rule(&rule, &db, None, &dom, &mut |f| out.push(f));
+        fire_rule(&rule, &db, &dom, &mut |f| out.push(f));
         out.sort();
         assert_eq!(out, vec![fact(0, &[10, 12]), fact(0, &[11, 13])]);
     }
@@ -171,7 +157,7 @@ mod tests {
         db.insert(fact(2, &[2]));
         let dom = active_domain(std::slice::from_ref(&rule), &db);
         let mut out = Vec::new();
-        fire_rule(&rule, &db, None, &dom, &mut |f| out.push(f));
+        fire_rule(&rule, &db, &dom, &mut |f| out.push(f));
         assert_eq!(out, vec![fact(0, &[1])]);
     }
 
@@ -187,7 +173,7 @@ mod tests {
         db.insert(fact(1, &[2, 3]));
         let dom = active_domain(std::slice::from_ref(&rule), &db);
         let mut out = Vec::new();
-        fire_rule(&rule, &db, None, &dom, &mut |f| out.push(f));
+        fire_rule(&rule, &db, &dom, &mut |f| out.push(f));
         // Holds because e.g. likes(2,2) is absent — existential over domain.
         assert_eq!(
             out.len(),
@@ -209,30 +195,8 @@ mod tests {
         db.insert(fact(2, &[8]));
         let dom = active_domain(std::slice::from_ref(&rule), &db);
         let mut out = Vec::new();
-        fire_rule(&rule, &db, None, &dom, &mut |f| out.push(f));
+        fire_rule(&rule, &db, &dom, &mut |f| out.push(f));
         out.sort();
         assert_eq!(out, vec![fact(0, &[7]), fact(0, &[8])]);
-    }
-
-    #[test]
-    fn delta_restricts_one_position() {
-        // h(X,Z) :- e(X,Y), e(Y,Z) with second literal over delta only.
-        let rule = Rule::new(
-            Atom::new(s(0), vec![v(0), v(2)]),
-            vec![
-                Literal::Pos(Atom::new(s(1), vec![v(0), v(1)])),
-                Literal::Pos(Atom::new(s(1), vec![v(1), v(2)])),
-            ],
-        );
-        let mut db = Database::new();
-        db.insert(fact(1, &[10, 11]));
-        db.insert(fact(1, &[11, 12]));
-        db.insert(fact(1, &[12, 13]));
-        let mut delta = Database::new();
-        delta.insert(fact(1, &[12, 13]));
-        let dom = active_domain(std::slice::from_ref(&rule), &db);
-        let mut out = Vec::new();
-        fire_rule(&rule, &db, Some((&delta, 1)), &dom, &mut |f| out.push(f));
-        assert_eq!(out, vec![fact(0, &[11, 13])]);
     }
 }

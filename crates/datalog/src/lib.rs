@@ -10,26 +10,24 @@
 //! - [`ast`] — rules with positive/negated body literals;
 //! - [`depgraph`] — the predicate dependency graph and Tarjan SCCs;
 //! - [`stratify`] — the stratified-negation test and stratum assignment;
-//! - [`naive`] / [`seminaive`] — bottom-up evaluation to the perfect
+//! - [`eval`] / [`naive`] — naive bottom-up evaluation to the perfect
 //!   model (Apt–Blair–Walker / Przymusinski semantics, the paper's [1] and
-//!   [20]), naive and differential;
-//! - [`magic`] — the magic-sets transformation for goal-directed
-//!   bottom-up evaluation (the paper's [2] is the survey of such
-//!   strategies for linear rules);
+//!   [20]);
 //! - [`program`] — an arity-checked rule container.
 //!
 //! The hypothetical engine in `hdl-core` reuses this crate's dependency
-//! analysis and mirrors its perfect-model construction per database.
+//! analysis. Its evaluators — the semi-naive kernel behind bottom-up,
+//! `PROVE_Δᵢ` and the magic-sets engine — share no code with [`naive`],
+//! which is what makes this crate an *independent* oracle for them on
+//! hypothesis-free programs.
 
 #![warn(missing_docs)]
 
 pub mod ast;
 pub mod depgraph;
 pub mod eval;
-pub mod magic;
 pub mod naive;
 pub mod program;
-pub mod seminaive;
 pub mod stratify;
 
 pub use ast::{Literal, Rule};

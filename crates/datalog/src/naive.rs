@@ -1,9 +1,10 @@
 //! Naive bottom-up evaluation: fire every rule against the whole database
 //! until no stratum produces a new fact.
 //!
-//! Kept as the simplest-possible reference implementation; the semi-naive
-//! engine ([`crate::seminaive`]) must produce identical models (ablation
-//! experiment E10 measures the difference in work).
+//! Kept as the simplest-possible reference implementation, written
+//! independently of `hdl-core`: the property suite checks that core's
+//! semi-naive kernel derives exactly the models this evaluator does, and
+//! ablation experiment E10 measures the difference in work.
 
 use crate::ast::Rule;
 use crate::eval::{active_domain, fire_rule};
@@ -27,7 +28,7 @@ pub fn evaluate_stratified(rules: &[Rule], edb: &Database, strat: &Stratificatio
         loop {
             let mut fresh = Vec::new();
             for rule in &stratum_rules {
-                fire_rule(rule, &model, None, &domain, &mut |fact| {
+                fire_rule(rule, &model, &domain, &mut |fact| {
                     if !model.contains(&fact) {
                         fresh.push(fact);
                     }

@@ -39,8 +39,8 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`hdl_base`] | Symbols, terms, atoms, indexed databases, interners |
-//! | [`hdl_datalog`] | Plain Datalog baseline (naive & semi-naive, stratified negation) |
-//! | [`hdl_core`] | Hypothetical rules, parser, linear stratification (Lemma 1), three engines (bottom-up reference, top-down tabled, the §5.2 `PROVE` procedures) |
+//! | [`hdl_datalog`] | Plain Datalog with stratified negation: dependency analysis and a naive evaluator, the oracle independent of `hdl_core` |
+//! | [`hdl_core`] | Hypothetical rules, parser, linear stratification (Lemma 1), engines: bottom-up reference (with its naive baseline and the magic-sets rewrite) and the §5.2 `PROVE` procedures on one semi-naive fixpoint kernel, plus top-down tabled |
 //! | [`hdl_service`] | Concurrent query service: snapshots, worker pool, answer cache |
 //! | [`hdl_persist`] | Durable sessions: write-ahead log, checkpoints, crash recovery |
 //! | [`hdl_turing`] | Nondeterministic oracle Turing machines and cascade simulation |

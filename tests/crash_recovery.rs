@@ -287,6 +287,8 @@ fn crash_matrix_recovers_byte_identically() {
     json.push_str("]\n");
     let report_path =
         Path::new(env!("CARGO_MANIFEST_DIR")).join("target/crash-recovery-report.json");
+    // `target/` is absent when the build goes elsewhere (CARGO_TARGET_DIR).
+    std::fs::create_dir_all(report_path.parent().unwrap()).unwrap();
     std::fs::write(&report_path, json).unwrap();
 }
 

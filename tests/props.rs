@@ -5,12 +5,13 @@
 //! - negation-free inference is monotone in the database (§3.1 notes the
 //!   base system is monotonic — negation is what breaks it);
 //! - parse ∘ pretty is the identity on rulebases;
-//! - naive and semi-naive Datalog produce identical models;
+//! - the independent naive Datalog evaluator and the semi-naive kernel
+//!   produce identical models on hypothesis-free programs;
 //! - the §5.1 encoding agrees with the machine simulator on random
 //!   nondeterministic machines.
 
 use hdl_base::{Database, GroundAtom, SymbolTable};
-use hdl_core::ast::Rulebase;
+use hdl_core::ast::{HypRule, Premise, Rulebase};
 use hdl_core::engine::{BottomUpEngine, Limits, ProveEngine, TopDownEngine};
 use hdl_core::parser::{parse_program, parse_query};
 use proptest::prelude::*;
@@ -555,14 +556,17 @@ mod fresh_constant_overlays {
 }
 
 // ---------------------------------------------------------------------
-// Datalog baseline: naive ≡ semi-naive.
+// Independent oracle: hdl-datalog's naive evaluator ≡ core's kernel.
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// On hypothesis-free programs, `hdl_datalog::naive` — written
+    /// independently of `hdl-core` — derives exactly the model of
+    /// `BottomUpEngine`'s semi-naive kernel, inline and on four workers.
     #[test]
-    fn naive_equals_seminaive(
+    fn naive_oracle_equals_bottom_up_kernel(
         rules in program_strategy(true),
         facts in facts_strategy(),
     ) {
@@ -572,21 +576,35 @@ proptest! {
         let src = render_program(&rules);
         let mut syms = SymbolTable::new();
         let rb = parse_program(&src, &mut syms).unwrap();
-        let mut dl_rules = Vec::new();
-        for r in rb.iter() {
-            let body = r
-                .premises
-                .iter()
-                .map(|p| match p {
-                    hdl_core::ast::Premise::Atom(a) => hdl_datalog::Literal::Pos(a.clone()),
-                    hdl_core::ast::Premise::Neg(a) => hdl_datalog::Literal::Neg(a.clone()),
-                    hdl_core::ast::Premise::Hyp { goal, .. } => {
-                        hdl_datalog::Literal::Pos(goal.clone())
-                    }
-                })
-                .collect();
-            dl_rules.push(hdl_datalog::Rule::new(r.head.clone(), body));
-        }
+        let projected: Rulebase = rb
+            .iter()
+            .map(|r| {
+                let premises = r
+                    .premises
+                    .iter()
+                    .map(|p| match p {
+                        Premise::Hyp { goal, .. } => Premise::Atom(goal.clone()),
+                        p => p.clone(),
+                    })
+                    .collect();
+                HypRule::new(r.head.clone(), premises)
+            })
+            .collect();
+        let dl_rules: Vec<hdl_datalog::Rule> = projected
+            .iter()
+            .map(|r| {
+                let body = r
+                    .premises
+                    .iter()
+                    .map(|p| match p {
+                        Premise::Atom(a) => hdl_datalog::Literal::Pos(a.clone()),
+                        Premise::Neg(a) => hdl_datalog::Literal::Neg(a.clone()),
+                        Premise::Hyp { .. } => unreachable!("projected away"),
+                    })
+                    .collect();
+                hdl_datalog::Rule::new(r.head.clone(), body)
+            })
+            .collect();
         // The hyp→pos rewrite can create new negative cycles; skip those.
         if hdl_datalog::stratify(&dl_rules).is_err() {
             return Ok(());
@@ -597,9 +615,24 @@ proptest! {
             let consts: Vec<_> = args.iter().map(|&a| syms.intern(&format!("c{}", a - 100))).collect();
             db.insert(GroundAtom::new(pred, consts));
         }
-        let a = hdl_datalog::naive::evaluate(&dl_rules, &db).unwrap();
-        let b = hdl_datalog::seminaive::evaluate(&dl_rules, &db).unwrap();
-        prop_assert_eq!(a, b);
+        // A variable occurring only in a negated premise reads as ¬∃ in
+        // core (the paper's `~select(Y)`) but as ∃¬ in hdl-datalog, which
+        // grounds it over the domain first; skip programs that have one.
+        let plans = hdl_core::engine::Context::new(&projected, &db).unwrap().plans;
+        if plans.iter().any(|p| p.inner_neg_vars.iter().any(|v| !v.is_empty())) {
+            return Ok(());
+        }
+        let oracle = hdl_datalog::naive::evaluate(&dl_rules, &db).unwrap();
+        for workers in [1, 4] {
+            let mut eng = BottomUpEngine::new(&projected, &db)
+                .unwrap()
+                .with_limits(small_limits())
+                .with_parallelism(workers);
+            let Ok(model) = eng.model() else {
+                return Ok(()); // resource-limited case: skip
+            };
+            prop_assert_eq!(&oracle, &model, "workers={}\n{}", workers, src);
+        }
     }
 }
 

@@ -622,6 +622,8 @@ fn quorum_matrix_sync_acked_on_every_follower() {
     }
     json.push_str("]\n");
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/replication-matrix.json");
+    // `target/` is absent when the build goes elsewhere (CARGO_TARGET_DIR).
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     std::fs::write(&path, json).unwrap();
 }
 
