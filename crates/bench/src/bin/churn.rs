@@ -61,11 +61,11 @@ fn build_workload(communities: usize, n: usize, density: f64, ops: usize, seed: 
         "tc(X, Y) :- edge(X, Y).
          tc(X, Z) :- tc(X, Y), edge(Y, Z).\n",
     );
-    for c in 0..communities {
+    for (c, graph) in graphs.iter().enumerate() {
         for v in 0..n {
             let _ = writeln!(src, "node(c{c}v{v}).");
         }
-        for &(a, b) in &graphs[c].edges {
+        for &(a, b) in &graph.edges {
             let _ = writeln!(src, "edge(c{c}v{a}, c{c}v{b}).");
         }
     }

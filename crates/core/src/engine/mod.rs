@@ -20,7 +20,9 @@
 //! The bottom-up closures — `BottomUpEngine`'s (and so `NaiveEngine`'s
 //! and `MagicEngine`'s) and `PROVE_Δᵢ`'s — all run on one semi-naive
 //! kernel, [`fixpoint`], which each engine drives through its own
-//! resolver.
+//! resolver. The goal-directed searches — `TopDownEngine`'s and
+//! `PROVE_Σᵢ`'s — likewise run on one tabled search kernel, [`search`],
+//! which each engine drives through its own prover.
 
 pub mod bottomup;
 pub mod budget;
@@ -31,6 +33,7 @@ pub mod matching;
 pub mod proof;
 pub mod prove;
 pub mod reference;
+pub mod search;
 pub mod stats;
 pub mod topdown;
 

@@ -9,31 +9,21 @@
 //!    over `dom(R, DB)`) has all premises provable;
 //! 4. `R, DB ⊢ ~A` if `R, DB ⊬ A` (requires stratified negation).
 //!
-//! Ground goals are pairs `(fact, database)`; the database component moves
-//! through the lattice as rule 2 fires. Because function-free proofs never
-//! need to repeat a `(goal, db)` pair along a branch, the search fails any
-//! branch that revisits an in-progress pair. Results are memoized with the
-//! standard tabling refinement: successes always, failures only when the
-//! failed search never touched an in-progress ancestor *above* the goal
-//! (untainted failures), which keeps the memo sound in cyclic programs.
+//! The search itself — tabling, rule expansion and the premise walk —
+//! is the kernel in [`crate::engine::search`], shared with `PROVE_Σᵢ`;
+//! this engine hands every ground sub-goal straight to the kernel's
+//! tabled goal and records how each goal was proven, so [`explain`]
+//! can rebuild the proof tree.
 //!
-//! The search recurses on the host stack, so the required stack is
-//! proportional to proof depth. [`Session`](crate::session::Session) and
-//! the `hdl-service` worker pool already run every evaluation on a
-//! thread with an enlarged stack
-//! ([`call_with_deep_stack`](crate::stack::call_with_deep_stack)); only
-//! code driving this engine directly on a shallow thread needs to do the
-//! same for programs with proofs thousands of steps deep.
+//! [`explain`]: TopDownEngine::explain
 
 use crate::ast::{HypRule, Premise, Rulebase};
 use crate::engine::budget::Budget;
 use crate::engine::context::Context;
 use crate::engine::proof::{ProofChild, ProofNode};
+use crate::engine::search::{self, Parts, Prover, Tables};
 use crate::engine::stats::{EngineStats, Limits};
-use hdl_base::{Atom, Bindings, Database, DbId, Error, FactId, FxHashMap, Result, Symbol, Var};
-
-/// Sentinel: no in-progress ancestor was hit.
-const NO_CUT: u64 = u64::MAX;
+use hdl_base::{Atom, Bindings, Database, DbId, Error, FactId, FxHashMap, Result, Symbol};
 
 /// How a proven goal was established (for proof reconstruction).
 #[derive(Clone, Debug)]
@@ -50,21 +40,11 @@ enum ProofStep {
 /// The top-down engine, bound to one rulebase and one base database.
 pub struct TopDownEngine<'rb> {
     ctx: Context<'rb>,
-    memo: FxHashMap<(FactId, DbId), bool>,
-    in_progress: FxHashMap<(FactId, DbId), u64>,
+    tables: Tables,
     proof_steps: FxHashMap<(FactId, DbId), ProofStep>,
-    /// Set by `walk` when a rule body closes; consumed by `prove`.
-    last_success: Option<(usize, Vec<Option<Symbol>>)>,
     stats: EngineStats,
     limits: Limits,
     budget: Budget,
-    /// Cached `budget.has_memory_limits()` — keeps the hot path to one
-    /// branch when no memory caps are set.
-    mem_limited: bool,
-    /// Store sizes when the budget was installed; memory caps bound
-    /// growth past these, not absolute size (engines are reused).
-    facts_baseline: u64,
-    goals_baseline: u64,
 }
 
 impl<'rb> TopDownEngine<'rb> {
@@ -72,16 +52,11 @@ impl<'rb> TopDownEngine<'rb> {
     pub fn new(rb: &'rb Rulebase, db: &Database) -> Result<Self> {
         Ok(TopDownEngine {
             ctx: Context::new(rb, db)?,
-            memo: FxHashMap::default(),
-            in_progress: FxHashMap::default(),
+            tables: Tables::default(),
             proof_steps: FxHashMap::default(),
-            last_success: None,
             stats: EngineStats::default(),
             limits: Limits::default(),
             budget: Budget::default(),
-            mem_limited: false,
-            facts_baseline: 0,
-            goals_baseline: 0,
         })
     }
 
@@ -102,39 +77,8 @@ impl<'rb> TopDownEngine<'rb> {
     /// moment: the current fact-store and memo sizes become the baseline
     /// the caps are measured against.
     pub fn set_budget(&mut self, budget: Budget) {
-        self.mem_limited = budget.has_memory_limits();
-        self.facts_baseline = self.ctx.fact_footprint();
-        self.goals_baseline = (self.memo.len() + self.in_progress.len()) as u64;
+        self.tables.rebase(&self.ctx);
         self.budget = budget;
-    }
-
-    /// Extends `dom(R, DB)` with constants a query-level `add:` premise
-    /// introduces (Definition 3: the goal is proved in `(DB ∖ C̄) ∪ B̄`,
-    /// so `B̄`'s constants are domain members there). Memoized verdicts
-    /// and recorded proof steps were computed under the smaller domain —
-    /// a negation judged true because no witness existed may gain one —
-    /// so they are dropped whenever the domain grows.
-    fn note_overlay_constants(&mut self, adds: &[Atom]) {
-        let fresh = adds
-            .iter()
-            .flat_map(|a| a.args.iter().filter_map(|t| t.as_const()));
-        if self.ctx.extend_domain(fresh) {
-            self.memo.clear();
-            self.proof_steps.clear();
-            self.last_success = None;
-        }
-    }
-
-    /// Probes the memory caps against growth since the budget was set.
-    fn check_memory(&self) -> Result<()> {
-        let facts = self
-            .ctx
-            .fact_footprint()
-            .saturating_sub(self.facts_baseline);
-        let goals =
-            ((self.memo.len() + self.in_progress.len()) as u64).saturating_sub(self.goals_baseline);
-        self.budget
-            .check_memory(facts, goals, self.ctx.dbs.max_depth() as u64)
     }
 
     /// Work counters accumulated so far.
@@ -161,35 +105,7 @@ impl<'rb> TopDownEngine<'rb> {
     /// Like [`holds`](Self::holds) against an explicit database of the
     /// lattice.
     pub fn holds_in(&mut self, query: &Premise, db: DbId) -> Result<bool> {
-        let num_vars = query.vars().map(|v| v.index() + 1).max().unwrap_or(0);
-        let mut bindings = Bindings::new(num_vars);
-        let result = match query {
-            Premise::Atom(atom) => {
-                let free = bindings.free_vars_of(atom);
-                self.exists_proof(atom, &free, &mut bindings, db, 0)
-            }
-            Premise::Neg(atom) => {
-                let free = bindings.free_vars_of(atom);
-                self.exists_proof(atom, &free, &mut bindings, db, 0)
-                    .map(|found| !found)
-            }
-            Premise::Hyp { goal, adds, dels } => {
-                self.note_overlay_constants(adds);
-                let mut free: Vec<Var> = Vec::new();
-                for v in goal
-                    .vars()
-                    .chain(adds.iter().flat_map(|a| a.vars()))
-                    .chain(dels.iter().flat_map(|a| a.vars()))
-                {
-                    if bindings.get(v).is_none() && !free.contains(&v) {
-                        free.push(v);
-                    }
-                }
-                self.exists_hyp_proof(goal, adds, dels, &free, 0, &mut bindings, db, 0)
-            }
-        };
-        self.stats.record_overlay(self.ctx.dbs.overlay_stats());
-        result
+        search::holds(self, query, db)
     }
 
     /// Produces a proof tree for `query`, if it is provable.
@@ -198,71 +114,12 @@ impl<'rb> TopDownEngine<'rb> {
     /// found (domain order). Negated queries have no proof object — their
     /// evidence is an absence — so they return `Ok(None)`.
     pub fn explain(&mut self, query: &Premise) -> Result<Option<ProofNode>> {
-        let base = self.ctx.base_db;
-        let num_vars = query.vars().map(|v| v.index() + 1).max().unwrap_or(0);
-        let mut bindings = Bindings::new(num_vars);
-        match query {
-            Premise::Neg(_) => Ok(None),
-            Premise::Atom(atom) => {
-                let free = bindings.free_vars_of(atom);
-                let mut found: Option<(FactId, DbId)> = None;
-                self.for_each_grounding(&free, 0, &mut bindings, &mut |eng, b| {
-                    let fact = atom.ground(b).expect("grounded");
-                    let fid = eng.ctx.fact_id(fact);
-                    let mut cut = NO_CUT;
-                    if eng.prove(fid, base, 0, &mut cut)? {
-                        found = Some((fid, base));
-                        return Ok(true);
-                    }
-                    Ok(false)
-                })?;
-                let node = found.and_then(|(f, d)| self.reconstruct(f, d));
-                self.stats.record_overlay(self.ctx.dbs.overlay_stats());
-                Ok(node)
-            }
-            Premise::Hyp { goal, adds, dels } => {
-                self.note_overlay_constants(adds);
-                let mut free: Vec<Var> = Vec::new();
-                for v in goal
-                    .vars()
-                    .chain(adds.iter().flat_map(|a| a.vars()))
-                    .chain(dels.iter().flat_map(|a| a.vars()))
-                {
-                    if bindings.get(v).is_none() && !free.contains(&v) {
-                        free.push(v);
-                    }
-                }
-                let mut found: Option<(FactId, DbId)> = None;
-                self.for_each_grounding(&free, 0, &mut bindings, &mut |eng, b| {
-                    let add_ids: Vec<FactId> = adds
-                        .iter()
-                        .map(|a| {
-                            let f = a.ground(b).expect("grounded");
-                            eng.ctx.fact_id(f)
-                        })
-                        .collect();
-                    let del_ids: Vec<FactId> = dels
-                        .iter()
-                        .map(|a| {
-                            let f = a.ground(b).expect("grounded");
-                            eng.ctx.fact_id(f)
-                        })
-                        .collect();
-                    let db2 = eng.apply_db(base, &add_ids, &del_ids)?;
-                    let gfact = goal.ground(b).expect("grounded");
-                    let gid = eng.ctx.fact_id(gfact);
-                    let mut cut = NO_CUT;
-                    if eng.prove(gid, db2, 0, &mut cut)? {
-                        found = Some((gid, db2));
-                        return Ok(true);
-                    }
-                    Ok(false)
-                })?;
-                let node = found.and_then(|(f, d)| self.reconstruct(f, d));
-                self.stats.record_overlay(self.ctx.dbs.overlay_stats());
-                Ok(node)
-            }
+        if matches!(query, Premise::Neg(_)) {
+            return Ok(None);
         }
+        let base = self.ctx.base_db;
+        let found = search::first_proof(self, query, base)?;
+        Ok(found.and_then(|(f, d)| self.reconstruct(f, d)))
     }
 
     /// Rebuilds the proof tree for a proven `(fact, db)` goal from the
@@ -370,418 +227,38 @@ impl<'rb> TopDownEngine<'rb> {
     /// answer set. The rows are sound (each was fully proven) but not
     /// complete when the error is `Some`.
     pub fn answers_partial(&mut self, pattern: &Atom) -> (Vec<Vec<Symbol>>, Option<Error>) {
-        let num_vars = pattern.vars().map(|v| v.index() + 1).max().unwrap_or(0);
-        let mut bindings = Bindings::new(num_vars);
-        let free = bindings.free_vars_of(pattern);
-        let base = self.ctx.base_db;
-        let mut out = Vec::new();
-        let walked = self.for_each_grounding(&free, 0, &mut bindings, &mut |eng, b| {
-            let fact = pattern.ground(b).expect("grounded");
-            let fid = eng.ctx.fact_id(fact);
-            let mut cut = NO_CUT;
-            if eng.prove(fid, base, 0, &mut cut)? {
-                out.push(
-                    pattern
-                        .args
-                        .iter()
-                        .map(|t| match t {
-                            hdl_base::Term::Const(c) => *c,
-                            hdl_base::Term::Var(v) => b.get(*v).expect("bound"),
-                        })
-                        .collect(),
-                );
-            }
-            Ok(false)
-        });
-        self.stats.record_overlay(self.ctx.dbs.overlay_stats());
-        out.sort();
-        out.dedup();
-        (out, walked.err())
+        search::answers_partial(self, pattern)
+    }
+}
+
+impl<'rb> Prover<'rb> for TopDownEngine<'rb> {
+    const SITE: &'static str = "topdown::prove";
+    const LIMIT: &'static str = "goal expansions";
+
+    fn split(&mut self) -> Parts<'_, 'rb> {
+        (
+            &mut self.ctx,
+            &mut self.tables,
+            &mut self.stats,
+            &mut self.budget,
+            &self.limits,
+        )
     }
 
-    /// Proves one ground goal `(fact, db)`.
-    ///
-    /// Returns the verdict; `cut` is lowered to the depth of the shallowest
-    /// in-progress ancestor this (failing) search touched.
-    fn prove(&mut self, goal: FactId, db: DbId, depth: u64, cut: &mut u64) -> Result<bool> {
-        self.budget.check()?;
-        if self.mem_limited {
-            self.check_memory()?;
-        }
-        hdl_base::failpoint!("topdown::prove");
-        self.stats.calls += 1;
-        self.stats.max_depth = self.stats.max_depth.max(depth);
-        let key = (goal, db);
-        if let Some(&r) = self.memo.get(&key) {
-            self.stats.memo_hits += 1;
-            return Ok(r);
-        }
-        // Inference rule 1: database membership.
-        if self.ctx.db_contains(db, goal) {
-            self.memo.insert(key, true);
-            self.proof_steps.entry(key).or_insert(ProofStep::Membership);
-            return Ok(true);
-        }
-        if let Some(&d0) = self.in_progress.get(&key) {
-            *cut = (*cut).min(d0);
-            return Ok(false);
-        }
-
-        self.stats.goal_expansions += 1;
-        if self.stats.goal_expansions > self.limits.max_expansions {
-            return Err(Error::LimitExceeded {
-                what: "goal expansions".into(),
-                limit: self.limits.max_expansions,
+    /// Records the first way each goal was proven, for [`Self::explain`].
+    fn proved(&mut self, goal: FactId, db: DbId, by: Option<(usize, &Bindings)>) {
+        self.proof_steps
+            .entry((goal, db))
+            .or_insert_with(|| match by {
+                None => ProofStep::Membership,
+                Some((rule_idx, bindings)) => ProofStep::Rule {
+                    rule_idx,
+                    bindings: bindings.snapshot(),
+                },
             });
-        }
-
-        self.in_progress.insert(key, depth);
-        let result = self.prove_by_rules(goal, db, depth);
-        self.in_progress.remove(&key);
-
-        match result {
-            Ok((true, _)) => {
-                self.memo.insert(key, true);
-                if let Some((rule_idx, bindings)) = self.last_success.take() {
-                    self.proof_steps
-                        .entry(key)
-                        .or_insert(ProofStep::Rule { rule_idx, bindings });
-                }
-                Ok(true)
-            }
-            Ok((false, my_cut)) => {
-                if my_cut >= depth {
-                    // All cycles were internal to this goal's search: the
-                    // failure is definitive.
-                    self.memo.insert(key, false);
-                } else {
-                    *cut = (*cut).min(my_cut);
-                }
-                Ok(false)
-            }
-            Err(e) => Err(e),
-        }
     }
 
-    /// Inference rule 3: try every defining rule of the goal's predicate.
-    fn prove_by_rules(&mut self, goal: FactId, db: DbId, depth: u64) -> Result<(bool, u64)> {
-        let rb: &'rb Rulebase = self.ctx.rb;
-        let pred = self.ctx.dbs.facts().fact(goal).pred;
-        let Some(rule_ids) = self.ctx.defs.get(&pred) else {
-            return Ok((false, NO_CUT));
-        };
-        // O(1) shared handle — the group itself is never copied, even
-        // though rule bodies below re-borrow `self` mutably.
-        let rule_ids = std::sync::Arc::clone(rule_ids);
-        let mut my_cut = NO_CUT;
-        for &rule_idx in rule_ids.iter() {
-            let rule: &'rb HypRule = &rb.rules[rule_idx];
-            let mut bindings = Bindings::new(rule.num_vars);
-            let trail = {
-                let fact = self.ctx.dbs.facts().fact(goal).clone();
-                bindings.match_atom(&rule.head, &fact)
-            };
-            let Some(trail) = trail else { continue };
-            // Definition 3: substitutions range over dom(R, DB); a goal
-            // mentioning foreign constants cannot instantiate a rule.
-            if trail
-                .iter()
-                .any(|&v| !self.ctx.in_domain(bindings.get(v).expect("bound")))
-            {
-                continue;
-            }
-            if self.walk(rule, rule_idx, 0, &mut bindings, db, depth, &mut my_cut)? {
-                return Ok((true, NO_CUT));
-            }
-        }
-        Ok((false, my_cut))
-    }
-
-    /// Proves premises `idx..` of `rule` under `bindings`; returns whether
-    /// a full match of the remaining premises was found.
-    #[allow(clippy::too_many_arguments)]
-    fn walk(
-        &mut self,
-        rule: &'rb HypRule,
-        rule_idx: usize,
-        idx: usize,
-        bindings: &mut Bindings,
-        db: DbId,
-        depth: u64,
-        cut: &mut u64,
-    ) -> Result<bool> {
-        if idx == rule.premises.len() {
-            // Body closed: remember the witnessing instance for proofs.
-            self.last_success = Some((rule_idx, bindings.snapshot()));
-            return Ok(true);
-        }
-        match &rule.premises[idx] {
-            Premise::Atom(atom) => {
-                if !self.ctx.has_rules(atom.pred) {
-                    // Pure EDB predicate: drive bindings from stored facts.
-                    return self
-                        .walk_edb_matches(rule, rule_idx, idx, atom, bindings, db, depth, cut);
-                }
-                let free = bindings.free_vars_of(atom);
-                self.walk_groundings(
-                    rule, rule_idx, idx, atom, &free, 0, bindings, db, depth, cut,
-                )
-            }
-            Premise::Neg(atom) => {
-                let inner = self.ctx.plans[rule_idx].inner_neg_vars[idx].clone();
-                let free = bindings.free_vars_of(atom);
-                let outer: Vec<Var> = free.into_iter().filter(|v| !inner.contains(v)).collect();
-                let mut found = false;
-                self.for_each_grounding(&outer, 0, bindings, &mut |eng, b| {
-                    // ¬∃ inner-assignment with a proof; stratification
-                    // keeps these sub-searches untainted, so the verdict
-                    // is definitive.
-                    let exists = eng.exists_proof(atom, &inner, b, db, depth + 1)?;
-                    if !exists && eng.walk(rule, rule_idx, idx + 1, b, db, depth, cut)? {
-                        found = true;
-                        return Ok(true);
-                    }
-                    Ok(false)
-                })?;
-                Ok(found)
-            }
-            Premise::Hyp { goal, adds, dels } => {
-                let mut free: Vec<Var> = Vec::new();
-                for v in goal
-                    .vars()
-                    .chain(adds.iter().flat_map(|a| a.vars()))
-                    .chain(dels.iter().flat_map(|a| a.vars()))
-                {
-                    if bindings.get(v).is_none() && !free.contains(&v) {
-                        free.push(v);
-                    }
-                }
-                let mut found = false;
-                self.for_each_grounding(&free, 0, bindings, &mut |eng, b| {
-                    let add_ids: Vec<FactId> = adds
-                        .iter()
-                        .map(|a| {
-                            let f = a.ground(b).expect("add atom grounded");
-                            eng.ctx.fact_id(f)
-                        })
-                        .collect();
-                    let del_ids: Vec<FactId> = dels
-                        .iter()
-                        .map(|a| {
-                            let f = a.ground(b).expect("del atom grounded");
-                            eng.ctx.fact_id(f)
-                        })
-                        .collect();
-                    let db2 = eng.apply_db(db, &add_ids, &del_ids)?;
-                    let gfact = goal.ground(b).expect("goal grounded");
-                    let gid = eng.ctx.fact_id(gfact);
-                    if eng.prove(gid, db2, depth + 1, cut)? {
-                        let ok = eng.walk(rule, rule_idx, idx + 1, b, db, depth, cut)?;
-                        if ok {
-                            found = true;
-                            return Ok(true);
-                        }
-                    }
-                    Ok(false)
-                })?;
-                Ok(found)
-            }
-        }
-    }
-
-    /// Walks an EDB premise by matching against the database's stored
-    /// facts for that predicate.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_edb_matches(
-        &mut self,
-        rule: &'rb HypRule,
-        rule_idx: usize,
-        idx: usize,
-        atom: &'rb Atom,
-        bindings: &mut Bindings,
-        db: DbId,
-        depth: u64,
-        cut: &mut u64,
-    ) -> Result<bool> {
-        // Candidates come straight off the overlay view: the flat root's
-        // shared index plus this database's own additions. Collected so
-        // the recursive walk below can re-borrow `self`.
-        let candidates: Vec<FactId> = self.ctx.dbs.view(db).facts_of(atom.pred).collect();
-        for fid in candidates {
-            let trail = {
-                let fact = self.ctx.dbs.facts().fact(fid);
-                bindings.match_atom(atom, fact)
-            };
-            if let Some(trail) = trail {
-                let ok = self.walk(rule, rule_idx, idx + 1, bindings, db, depth, cut)?;
-                bindings.undo(&trail);
-                if ok {
-                    return Ok(true);
-                }
-            }
-        }
-        Ok(false)
-    }
-
-    /// Walks an IDB positive premise by enumerating groundings of its free
-    /// variables and proving each.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_groundings(
-        &mut self,
-        rule: &'rb HypRule,
-        rule_idx: usize,
-        idx: usize,
-        atom: &'rb Atom,
-        free: &[Var],
-        fpos: usize,
-        bindings: &mut Bindings,
-        db: DbId,
-        depth: u64,
-        cut: &mut u64,
-    ) -> Result<bool> {
-        if fpos == free.len() {
-            let fact = atom.ground(bindings).expect("grounded");
-            let fid = self.ctx.fact_id(fact);
-            if self.prove(fid, db, depth + 1, cut)? {
-                return self.walk(rule, rule_idx, idx + 1, bindings, db, depth, cut);
-            }
-            return Ok(false);
-        }
-        let v = free[fpos];
-        for i in 0..self.ctx.domain.len() {
-            let c = self.ctx.domain[i];
-            bindings.set(v, c);
-            if self.walk_groundings(
-                rule,
-                rule_idx,
-                idx,
-                atom,
-                free,
-                fpos + 1,
-                bindings,
-                db,
-                depth,
-                cut,
-            )? {
-                bindings.unset(v);
-                return Ok(true);
-            }
-        }
-        bindings.unset(v);
-        Ok(false)
-    }
-
-    /// `∃` assignment of `vars` over the domain making `atom` provable.
-    fn exists_proof(
-        &mut self,
-        atom: &Atom,
-        vars: &[Var],
-        bindings: &mut Bindings,
-        db: DbId,
-        depth: u64,
-    ) -> Result<bool> {
-        let mut found = false;
-        self.for_each_grounding(vars, 0, bindings, &mut |eng, b| {
-            let fact = atom.ground(b).expect("grounded");
-            let fid = eng.ctx.fact_id(fact);
-            let mut cut = NO_CUT;
-            let ok = eng.prove(fid, db, depth, &mut cut)?;
-            debug_assert_eq!(
-                cut, NO_CUT,
-                "stratification must keep negation sub-searches untainted"
-            );
-            if ok {
-                found = true;
-            }
-            Ok(found)
-        })?;
-        Ok(found)
-    }
-
-    /// `∃` grounding of a hypothetical query (used by `holds`).
-    #[allow(clippy::too_many_arguments)]
-    fn exists_hyp_proof(
-        &mut self,
-        goal: &Atom,
-        adds: &[Atom],
-        dels: &[Atom],
-        free: &[Var],
-        fpos: usize,
-        bindings: &mut Bindings,
-        db: DbId,
-        depth: u64,
-    ) -> Result<bool> {
-        if fpos == free.len() {
-            let add_ids: Vec<FactId> = adds
-                .iter()
-                .map(|a| {
-                    let f = a.ground(bindings).expect("grounded");
-                    self.ctx.fact_id(f)
-                })
-                .collect();
-            let del_ids: Vec<FactId> = dels
-                .iter()
-                .map(|a| {
-                    let f = a.ground(bindings).expect("grounded");
-                    self.ctx.fact_id(f)
-                })
-                .collect();
-            let db2 = self.apply_db(db, &add_ids, &del_ids)?;
-            let gfact = goal.ground(bindings).expect("grounded");
-            let gid = self.ctx.fact_id(gfact);
-            let mut cut = NO_CUT;
-            return self.prove(gid, db2, depth, &mut cut);
-        }
-        let v = free[fpos];
-        for i in 0..self.ctx.domain.len() {
-            let c = self.ctx.domain[i];
-            bindings.set(v, c);
-            if self.exists_hyp_proof(goal, adds, dels, free, fpos + 1, bindings, db, depth)? {
-                bindings.unset(v);
-                return Ok(true);
-            }
-        }
-        bindings.unset(v);
-        Ok(false)
-    }
-
-    /// Enumerates groundings of `vars` over the domain, calling `f` until
-    /// it returns `Ok(true)`.
-    fn for_each_grounding(
-        &mut self,
-        vars: &[Var],
-        pos: usize,
-        bindings: &mut Bindings,
-        f: &mut impl FnMut(&mut Self, &mut Bindings) -> Result<bool>,
-    ) -> Result<bool> {
-        if pos == vars.len() {
-            return f(self, bindings);
-        }
-        let v = vars[pos];
-        for i in 0..self.ctx.domain.len() {
-            let c = self.ctx.domain[i];
-            bindings.set(v, c);
-            if self.for_each_grounding(vars, pos + 1, bindings, f)? {
-                bindings.unset(v);
-                return Ok(true);
-            }
-        }
-        bindings.unset(v);
-        Ok(false)
-    }
-
-    fn apply_db(&mut self, db: DbId, adds: &[FactId], dels: &[FactId]) -> Result<DbId> {
-        let before = self.ctx.dbs.len();
-        let db2 = self.ctx.dbs.apply(db, adds, dels);
-        if self.ctx.dbs.len() > before {
-            self.stats.databases_created += 1;
-            if self.stats.databases_created > self.limits.max_databases {
-                return Err(Error::LimitExceeded {
-                    what: "databases".into(),
-                    limit: self.limits.max_databases,
-                });
-            }
-        }
-        Ok(db2)
+    fn forget(&mut self) {
+        self.proof_steps.clear();
     }
 }

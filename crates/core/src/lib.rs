@@ -51,7 +51,7 @@ pub use engine::{
     BottomUpEngine, Budget, CancelToken, MemoryLimits, NaiveEngine, ProveEngine, TopDownEngine,
 };
 pub use maintain::{MaintenanceStats, MaterializedModel};
-pub use parser::{parse_program, parse_query, split_facts};
+pub use parser::{parse_ground_facts, parse_program, parse_query, split_facts};
 pub use session::{Mutation, Session, SessionObserver};
 pub use snapshot::Snapshot;
 pub use stack::call_with_deep_stack;

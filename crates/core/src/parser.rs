@@ -486,6 +486,47 @@ pub fn split_facts(rb: Rulebase) -> (Rulebase, Vec<GroundAtom>) {
     (rules, facts)
 }
 
+/// Splits `text` into ground facts; accepts both `f1, f2` and `f1. f2.`
+/// (commas inside argument lists are kept). Constants intern into
+/// `symbols`. Errors name the first piece that is not a ground fact.
+pub fn parse_ground_facts(
+    text: &str,
+    symbols: &mut SymbolTable,
+) -> std::result::Result<Vec<GroundAtom>, String> {
+    let mut pieces = Vec::new();
+    let mut depth = 0usize;
+    let mut start = 0;
+    for (i, c) in text.char_indices() {
+        match c {
+            '(' | '[' => depth += 1,
+            ')' | ']' => depth = depth.saturating_sub(1),
+            ',' | '.' if depth == 0 => {
+                pieces.push(&text[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    pieces.push(&text[start..]);
+    let mut facts = Vec::new();
+    for piece in pieces {
+        let piece = piece.trim();
+        if piece.is_empty() {
+            continue;
+        }
+        let rb = parse_program(&format!("{piece}."), symbols).map_err(|e| e.to_string())?;
+        let (rules, mut parsed) = split_facts(rb);
+        if !rules.is_empty() || parsed.len() != 1 {
+            return Err(format!("`{piece}` is not a ground fact"));
+        }
+        facts.push(parsed.pop().expect("checked length"));
+    }
+    if facts.is_empty() {
+        return Err("expected one or more ground facts".to_owned());
+    }
+    Ok(facts)
+}
+
 /// Checks that every predicate is used with one arity throughout.
 pub fn check_arities(rb: &Rulebase, symbols: &SymbolTable) -> Result<()> {
     let mut arities: FxHashMap<hdl_base::Symbol, usize> = FxHashMap::default();
@@ -518,6 +559,44 @@ mod tests {
         let mut syms = SymbolTable::new();
         let rb = parse_program(src, &mut syms).expect("parse");
         (rb, syms)
+    }
+
+    #[test]
+    fn ground_facts_split_on_commas_and_periods_outside_arguments() {
+        let mut syms = SymbolTable::new();
+        let render = |facts: &[GroundAtom], syms: &SymbolTable| -> Vec<String> {
+            facts
+                .iter()
+                .map(|f| {
+                    let args: Vec<&str> = f.args.iter().map(|&c| syms.name(c)).collect();
+                    format!("{}({})", syms.name(f.pred), args.join(","))
+                })
+                .collect()
+        };
+        let commas = parse_ground_facts(" e(a, b), e(b, c) ", &mut syms).unwrap();
+        assert_eq!(render(&commas, &syms), ["e(a,b)", "e(b,c)"]);
+        let periods = parse_ground_facts("e(a, b). p(c).", &mut syms).unwrap();
+        assert_eq!(render(&periods, &syms), ["e(a,b)", "p(c)"]);
+        let mixed = parse_ground_facts("t(a, b, c), q. r(d, e)", &mut syms).unwrap();
+        assert_eq!(render(&mixed, &syms), ["t(a,b,c)", "q()", "r(d,e)"]);
+    }
+
+    #[test]
+    fn ground_facts_reject_rules_variables_and_empty_input() {
+        let mut syms = SymbolTable::new();
+        assert_eq!(
+            parse_ground_facts("p(a), q(X)", &mut syms).unwrap_err(),
+            "`q(X)` is not a ground fact"
+        );
+        assert_eq!(
+            parse_ground_facts("p(a) :- q(a)", &mut syms).unwrap_err(),
+            "`p(a) :- q(a)` is not a ground fact"
+        );
+        assert_eq!(
+            parse_ground_facts(" . , ", &mut syms).unwrap_err(),
+            "expected one or more ground facts"
+        );
+        assert!(parse_ground_facts("p(a", &mut syms).is_err());
     }
 
     #[test]

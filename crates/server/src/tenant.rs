@@ -29,8 +29,7 @@
 
 use crate::json::Json;
 use crate::replication::ReplicationHandle;
-use hdl_base::GroundAtom;
-use hdl_core::{parse_program, split_facts, Session};
+use hdl_core::{parse_ground_facts, parse_program, split_facts};
 use hdl_persist::{DurableSession, FsyncPolicy, GroupCommitter};
 use hdl_service::{Outcome, QueryRequest, QueryService, ServiceConfig};
 use std::collections::BTreeMap;
@@ -468,7 +467,7 @@ impl Tenant {
                         )));
                     }
                 }
-                let facts = parse_ground_facts(facts_text, session)
+                let facts = parse_ground_facts(facts_text, session.symbols_mut())
                     .map_err(|e| TenantError::new("query", e))?;
                 session
                     .assume(facts)
@@ -486,7 +485,7 @@ impl Tenant {
                 Err(e) => Err(TenantError::new("query", e.to_string())),
             },
             BatchOp::Retract(fact_text) => {
-                let mut facts = parse_ground_facts(fact_text, session)
+                let mut facts = parse_ground_facts(fact_text, session.symbols_mut())
                     .map_err(|e| TenantError::new("query", e))?;
                 if facts.len() != 1 {
                     return Err(TenantError::new(
@@ -692,45 +691,6 @@ impl Registry {
             .map(|t| (t.name().to_owned(), t.checkpoint()))
             .collect()
     }
-}
-
-/// Splits `text` into ground facts; accepts both `f1, f2` and `f1. f2.`
-/// (commas inside argument lists are kept). Constants intern into the
-/// session's own symbol table.
-fn parse_ground_facts(text: &str, session: &mut Session) -> Result<Vec<GroundAtom>, String> {
-    let mut pieces = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0;
-    for (i, c) in text.char_indices() {
-        match c {
-            '(' | '[' => depth += 1,
-            ')' | ']' => depth = depth.saturating_sub(1),
-            ',' | '.' if depth == 0 => {
-                pieces.push(&text[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    pieces.push(&text[start..]);
-    let mut facts = Vec::new();
-    for piece in pieces {
-        let piece = piece.trim();
-        if piece.is_empty() {
-            continue;
-        }
-        let rb = parse_program(&format!("{piece}."), session.symbols_mut())
-            .map_err(|e| e.to_string())?;
-        let (rules, mut parsed) = split_facts(rb);
-        if !rules.is_empty() || parsed.len() != 1 {
-            return Err(format!("`{piece}` is not a ground fact"));
-        }
-        facts.push(parsed.pop().expect("checked length"));
-    }
-    if facts.is_empty() {
-        return Err("expected one or more ground facts".to_owned());
-    }
-    Ok(facts)
 }
 
 #[cfg(test)]

@@ -32,8 +32,8 @@
 //! --json` as one machine-readable line). Both accept `:answers
 //! PATTERN` lines for all-tuples queries; a budget trip mid-scan prints
 //! the partial answer set (`… partial: reason`) rather than discarding
-//! tuples already proven. Bare `serve` without `--stdin`/`--listen` is
-//! the deprecated spelling of `serve --stdin`.
+//! tuples already proven. `serve` with neither `--stdin` nor `--listen`
+//! is a usage error.
 //!
 //! The network server and its client (`crates/server`,
 //! `docs/protocol.md`):
@@ -365,45 +365,6 @@ fn ack(session: &DurableSession) {
     }
 }
 
-/// Splits `text` into ground facts; accepts both `f1, f2` and `f1. f2.`
-/// (commas inside argument lists are kept, of course). Constants intern
-/// into the session's own symbol table.
-fn parse_ground_facts(text: &str, session: &mut Session) -> Result<Vec<GroundAtom>, String> {
-    let mut pieces = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0;
-    for (i, c) in text.char_indices() {
-        match c {
-            '(' | '[' => depth += 1,
-            ')' | ']' => depth = depth.saturating_sub(1),
-            ',' | '.' if depth == 0 => {
-                pieces.push(&text[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    pieces.push(&text[start..]);
-    let mut facts = Vec::new();
-    for piece in pieces {
-        let piece = piece.trim();
-        if piece.is_empty() {
-            continue;
-        }
-        let rb = hdl_core::parse_program(&format!("{piece}."), session.symbols_mut())
-            .map_err(|e| e.to_string())?;
-        let (rules, mut parsed) = split_facts(rb);
-        if !rules.is_empty() || parsed.len() != 1 {
-            return Err(format!("`{piece}` is not a ground fact"));
-        }
-        facts.push(parsed.pop().expect("checked length"));
-    }
-    if facts.is_empty() {
-        return Err("expected one or more ground facts".to_owned());
-    }
-    Ok(facts)
-}
-
 /// Builds the request for one query line: `?- goal.` asks, and
 /// `:answers PATTERN` enumerates all matching tuples.
 fn request_for(line: &str, opts: &Opts) -> QueryRequest {
@@ -523,9 +484,10 @@ fn checkpoint_on_exit(session: &mut DurableSession) {
 /// `hdl serve` — two modes:
 ///
 /// * `--listen ADDR`: the multi-tenant network server ([`serve_listen`]).
-/// * `--stdin` (or bare, deprecated): loads the program files, then
-///   answers query lines from stdin through the worker pool, one result
-///   line each.
+/// * `--stdin`: loads the program files, then answers query lines from
+///   stdin through the worker pool, one result line each.
+///
+/// Exactly one mode must be named.
 fn serve_main(args: &[String]) -> i32 {
     let opts = match parse_opts(args) {
         Ok(o) => o,
@@ -538,9 +500,9 @@ fn serve_main(args: &[String]) -> i32 {
         return serve_listen(&opts);
     }
     if !opts.stdin_mode {
-        eprintln!(
-            "warning: bare `hdl serve` is deprecated; use `hdl serve --stdin` for this \
-             stdin queue-drain mode, or `hdl serve --listen ADDR` for the network server"
+        return usage_error(
+            "serve",
+            "name a mode: --stdin (stdin queue drain) or --listen ADDR (network server)",
         );
     }
     serve_stdin(&opts)
@@ -1000,11 +962,11 @@ fn serve_stdin(opts: &Opts) -> i32 {
 /// Applies one `:assume FACTS` / `:retract FACT` / `:pop` line.
 fn serve_mutation(session: &mut DurableSession, line: &str) -> Result<(), String> {
     if let Some(rest) = line.strip_prefix(":assume") {
-        let facts = parse_ground_facts(rest, session)?;
+        let facts = hdl_core::parse_ground_facts(rest, session.symbols_mut())?;
         return session.assume(facts).map_err(|e| e.to_string());
     }
     if let Some(rest) = line.strip_prefix(":retract") {
-        let mut facts = parse_ground_facts(rest, session)?;
+        let mut facts = hdl_core::parse_ground_facts(rest, session.symbols_mut())?;
         if facts.len() != 1 {
             return Err("retract takes exactly one fact".to_owned());
         }
@@ -1153,7 +1115,7 @@ fn run_command(session: &mut DurableSession, rest: &str) -> bool {
             },
             Err(e) => eprintln!("cannot read {arg}: {e}"),
         },
-        "assume" => match parse_ground_facts(arg, session) {
+        "assume" => match hdl_core::parse_ground_facts(arg, session.symbols_mut()) {
             Ok(facts) => match session.assume(facts) {
                 Ok(()) => {
                     ack(session);
@@ -1175,7 +1137,7 @@ fn run_command(session: &mut DurableSession, rest: &str) -> bool {
             Ok(None) => println!("no assumption frame to pop"),
             Err(e) => eprintln!("error: {e}"),
         },
-        "retract" => match parse_ground_facts(arg, session) {
+        "retract" => match hdl_core::parse_ground_facts(arg, session.symbols_mut()) {
             Ok(facts) if facts.len() == 1 => {
                 let fact = &facts[0];
                 match session.retract_fact(fact) {

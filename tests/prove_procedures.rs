@@ -245,3 +245,79 @@ fn prove_counters_are_pinned() {
         "2-block QBF"
     );
 }
+
+/// One line of the counters a top-down run reports, for exact pinning.
+fn topdown_counters(td: &TopDownEngine<'_>) -> String {
+    let s = td.stats();
+    format!(
+        "goal_expansions={} memo_hits={} calls={} max_depth={} databases_created={}",
+        s.goal_expansions, s.memo_hits, s.calls, s.max_depth, s.databases_created,
+    )
+}
+
+#[test]
+fn topdown_counters_are_pinned() {
+    // Exact work counters of the goal-directed search on the instances
+    // `prove_counters_are_pinned` uses, plus E2's hypothetical chain:
+    // any change to how the search tables goals, walks premises or
+    // creates databases shows up here.
+    let src = seeded_hamiltonian_source();
+    let expected = [
+        (
+            "yes",
+            false,
+            "goal_expansions=267 memo_hits=40 calls=366 max_depth=6 databases_created=25",
+        ),
+        (
+            "no",
+            true,
+            "goal_expansions=268 memo_hits=40 calls=367 max_depth=7 databases_created=25",
+        ),
+    ];
+    for (goal, verdict, counters) in expected {
+        let (rules, db, mut syms) = setup(&src);
+        let mut td = TopDownEngine::new(&rules, &db).unwrap();
+        let q = parse_query(&format!("?- {goal}."), &mut syms).unwrap();
+        assert_eq!(td.holds(&q).unwrap(), verdict, "{goal}");
+        assert_eq!(topdown_counters(&td), counters, "{goal}");
+    }
+
+    // E2's chain at n = 16: a1 :- a2[add: b1]. … a17 :- dgoal.
+    // dgoal :- b1, …, b16.
+    let n = 16;
+    let mut chain = String::new();
+    for i in 1..=n {
+        chain.push_str(&format!("a{i} :- a{}[add: b{i}].\n", i + 1));
+    }
+    chain.push_str(&format!("a{} :- dgoal.\n", n + 1));
+    let body: Vec<String> = (1..=n).map(|i| format!("b{i}")).collect();
+    chain.push_str(&format!("dgoal :- {}.\n", body.join(", ")));
+    let (rules, db, mut syms) = setup(&chain);
+    let mut td = TopDownEngine::new(&rules, &db).unwrap();
+    let q = parse_query("?- a1.", &mut syms).unwrap();
+    assert!(td.holds(&q).unwrap());
+    assert_eq!(
+        topdown_counters(&td),
+        "goal_expansions=18 memo_hits=0 calls=18 max_depth=17 databases_created=16",
+        "chain n=16"
+    );
+
+    // The 2-block QBF of `prove_counters_are_pinned`.
+    let lit = |var: usize, positive: bool| Lit { var, positive };
+    let qbf = Qbf {
+        prefix: vec![(Quant::Exists, vec![0, 1]), (Quant::Forall, vec![2, 3])],
+        clauses: vec![
+            vec![lit(0, true), lit(2, true)],
+            vec![lit(0, false), lit(1, true), lit(3, true)],
+            vec![lit(1, true), lit(2, false), lit(3, true)],
+        ],
+    };
+    let enc = encode_qbf(&qbf).unwrap();
+    let mut td = TopDownEngine::new(&enc.rulebase, &enc.database).unwrap();
+    assert_eq!(td.holds(&enc.sat_query()).unwrap(), qbf.eval());
+    assert_eq!(
+        topdown_counters(&td),
+        "goal_expansions=116 memo_hits=126 calls=257 max_depth=11 databases_created=10",
+        "2-block QBF"
+    );
+}

@@ -454,3 +454,20 @@ fn sigterm_drains_checkpoints_and_recovery_restores_tenants() {
     let (ok, _) = server.wait();
     assert!(ok);
 }
+
+#[test]
+fn serve_without_a_mode_is_a_usage_error() {
+    // `hdl serve` must name its mode; the old bare spelling of
+    // `--stdin` is gone, so it exits with a usage error naming both.
+    let out = Command::new(HDL)
+        .arg("serve")
+        .stdin(Stdio::null())
+        .output()
+        .expect("run hdl serve");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    assert!(out.stdout.is_empty(), "no mode runs: {:?}", out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--stdin"), "names --stdin: {stderr}");
+    assert!(stderr.contains("--listen"), "names --listen: {stderr}");
+    assert!(stderr.contains("name a mode"), "says why: {stderr}");
+}
