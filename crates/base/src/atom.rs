@@ -1,5 +1,6 @@
 //! Atoms: predicate symbols applied to terms, plus their ground instances.
 
+use crate::smallvec::SmallVec;
 use crate::subst::Bindings;
 use crate::symbol::Symbol;
 use crate::term::{Term, Var};
@@ -40,17 +41,27 @@ impl Atom {
     ///
     /// Returns `None` if any variable is unbound.
     pub fn ground(&self, bindings: &Bindings) -> Option<GroundAtom> {
-        let mut args = Vec::with_capacity(self.args.len());
+        Some(GroundAtom {
+            pred: self.pred,
+            args: self.ground_args(bindings)?.to_vec(),
+        })
+    }
+
+    /// Applies `bindings` to the arguments only, into an inline buffer:
+    /// the allocation-free form of [`Atom::ground`] for probing the fact
+    /// interner or a [`crate::Database`] with an instance that is usually
+    /// already stored.
+    ///
+    /// Returns `None` if any variable is unbound.
+    pub fn ground_args(&self, bindings: &Bindings) -> Option<GroundArgs> {
+        let mut args = GroundArgs::new();
         for &t in &self.args {
             match t {
                 Term::Const(c) => args.push(c),
                 Term::Var(v) => args.push(bindings.get(v)?),
             }
         }
-        Some(GroundAtom {
-            pred: self.pred,
-            args,
-        })
+        Some(args)
     }
 
     /// Converts a ground atom view of this atom, if it is ground.
@@ -65,6 +76,10 @@ impl Atom {
         })
     }
 }
+
+/// The constants of a grounded atom, inline up to arity 8 (see
+/// [`Atom::ground_args`]).
+pub type GroundArgs = SmallVec<Symbol, 8>;
 
 /// A ground atomic formula `p(c₁, …, cₙ)` — a database fact.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -140,6 +155,9 @@ mod tests {
             open.ground(&b),
             Some(GroundAtom::new(p(), vec![Symbol(9), Symbol(2)]))
         );
+        let args = open.ground_args(&b).unwrap();
+        assert!(args.is_inline());
+        assert_eq!(args.as_slice(), &[Symbol(9), Symbol(2)]);
     }
 
     #[test]

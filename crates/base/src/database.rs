@@ -3,13 +3,20 @@
 //! [`Database`] is the extensional store handed to the engines and the
 //! representation of computed models: facts are grouped per predicate so
 //! that matching a rule premise only scans candidates with the right
-//! predicate symbol.
+//! predicate symbol, and indexed per argument so that a premise with a
+//! bound argument probes only the tuples that carry it.
+//!
+//! Matching tests each stored tuple slice in place
+//! ([`Bindings::match_args`]) with an inline undo trail, so a match
+//! attempt allocates nothing; only storing a new fact does.
 
 use crate::atom::{Atom, GroundAtom};
-use crate::hasher::{FxHashMap, FxHashSet};
+use crate::hasher::{FxHashMap, FxHashSet, FxHasher};
+use crate::smallvec::SmallVec;
 use crate::subst::Bindings;
 use crate::symbol::Symbol;
 use crate::term::{Term, Var};
+use std::hash::{Hash, Hasher};
 
 /// Work counters for argument-index probes during premise matching.
 ///
@@ -43,8 +50,10 @@ impl MatchCounters {
 struct Relation {
     /// Tuples in insertion order (for deterministic iteration).
     tuples: Vec<Box<[Symbol]>>,
-    /// Membership index over the same tuples.
-    index: FxHashSet<Box<[Symbol]>>,
+    /// Membership index over the same tuples: tuple hash → indices into
+    /// `tuples` (almost always one). Each tuple is stored once, and a
+    /// probe by slice builds no key.
+    index: FxHashMap<u64, SmallVec<u32, 1>>,
     /// Argument-level join index: `(position, constant)` → indices into
     /// `tuples` (in insertion order). Lets a premise with a bound
     /// argument hash-probe its candidates instead of scanning the whole
@@ -52,22 +61,38 @@ struct Relation {
     by_arg: FxHashMap<(u32, Symbol), Vec<u32>>,
 }
 
+/// The membership-index key of a tuple.
+fn tuple_key(args: &[Symbol]) -> u64 {
+    let mut h = FxHasher::default();
+    args.hash(&mut h);
+    h.finish()
+}
+
 impl Relation {
-    fn insert(&mut self, args: Box<[Symbol]>) -> bool {
-        if self.index.insert(args.clone()) {
-            let row = u32::try_from(self.tuples.len()).expect("relation overflow");
-            for (pos, &c) in args.iter().enumerate() {
-                self.by_arg.entry((pos as u32, c)).or_default().push(row);
-            }
-            self.tuples.push(args);
-            true
-        } else {
-            false
+    /// Inserts `args`; allocates only if the tuple is new.
+    fn insert(&mut self, args: &[Symbol]) -> bool {
+        let key = tuple_key(args);
+        if self.find(key, args).is_some() {
+            return false;
         }
+        let row = u32::try_from(self.tuples.len()).expect("relation overflow");
+        self.index.entry(key).or_default().push(row);
+        for (pos, &c) in args.iter().enumerate() {
+            self.by_arg.entry((pos as u32, c)).or_default().push(row);
+        }
+        self.tuples.push(args.into());
+        true
+    }
+
+    fn find(&self, key: u64, args: &[Symbol]) -> Option<u32> {
+        self.index
+            .get(&key)?
+            .iter()
+            .find(|&row| &self.tuples[row as usize][..] == args)
     }
 
     fn contains(&self, args: &[Symbol]) -> bool {
-        self.index.contains(args)
+        self.find(tuple_key(args), args).is_some()
     }
 
     /// Removes `args`, preserving insertion order of the survivors.
@@ -76,10 +101,59 @@ impl Relation {
     /// O(|relation|) compaction + index rebuild rather than complicating
     /// the hot insert/lookup paths with tombstones.
     fn remove(&mut self, args: &[Symbol]) -> bool {
-        if !self.index.remove(args) {
+        let key = tuple_key(args);
+        let Some(row) = self.find(key, args) else {
             return false;
+        };
+        self.tuples.remove(row as usize);
+        // Drop the row from its bucket and renumber the rows after it;
+        // no tuple is hashed again.
+        let bucket: SmallVec<u32, 1> = self.index[&key].iter().filter(|&r| r != row).collect();
+        if bucket.is_empty() {
+            self.index.remove(&key);
+        } else {
+            self.index.insert(key, bucket);
         }
-        self.tuples.retain(|t| &t[..] != args);
+        for rows in self.index.values_mut() {
+            for r in rows.as_mut_slice() {
+                if *r > row {
+                    *r -= 1;
+                }
+            }
+        }
+        self.index_args();
+        true
+    }
+
+    /// Removes every tuple in `gone`, compacting and rebuilding the
+    /// indexes once — the batch counterpart of [`Relation::remove`] for
+    /// deletion cascades (e.g. the overdeletion phase of incremental
+    /// maintenance), where per-fact compaction would cost O(|relation|)
+    /// per removed tuple.
+    fn remove_many(&mut self, gone: &FxHashSet<&[Symbol]>) -> usize {
+        let before = self.tuples.len();
+        self.tuples.retain(|t| !gone.contains(&t[..]));
+        let removed = before - self.tuples.len();
+        if removed > 0 {
+            self.reindex();
+        }
+        removed
+    }
+
+    /// Rebuilds both indexes from `tuples`.
+    fn reindex(&mut self) {
+        self.index.clear();
+        for (row, tuple) in self.tuples.iter().enumerate() {
+            self.index
+                .entry(tuple_key(tuple))
+                .or_default()
+                .push(row as u32);
+        }
+        self.index_args();
+    }
+
+    /// Rebuilds the argument index from `tuples`.
+    fn index_args(&mut self) {
         self.by_arg.clear();
         for (row, tuple) in self.tuples.iter().enumerate() {
             for (pos, &c) in tuple.iter().enumerate() {
@@ -89,31 +163,6 @@ impl Relation {
                     .push(row as u32);
             }
         }
-        true
-    }
-
-    /// Removes every tuple in `gone`, compacting and rebuilding the
-    /// argument index once — the batch counterpart of
-    /// [`Relation::remove`] for deletion cascades (e.g. the overdeletion
-    /// phase of incremental maintenance), where per-fact compaction
-    /// would cost O(|relation|) per removed tuple.
-    fn remove_many(&mut self, gone: &FxHashSet<&[Symbol]>) -> usize {
-        let before = self.tuples.len();
-        self.index.retain(|t| !gone.contains(&t[..]));
-        self.tuples.retain(|t| !gone.contains(&t[..]));
-        let removed = before - self.tuples.len();
-        if removed > 0 {
-            self.by_arg.clear();
-            for (row, tuple) in self.tuples.iter().enumerate() {
-                for (pos, &c) in tuple.iter().enumerate() {
-                    self.by_arg
-                        .entry((pos as u32, c))
-                        .or_default()
-                        .push(row as u32);
-                }
-            }
-        }
-        removed
     }
 
     /// Tuple indices whose argument `pos` equals `c`, in insertion order.
@@ -162,7 +211,7 @@ impl Database {
     /// Inserts `fact`; returns `true` if it was not already present.
     pub fn insert(&mut self, fact: GroundAtom) -> bool {
         let rel = self.rels.entry(fact.pred).or_default();
-        let fresh = rel.insert(fact.args.into_boxed_slice());
+        let fresh = rel.insert(&fact.args);
         if fresh {
             self.len += 1;
         }
@@ -172,7 +221,7 @@ impl Database {
     /// Inserts a fact given as predicate + argument slice.
     pub fn insert_tuple(&mut self, pred: Symbol, args: &[Symbol]) -> bool {
         let rel = self.rels.entry(pred).or_default();
-        let fresh = rel.insert(args.into());
+        let fresh = rel.insert(args);
         if fresh {
             self.len += 1;
         }
@@ -336,11 +385,7 @@ impl Database {
         let mut visit =
             |tuple: &[Symbol], counters: &mut MatchCounters, bindings: &mut Bindings| -> bool {
                 counters.attempts += 1;
-                if tuple.len() != pattern.args.len() {
-                    return false;
-                }
-                let fact = GroundAtom::new(pattern.pred, tuple.to_vec());
-                if let Some(trail) = bindings.match_atom(pattern, &fact) {
+                if let Some(trail) = bindings.match_args(pattern, tuple) {
                     let stop = f(bindings);
                     bindings.undo(&trail);
                     return stop;
@@ -451,6 +496,13 @@ mod tests {
             false
         });
         assert_eq!(seen, vec![10, 30]);
+        // The membership index follows the renumbered rows.
+        assert!(!db.insert(fact(0, &[1, 30])), "survivor still found");
+        assert!(db.insert(fact(0, &[2, 20])), "a removed fact can return");
+        assert!(db.remove(&fact(0, &[1, 10])));
+        assert!(db.contains(&fact(0, &[1, 30])));
+        assert!(db.contains(&fact(0, &[2, 20])));
+        assert_eq!(db.len(), 2);
     }
 
     #[test]

@@ -35,9 +35,10 @@
 
 use crate::atom::GroundAtom;
 use crate::database::Database;
-use crate::hasher::FxHashMap;
+use crate::hasher::{FxHashMap, FxHasher};
 use crate::smallvec::SmallVec;
 use crate::symbol::Symbol;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Dense id of an interned ground fact.
@@ -53,10 +54,23 @@ impl FactId {
 }
 
 /// An append-only intern table for ground facts.
+///
+/// Each fact is stored once. The index maps a fact's hash to the ids of
+/// the facts with that hash (almost always one), and a probe compares
+/// the candidates' stored predicate and arguments, so looking up a fact
+/// given as a predicate and an argument slice builds no key.
 #[derive(Default, Clone)]
 pub struct FactStore {
     facts: Vec<GroundAtom>,
-    ids: FxHashMap<GroundAtom, FactId>,
+    ids: FxHashMap<u64, SmallVec<FactId, 1>>,
+}
+
+/// The index key of the fact `pred(args)`.
+fn fact_key(pred: Symbol, args: &[Symbol]) -> u64 {
+    let mut h = FxHasher::default();
+    pred.hash(&mut h);
+    args.hash(&mut h);
+    h.finish()
 }
 
 impl FactStore {
@@ -67,18 +81,45 @@ impl FactStore {
 
     /// Interns `fact`, returning its id.
     pub fn intern(&mut self, fact: GroundAtom) -> FactId {
-        if let Some(&id) = self.ids.get(&fact) {
-            return id;
+        let key = fact_key(fact.pred, &fact.args);
+        match self.find(key, fact.pred, &fact.args) {
+            Some(id) => id,
+            None => self.push(key, fact),
         }
+    }
+
+    /// Interns the fact `pred(args)`, returning its id. Allocates only
+    /// the first time the fact is seen.
+    pub fn intern_args(&mut self, pred: Symbol, args: &[Symbol]) -> FactId {
+        let key = fact_key(pred, args);
+        match self.find(key, pred, args) {
+            Some(id) => id,
+            None => self.push(key, GroundAtom::new(pred, args.to_vec())),
+        }
+    }
+
+    fn push(&mut self, key: u64, fact: GroundAtom) -> FactId {
         let id = FactId(u32::try_from(self.facts.len()).expect("fact store overflow"));
-        self.facts.push(fact.clone());
-        self.ids.insert(fact, id);
+        self.facts.push(fact);
+        self.ids.entry(key).or_default().push(id);
         id
+    }
+
+    fn find(&self, key: u64, pred: Symbol, args: &[Symbol]) -> Option<FactId> {
+        self.ids.get(&key)?.iter().find(|&id| {
+            let fact = &self.facts[id.index()];
+            fact.pred == pred && fact.args == args
+        })
     }
 
     /// Looks up an already-interned fact.
     pub fn lookup(&self, fact: &GroundAtom) -> Option<FactId> {
-        self.ids.get(fact).copied()
+        self.lookup_args(fact.pred, &fact.args)
+    }
+
+    /// Looks up the already-interned fact `pred(args)`.
+    pub fn lookup_args(&self, pred: Symbol, args: &[Symbol]) -> Option<FactId> {
+        self.find(fact_key(pred, args), pred, args)
     }
 
     /// The fact with id `id`.
@@ -342,6 +383,12 @@ impl DbStore {
         self.store.intern(fact)
     }
 
+    /// Interns the ground fact `pred(args)`; allocates only on the first
+    /// intern (see [`FactStore::intern_args`]).
+    pub fn intern_args(&mut self, pred: Symbol, args: &[Symbol]) -> FactId {
+        self.store.intern_args(pred, args)
+    }
+
     /// The DAG node for database `id`.
     pub fn entry(&self, id: DbId) -> &DbEntry {
         &self.entries[id.index()]
@@ -479,7 +526,7 @@ impl DbStore {
         // masked by the negative overlay — adding it back *revives* it
         // (shrinks the mask) rather than growing the positive overlay.
         let flat = self.flat_facts(croot);
-        let (revived, added): (Vec<FactId>, Vec<FactId>) =
+        let (revived, added): (SmallVec<FactId, 8>, SmallVec<FactId, 8>) =
             fresh.iter().partition(|f| flat.binary_search(f).is_ok());
         let overlay = merge_sorted(&base_entry.overlay, &added);
         let neg_overlay: Vec<FactId> = base_entry
@@ -536,7 +583,7 @@ impl DbStore {
         let new_hash = base_entry.set_hash ^ gone.iter().fold(0u64, |acc, f| acc ^ fact_hash(f));
         // Removals of overlay members just drop out of the overlay; the
         // rest are flat-root members and join the mask.
-        let masked: Vec<FactId> = gone
+        let masked: SmallVec<FactId, 8> = gone
             .iter()
             .filter(|f| base_entry.overlay.binary_search(f).is_err())
             .collect();
@@ -990,6 +1037,23 @@ mod tests {
 
     fn fact(p: u32, args: &[u32]) -> GroundAtom {
         GroundAtom::new(Symbol(p), args.iter().map(|&a| Symbol(a)).collect())
+    }
+
+    #[test]
+    fn lookup_by_slice_agrees_with_owned_facts() {
+        let mut store = FactStore::new();
+        let a = store.intern(fact(0, &[1, 2]));
+        let b = store.intern_args(Symbol(0), &[Symbol(2), Symbol(1)]);
+        assert_ne!(a, b);
+        assert_eq!(store.intern_args(Symbol(0), &[Symbol(1), Symbol(2)]), a);
+        assert_eq!(store.intern(fact(0, &[2, 1])), b);
+        assert_eq!(
+            store.lookup_args(Symbol(0), &[Symbol(2), Symbol(1)]),
+            Some(b)
+        );
+        assert_eq!(store.lookup_args(Symbol(1), &[Symbol(1), Symbol(2)]), None);
+        assert_eq!(store.lookup_args(Symbol(0), &[Symbol(1)]), None);
+        assert_eq!(store.len(), 2);
     }
 
     #[test]

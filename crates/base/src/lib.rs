@@ -18,7 +18,9 @@
 //!   memoize on `(FactId, DbId)`;
 //! - [`DbView`] — read-only matching over an interned database without
 //!   materializing it;
-//! - [`SmallVec`] — inline-capacity storage for the tiny per-node deltas;
+//! - [`SmallVec`] — inline-capacity storage for the tiny per-node deltas
+//!   and the engines' per-match buffers (bindings, trails, ground
+//!   arguments);
 //! - [`FxHashMap`] / [`FxHashSet`] — fast hashing for interned keys.
 
 #![warn(missing_docs)]
@@ -37,14 +39,14 @@ pub mod symbol;
 pub mod term;
 pub mod view;
 
-pub use atom::{Atom, GroundAtom};
+pub use atom::{Atom, GroundArgs, GroundAtom};
 pub use database::{Database, MatchCounters};
 pub use error::{Error, Result};
 pub use factstore::{DbEntry, DbId, DbStore, FactId, FactStore, OverlayStats, FLATTEN_THRESHOLD};
 pub use hasher::{FxHashMap, FxHashSet, FxHasher};
 pub use serialize::{crc32, Decoder, Encoder};
 pub use smallvec::SmallVec;
-pub use subst::Bindings;
+pub use subst::{Bindings, VarList};
 pub use symbol::{Symbol, SymbolTable};
 pub use term::{Term, Var};
 pub use view::DbView;

@@ -1,10 +1,12 @@
 //! A minimal inline-capacity vector for `Copy` elements.
 //!
 //! Overlay database nodes store tiny per-node deltas — typically one or two
-//! fact ids added by a hypothetical premise `A[add: C̄]`. Boxing every delta
-//! in a `Vec` would put a heap allocation on the hot path of
-//! [`crate::factstore::DbStore::extend`]; this type keeps up to `N` elements
-//! inline and spills to a `Vec` only for the rare large delta.
+//! fact ids added by a hypothetical premise `A[add: C̄]` — and the engines'
+//! inner loops juggle equally small buffers: a rule's variable slots, the
+//! trail of one match, the free variables of one premise, the constants of
+//! one grounded atom. Boxing each in a `Vec` would put a heap allocation on
+//! every candidate and every grounding; this type keeps up to `N` elements
+//! inline and spills to a `Vec` only for the rare large case.
 
 use std::fmt;
 use std::mem::MaybeUninit;
@@ -30,6 +32,18 @@ impl<T: Copy, const N: usize> SmallVec<T, N> {
             len: 0,
             buf: [MaybeUninit::uninit(); N],
         })
+    }
+
+    /// `n` copies of `x`, staying inline if they fit.
+    pub fn from_elem(x: T, n: usize) -> Self {
+        if n <= N {
+            SmallVec(Repr::Inline {
+                len: n as u32,
+                buf: [MaybeUninit::new(x); N],
+            })
+        } else {
+            SmallVec(Repr::Heap(vec![x; n]))
+        }
     }
 
     /// Builds from a slice, staying inline if it fits.
@@ -158,10 +172,16 @@ impl<T: Copy + Eq, const N: usize> Eq for SmallVec<T, N> {}
 impl<T: Copy, const N: usize> FromIterator<T> for SmallVec<T, N> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut out = Self::new();
-        for x in iter {
-            out.push(x);
-        }
+        out.extend(iter);
         out
+    }
+}
+
+impl<T: Copy, const N: usize> Extend<T> for SmallVec<T, N> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        for x in iter {
+            self.push(x);
+        }
     }
 }
 
@@ -208,6 +228,18 @@ mod tests {
         let mut w: SmallVec<u32, 2> = SmallVec::from_slice(&[9, 4, 7]);
         w.as_mut_slice().sort_unstable();
         assert_eq!(w.as_slice(), &[4, 7, 9]);
+    }
+
+    #[test]
+    fn from_elem_fills_inline_and_spilled() {
+        let v: SmallVec<u32, 4> = SmallVec::from_elem(7, 3);
+        assert!(v.is_inline());
+        assert_eq!(v.as_slice(), &[7, 7, 7]);
+        let w: SmallVec<u32, 2> = SmallVec::from_elem(1, 3);
+        assert!(!w.is_inline());
+        assert_eq!(w.as_slice(), &[1, 1, 1]);
+        let e: SmallVec<u32, 2> = SmallVec::from_elem(1, 0);
+        assert!(e.is_empty());
     }
 
     #[test]

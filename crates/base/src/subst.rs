@@ -4,23 +4,34 @@
 //! ground substitutions), so the only unification needed is *matching*: a
 //! pattern atom with variables against a ground fact. Bindings are flat
 //! buffers indexed by rule-scoped [`Var`] ids, reused across match attempts
-//! via an undo trail to avoid per-candidate allocation.
+//! via an undo trail. Slots, trails and free-variable lists live inline
+//! (up to [`INLINE_VARS`] variables), so neither creating bindings for a
+//! rule nor a match attempt allocates.
 
 use crate::atom::{Atom, GroundAtom};
+use crate::smallvec::SmallVec;
 use crate::symbol::Symbol;
 use crate::term::{Term, Var};
+
+/// Variables a rule can have before [`Bindings`] (and a [`VarList`])
+/// spill to the heap.
+pub const INLINE_VARS: usize = 8;
+
+/// A short list of variables: a match's undo trail, or the free
+/// variables of a premise.
+pub type VarList = SmallVec<Var, INLINE_VARS>;
 
 /// A partial assignment of rule variables to constants.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Bindings {
-    slots: Vec<Option<Symbol>>,
+    slots: SmallVec<Option<Symbol>, INLINE_VARS>,
 }
 
 impl Bindings {
     /// Creates an all-unbound assignment for a rule with `nvars` variables.
     pub fn new(nvars: usize) -> Self {
         Bindings {
-            slots: vec![None; nvars],
+            slots: SmallVec::from_elem(None, nvars),
         }
     }
 
@@ -43,13 +54,13 @@ impl Bindings {
     /// Binds `v` to `c`, overwriting any previous value.
     #[inline]
     pub fn set(&mut self, v: Var, c: Symbol) {
-        self.slots[v.index()] = c.into();
+        self.slots.as_mut_slice()[v.index()] = c.into();
     }
 
     /// Unbinds `v`.
     #[inline]
     pub fn unset(&mut self, v: Var) {
-        self.slots[v.index()] = None;
+        self.slots.as_mut_slice()[v.index()] = None;
     }
 
     /// Whether every slot is bound.
@@ -61,12 +72,23 @@ impl Bindings {
     ///
     /// On success returns a trail of the variables newly bound by this call
     /// (for undo); on failure `self` is restored and `None` is returned.
-    pub fn match_atom(&mut self, pattern: &Atom, fact: &GroundAtom) -> Option<Vec<Var>> {
-        if pattern.pred != fact.pred || pattern.args.len() != fact.args.len() {
+    #[inline]
+    pub fn match_atom(&mut self, pattern: &Atom, fact: &GroundAtom) -> Option<VarList> {
+        if pattern.pred != fact.pred {
             return None;
         }
-        let mut trail = Vec::new();
-        for (&t, &c) in pattern.args.iter().zip(&fact.args) {
+        self.match_args(pattern, &fact.args)
+    }
+
+    /// Matches the arguments of `pattern` against the constants `args`
+    /// (the predicate is the caller's to check), extending `self` as
+    /// [`match_atom`](Bindings::match_atom) does.
+    pub fn match_args(&mut self, pattern: &Atom, args: &[Symbol]) -> Option<VarList> {
+        if pattern.args.len() != args.len() {
+            return None;
+        }
+        let mut trail = VarList::new();
+        for (&t, &c) in pattern.args.iter().zip(args) {
             match t {
                 Term::Const(k) => {
                     if k != c {
@@ -100,15 +122,10 @@ impl Bindings {
         }
     }
 
-    /// A copy of the current slot assignment (for proof recording).
-    pub fn snapshot(&self) -> Vec<Option<Symbol>> {
-        self.slots.clone()
-    }
-
     /// The unbound variables of `atom` under the current assignment,
     /// deduplicated in first-occurrence order.
-    pub fn free_vars_of(&self, atom: &Atom) -> Vec<Var> {
-        let mut out = Vec::new();
+    pub fn free_vars_of(&self, atom: &Atom) -> VarList {
+        let mut out = VarList::new();
         for v in atom.vars() {
             if self.get(v).is_none() && !out.contains(&v) {
                 out.push(v);
@@ -132,7 +149,7 @@ mod tests {
         let fact = GroundAtom::new(sym(0), vec![sym(5), sym(6)]);
         let mut b = Bindings::new(2);
         let trail = b.match_atom(&pat, &fact).expect("should match");
-        assert_eq!(trail, vec![Var(0), Var(1)]);
+        assert_eq!(trail.as_slice(), &[Var(0), Var(1)]);
         assert_eq!(b.get(Var(0)), Some(sym(5)));
         assert_eq!(b.get(Var(1)), Some(sym(6)));
         b.undo(&trail);
@@ -172,6 +189,19 @@ mod tests {
     }
 
     #[test]
+    fn bindings_beyond_the_inline_capacity_spill() {
+        let n = INLINE_VARS + 3;
+        let pat = Atom::new(sym(0), (0..n as u32).map(|i| Term::Var(Var(i))).collect());
+        let fact = GroundAtom::new(sym(0), (0..n as u32).map(sym).collect());
+        let mut b = Bindings::new(n);
+        let trail = b.match_atom(&pat, &fact).expect("should match");
+        assert_eq!(trail.len(), n);
+        assert!(b.is_total());
+        b.undo(&trail);
+        assert_eq!(b.free_vars_of(&pat).len(), n);
+    }
+
+    #[test]
     fn free_vars_dedup_in_order() {
         let a = Atom::new(
             sym(0),
@@ -183,8 +213,8 @@ mod tests {
             ],
         );
         let mut b = Bindings::new(3);
-        assert_eq!(b.free_vars_of(&a), vec![Var(2), Var(0)]);
+        assert_eq!(b.free_vars_of(&a).as_slice(), &[Var(2), Var(0)]);
         b.set(Var(2), sym(4));
-        assert_eq!(b.free_vars_of(&a), vec![Var(0)]);
+        assert_eq!(b.free_vars_of(&a).as_slice(), &[Var(0)]);
     }
 }

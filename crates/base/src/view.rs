@@ -4,9 +4,14 @@
 //! membership, per-predicate enumeration, pattern matching — directly
 //! against the overlay DAG of [`DbStore`], without materializing a
 //! [`Database`]. A view over a chain node reads the shared per-predicate
-//! index of its flat root plus its own (bounded) overlay; matching hands
-//! premise patterns the store's interned [`GroundAtom`]s by reference, so
-//! no per-candidate allocation happens at all.
+//! and per-argument indexes of its flat root plus its own (bounded)
+//! overlay. Matching hands premise patterns the store's interned
+//! [`GroundAtom`]s by reference and membership probes the fact interner
+//! with a borrowed key ([`DbView::contains_tuple`]), so neither allocates
+//! per candidate. [`DbView::candidates`] is the fact-id stream both the
+//! matcher and the top-down search's EDB premise walk draw from: an
+//! argument-index probe when the pattern has a bound position, a
+//! per-predicate scan otherwise, in the same (sorted) order either way.
 
 use crate::atom::{Atom, GroundAtom};
 use crate::database::{bound_position, Database, MatchCounters};
@@ -52,9 +57,14 @@ impl<'a> DbView<'a> {
 
     /// Whether `fact` is present.
     pub fn contains(&self, fact: &GroundAtom) -> bool {
+        self.contains_tuple(fact.pred, &fact.args)
+    }
+
+    /// Whether the fact `pred(args)` is present.
+    pub fn contains_tuple(&self, pred: Symbol, args: &[Symbol]) -> bool {
         self.store
             .facts()
-            .lookup(fact)
+            .lookup_args(pred, args)
             .is_some_and(|f| self.contains_id(f))
     }
 
@@ -120,6 +130,32 @@ impl<'a> DbView<'a> {
             }))
     }
 
+    /// The fact ids of `pattern.pred` that can match `pattern` under
+    /// `bindings`: those whose first bound argument position (a constant
+    /// or a bound variable) carries its value, through
+    /// [`DbView::facts_of_bound`], or every fact of the predicate through
+    /// [`DbView::facts_of`] when no position is bound. Returns the probed
+    /// position, if any, with the stream. Both indexes list a flat root's
+    /// facts in the same sorted order, so the matches come out in the
+    /// same order either way.
+    pub fn candidates(
+        &self,
+        pattern: &Atom,
+        bindings: &Bindings,
+    ) -> (Option<(u32, Symbol)>, impl Iterator<Item = FactId> + 'a) {
+        let bound = bound_position(pattern, bindings);
+        let (scan, probe) = match bound {
+            Some((pos, c)) => (None, Some(self.facts_of_bound(pattern.pred, pos, c))),
+            None => (Some(self.facts_of(pattern.pred)), None),
+        };
+        (
+            bound,
+            scan.into_iter()
+                .flatten()
+                .chain(probe.into_iter().flatten()),
+        )
+    }
+
     /// Calls `f` with the undo trail for every fact of `pattern.pred` that
     /// matches `pattern` under `bindings`; `f` returning `true` stops the
     /// scan early (existential check). Bindings are restored between
@@ -150,37 +186,28 @@ impl<'a> DbView<'a> {
         counters: &mut MatchCounters,
         mut f: impl FnMut(&mut Bindings) -> bool,
     ) -> bool {
-        let store = self.store;
-        let mut visit =
-            |fid: FactId, counters: &mut MatchCounters, bindings: &mut Bindings| -> bool {
-                counters.attempts += 1;
-                let fact = store.facts().fact(fid);
-                if let Some(trail) = bindings.match_atom(pattern, fact) {
-                    let stop = f(bindings);
-                    bindings.undo(&trail);
-                    return stop;
-                }
-                false
-            };
-        if let Some((pos, c)) = bound_position(pattern, bindings) {
+        let facts = self.store.facts();
+        let (probed, candidates) = self.candidates(pattern, bindings);
+        if probed.is_some() {
             counters.probes += 1;
-            let mut any = false;
-            for fid in self.facts_of_bound(pattern.pred, pos, c) {
-                any = true;
-                if visit(fid, counters, bindings) {
-                    counters.hits += 1;
+        }
+        let mut any = false;
+        for fid in candidates {
+            any = true;
+            counters.attempts += 1;
+            if let Some(trail) = bindings.match_atom(pattern, facts.fact(fid)) {
+                let stop = f(bindings);
+                bindings.undo(&trail);
+                if stop {
+                    if probed.is_some() {
+                        counters.hits += 1;
+                    }
                     return true;
                 }
             }
-            if any {
-                counters.hits += 1;
-            }
-            return false;
         }
-        for fid in self.facts_of(pattern.pred) {
-            if visit(fid, counters, bindings) {
-                return true;
-            }
+        if any && probed.is_some() {
+            counters.hits += 1;
         }
         false
     }

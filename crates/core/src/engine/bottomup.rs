@@ -47,8 +47,7 @@ use crate::engine::fixpoint::{self, classify, Fixpoint, Model, Resolver};
 use crate::engine::matching::{collect_free, empty_layer, ModelLayers, Part};
 use crate::engine::stats::{EngineStats, Limits};
 use hdl_base::{
-    Atom, Bindings, Database, DbId, Error, FxHashMap, GroundAtom, MatchCounters, Result, Symbol,
-    Var,
+    Atom, Bindings, Database, DbId, Error, FxHashMap, MatchCounters, Result, Symbol, Var,
 };
 use std::sync::Arc;
 
@@ -274,11 +273,12 @@ impl<'rb> BottomUpEngine<'rb> {
         (out, trip)
     }
 
-    /// Whether a ground fact is in the perfect model of `db` (closing only
-    /// the strata the fact's predicate needs).
-    pub fn proves(&mut self, db: DbId, fact: &GroundAtom) -> Result<bool> {
-        self.ensure_for_pred(db, fact.pred)?;
-        let found = self.models[&db].derived.contains(fact) || self.ctx.dbs.view(db).contains(fact);
+    /// Whether the ground fact `pred(args)` is in the perfect model of
+    /// `db` (closing only the strata the fact's predicate needs).
+    pub fn proves(&mut self, db: DbId, pred: Symbol, args: &[Symbol]) -> Result<bool> {
+        self.ensure_for_pred(db, pred)?;
+        let found = self.models[&db].derived.contains_tuple(pred, args)
+            || self.ctx.dbs.view(db).contains_tuple(pred, args);
         self.stats.record_overlay(self.ctx.dbs.overlay_stats());
         Ok(found)
     }
@@ -338,8 +338,7 @@ impl<'rb> BottomUpEngine<'rb> {
     ) -> Result<bool> {
         if fpos == free.len() {
             let db2 = self.ctx.hypothetical_db(db, adds, dels, bindings);
-            let goal_fact = goal.ground(bindings).expect("grounded");
-            return self.proves(db2, &goal_fact);
+            return Resolver::prove(self, db2, goal, bindings);
         }
         let v = free[fpos];
         for i in 0..self.ctx.domain.len() {
@@ -375,8 +374,9 @@ impl<'rb> Resolver<'rb> for BottomUpEngine<'rb> {
 
     /// A hypothetical premise's goal, in the (recursively computed,
     /// stratum-bounded) model of the modified database.
-    fn prove(&mut self, db: DbId, fact: GroundAtom) -> Result<bool> {
-        self.proves(db, &fact)
+    fn prove(&mut self, db: DbId, atom: &Atom, bindings: &Bindings) -> Result<bool> {
+        let args = atom.ground_args(bindings).expect("grounded");
+        self.proves(db, atom.pred, &args)
     }
 
     fn working_set(&self, derived: usize) -> u64 {

@@ -3,7 +3,10 @@
 
 use crate::analysis::stratify::{global_negation_strata, NegationStrata};
 use crate::ast::{Premise, Rulebase};
-use hdl_base::{Atom, Database, DbId, DbStore, FactId, FxHashMap, GroundAtom, Result, Symbol, Var};
+use hdl_base::{
+    Atom, Bindings, Database, DbId, DbStore, FactId, FxHashMap, GroundAtom, Result, SmallVec,
+    Symbol, Var, VarList,
+};
 use std::sync::Arc;
 
 /// Precomputed evaluation data for one rule.
@@ -16,7 +19,7 @@ pub struct RulePlan {
     /// (¬∃Y select(Y)), which is how the paper's Examples 6–7 use it.
     /// Variables shared with other premises or the head are grounded by
     /// the outer substitution of Definition 3 instead.
-    pub inner_neg_vars: Vec<Vec<Var>>,
+    pub inner_neg_vars: Vec<VarList>,
 }
 
 /// Evaluation context for one `(rulebase, database)` pair.
@@ -138,6 +141,14 @@ impl<'rb> Context<'rb> {
         self.dbs.intern_fact(fact)
     }
 
+    /// Interns `atom` grounded by `bindings`. The instance is built in an
+    /// inline buffer and looked up by predicate and argument slice, so
+    /// this allocates only when the fact is new to the store.
+    pub fn ground_id(&mut self, atom: &Atom, bindings: &Bindings) -> FactId {
+        let args = atom.ground_args(bindings).expect("grounded");
+        self.dbs.intern_args(atom.pred, &args)
+    }
+
     /// `(db ∖ C̄θ) ∪ Āθ` for a hypothetical premise's `adds` (`Ā`) and
     /// `dels` (`C̄`) grounded by `bindings` (Definition 3): interns the
     /// ground additions, then the deletions, and applies both to `db`.
@@ -146,13 +157,10 @@ impl<'rb> Context<'rb> {
         db: DbId,
         adds: &[Atom],
         dels: &[Atom],
-        bindings: &hdl_base::Bindings,
+        bindings: &Bindings,
     ) -> DbId {
-        let mut ids = |atoms: &[Atom]| -> Vec<FactId> {
-            atoms
-                .iter()
-                .map(|a| self.fact_id(a.ground(bindings).expect("grounded")))
-                .collect()
+        let mut ids = |atoms: &[Atom]| -> SmallVec<FactId, 4> {
+            atoms.iter().map(|a| self.ground_id(a, bindings)).collect()
         };
         let (add_ids, del_ids) = (ids(adds), ids(dels));
         self.dbs.apply(db, &add_ids, &del_ids)
@@ -180,7 +188,7 @@ fn plan_rule(rule: &crate::ast::HypRule) -> RulePlan {
     for (i, premise) in rule.premises.iter().enumerate() {
         let inner = match premise {
             Premise::Neg(atom) => {
-                let mut vars: Vec<Var> = Vec::new();
+                let mut vars = VarList::new();
                 for v in atom.vars() {
                     if vars.contains(&v) {
                         continue;
@@ -198,7 +206,7 @@ fn plan_rule(rule: &crate::ast::HypRule) -> RulePlan {
                 }
                 vars
             }
-            _ => Vec::new(),
+            _ => VarList::new(),
         };
         inner_neg_vars.push(inner);
     }
@@ -211,8 +219,8 @@ fn plan_rule(rule: &crate::ast::HypRule) -> RulePlan {
 pub fn enumerate_until(
     domain: &[Symbol],
     vars: &[Var],
-    bindings: &mut hdl_base::Bindings,
-    f: &mut impl FnMut(&mut hdl_base::Bindings) -> bool,
+    bindings: &mut Bindings,
+    f: &mut impl FnMut(&mut Bindings) -> bool,
 ) -> bool {
     if vars.is_empty() {
         return f(bindings);
@@ -229,16 +237,11 @@ pub fn enumerate_until(
     false
 }
 
-/// The unbound variables of `atom` under `bindings`, deduplicated.
-pub fn free_vars(atom: &Atom, bindings: &hdl_base::Bindings) -> Vec<Var> {
-    bindings.free_vars_of(atom)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_program;
-    use hdl_base::{Bindings, SymbolTable};
+    use hdl_base::SymbolTable;
 
     #[test]
     fn inner_negation_vars_follow_the_paper_examples() {

@@ -11,9 +11,10 @@
 //!   the round barrier and the delta trajectory;
 //! - the scheduler: full evaluation in round 0, delta rotations after it
 //!   (DESIGN.md §3.11), full re-fire of `hyp_sensitive` rules, pure
-//!   firings seeded and chunked for workers;
-//! - the pure runner: inline, or on scoped worker threads once a round
-//!   is at least [`PARALLEL_MIN_DELTA`] seed rows wide;
+//!   firings seeded on their first (or rotated) premise's matches;
+//! - the pure runner: inline, or — once a round is at least
+//!   [`PARALLEL_MIN_DELTA`] seed rows wide — chunked over scoped worker
+//!   threads;
 //! - the premise walk: layered atoms, negation over its outer and inner
 //!   variables, hypothetical groundings and head emission;
 //! - the [`RuleClass`] classification.
@@ -25,14 +26,19 @@
 //! carries exactly that difference, plus the engine's failpoint names
 //! and memory working set. The walk is generic over it, so the calls
 //! dispatch statically.
+//!
+//! Matching, grounding and head emission reuse per-round and per-thread
+//! buffers: seed rows, replayed match rows and derived heads are flat
+//! runs of constants (DESIGN.md §3.6, §3.11), so the only allocations
+//! left in a round store its new facts in the model's layers.
 
 use crate::ast::{HypRule, Premise};
 use crate::engine::budget::Budget;
 use crate::engine::context::Context;
-use crate::engine::matching::{collect_free, ModelLayers, Part};
+use crate::engine::matching::{collect_free, replay_row, ModelLayers, Part};
 use crate::engine::stats::{EngineStats, Limits};
 use hdl_base::{
-    Atom, Bindings, Database, DbId, Error, GroundAtom, MatchCounters, Result, Symbol, Var,
+    Atom, Bindings, Database, DbId, Error, MatchCounters, Result, Symbol, Term, Var, VarList,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -111,6 +117,9 @@ pub(crate) struct Fixpoint {
     /// Fact-store size when the budget was installed; the fact cap
     /// bounds growth past this, not absolute size (engines are reused).
     facts_baseline: u64,
+    /// Match rows replayed by the premise walks on the engine's thread,
+    /// used as a stack (see [`ModelLayers::collect_rows`]).
+    rows: Vec<Symbol>,
 }
 
 impl Fixpoint {
@@ -123,6 +132,7 @@ impl Fixpoint {
             limits: Limits::default(),
             budget: Budget::default(),
             facts_baseline: 0,
+            rows: Vec::new(),
         }
     }
 
@@ -157,9 +167,10 @@ pub(crate) trait Resolver<'rb> {
     /// `head` is read from the layered model (`true`) or resolved below
     /// it through [`Resolver::prove`].
     fn layered(&self, head: Symbol, pred: Symbol) -> bool;
-    /// Whether `fact` holds in database `db`: bottom-up closes the
-    /// child model of `db`, PROVE asks the `PROVE_Σᵢ₋₁` oracle.
-    fn prove(&mut self, db: DbId, fact: GroundAtom) -> Result<bool>;
+    /// Whether `atom` grounded by `bindings` holds in database `db`:
+    /// bottom-up closes the child model of `db`, PROVE asks the
+    /// `PROVE_Σᵢ₋₁` oracle.
+    fn prove(&mut self, db: DbId, atom: &Atom, bindings: &Bindings) -> Result<bool>;
     /// The memory-probe working set while a model holding `derived`
     /// facts is being closed.
     fn working_set(&self, derived: usize) -> u64;
@@ -205,6 +216,10 @@ pub(crate) fn saturate<'rb, R: Resolver<'rb>>(
     model: &mut Model,
 ) -> std::result::Result<(), Stop> {
     let mut trajectory: Vec<u64> = Vec::new();
+    // Per-round buffers, reused across rounds and groups.
+    let mut seeds: Vec<Symbol> = Vec::new();
+    let mut fresh = Heads::default();
+    let mut impure: Vec<(usize, Option<usize>)> = Vec::new();
     while model.closed < upto {
         let group = Arc::clone(&r.shared().1.groups[model.closed]);
         // Semi-naive layers: `older` = derived before the previous round
@@ -222,10 +237,20 @@ pub(crate) fn saturate<'rb, R: Resolver<'rb>>(
                 fx.check_memory(ctx, r.working_set(older.len() + delta.len()))?;
             }
             hdl_base::failpoint!(R::ROUND_SITE);
-            let mut fresh: Vec<GroundAtom> = Vec::new();
-            let mut impure: Vec<(usize, Option<usize>)> = Vec::new();
-            let tasks = schedule(r, db, &group, round, &older, &delta, &mut impure);
-            run_pure(r, db, &older, &delta, &tasks, &mut fresh)?;
+            seeds.clear();
+            fresh.clear();
+            impure.clear();
+            let tasks = schedule(
+                r,
+                db,
+                &group,
+                round,
+                &older,
+                &delta,
+                &mut seeds,
+                &mut impure,
+            );
+            run_pure(r, db, &older, &delta, tasks, &seeds, &mut fresh)?;
             for &(rule_idx, rot_j) in &impure {
                 fire_impure(r, db, rule_idx, rot_j, &older, &delta, &mut fresh)?;
             }
@@ -247,9 +272,12 @@ pub(crate) fn saturate<'rb, R: Resolver<'rb>>(
             // a fact twice.
             let view = ctx.dbs.view(db);
             let mut next_delta = Database::new();
-            for f in fresh {
-                if !(view.contains(&f) || older.contains(&f) || delta.contains(&f)) {
-                    next_delta.insert(f);
+            for (pred, args) in fresh.iter() {
+                if !(view.contains_tuple(pred, args)
+                    || older.contains_tuple(pred, args)
+                    || delta.contains_tuple(pred, args))
+                {
+                    next_delta.insert_tuple(pred, args);
                 }
             }
             older.absorb(&delta);
@@ -269,25 +297,73 @@ pub(crate) fn saturate<'rb, R: Resolver<'rb>>(
     Ok(())
 }
 
-/// One binding row of a matched premise: the variables the match bound.
-type Row = Vec<(Var, Symbol)>;
+/// Heads derived in one round (or one task), in derivation order, as
+/// flat runs of constants: the allocation-free form of a
+/// `Vec<GroundAtom>`.
+#[derive(Default)]
+struct Heads {
+    /// Predicate and arity of each head.
+    preds: Vec<(Symbol, u32)>,
+    /// Arguments of every head, back to back.
+    args: Vec<Symbol>,
+}
 
-/// A seed: the premise position consumed up front, and its match rows.
-type Seed = (usize, Vec<Row>);
+impl Heads {
+    /// Appends `atom` grounded by `bindings`.
+    fn push(&mut self, atom: &Atom, bindings: &Bindings) {
+        self.preds.push((atom.pred, atom.args.len() as u32));
+        self.args.extend(atom.args.iter().map(|&t| match t {
+            Term::Const(c) => c,
+            Term::Var(v) => bindings.get(v).expect("head grounded"),
+        }));
+    }
+
+    fn append(&mut self, other: &Heads) {
+        self.preds.extend_from_slice(&other.preds);
+        self.args.extend_from_slice(&other.args);
+    }
+
+    fn clear(&mut self) {
+        self.preds.clear();
+        self.args.clear();
+    }
+
+    /// The heads as `(predicate, arguments)`, in derivation order.
+    fn iter(&self) -> impl Iterator<Item = (Symbol, &[Symbol])> {
+        let mut at = 0;
+        self.preds.iter().map(move |&(pred, arity)| {
+            let args = &self.args[at..at + arity as usize];
+            at += arity as usize;
+            (pred, args)
+        })
+    }
+}
+
+/// A seed: premise `premise`, consumed up front, pre-bound to each of
+/// `rows` rows of its free variables (`width` constants each) stored
+/// from offset `at` of the round's seed buffer.
+#[derive(Clone, Copy)]
+struct Seed {
+    premise: usize,
+    at: usize,
+    rows: usize,
+    width: usize,
+}
 
 /// One unit of pure-rule work in a round: fire `rule_idx` under rotation
-/// `rot_j` (`None` = full evaluation), with premise `seed.0` pre-bound to
-/// each row of `seed.1` (the seed premise's matches, collected up front
-/// so they can be chunked across workers).
+/// `rot_j` (`None` = full evaluation), with its seed premise (if any)
+/// pre-bound to each of the seed's rows.
+#[derive(Clone, Copy)]
 struct PureTask {
     rule_idx: usize,
     rot_j: Option<usize>,
     seed: Option<Seed>,
 }
 
-/// Builds the round's work list: pure tasks (chunked over their seed
-/// premise's matches for data parallelism) and impure `(rule, rot_j)`
-/// firings for the sequential path.
+/// Builds the round's work list: pure tasks, each seeded on one premise
+/// whose matches go to `seeds`, and impure `(rule, rot_j)` firings for
+/// the sequential path.
+#[allow(clippy::too_many_arguments)]
 fn schedule<'rb, R: Resolver<'rb>>(
     r: &mut R,
     db: DbId,
@@ -295,13 +371,27 @@ fn schedule<'rb, R: Resolver<'rb>>(
     round: u64,
     older: &Database,
     delta: &Database,
+    seeds: &mut Vec<Symbol>,
     impure: &mut Vec<(usize, Option<usize>)>,
 ) -> Vec<PureTask> {
     let (ctx, fx) = r.shared();
     let layers = ModelLayers::new(ctx.dbs.view(db), older, delta);
-    // (rule, rot_j, seed premise + rows) before chunking.
-    let mut seeded: Vec<(usize, Option<usize>, Option<Seed>)> = Vec::new();
+    let mut tasks = Vec::new();
     let mut counters = MatchCounters::default();
+    // Premise `premise` (`atom`) of `rule`, seeded on its matches in
+    // `part`, whose rows go to `seeds`.
+    let mut seed = |premise: usize, atom: &Atom, part: Part, rule: &HypRule, seeds: &mut Vec<_>| {
+        let mut b = Bindings::new(rule.num_vars);
+        let vars = b.free_vars_of(atom);
+        let at = seeds.len();
+        let rows = layers.collect_rows(part, atom, &vars, &mut b, &mut counters, seeds);
+        Seed {
+            premise,
+            at,
+            rows,
+            width: vars.len(),
+        }
+    };
     for &rule_idx in group {
         let rule = &ctx.rb.rules[rule_idx];
         let class = &fx.classes[rule_idx];
@@ -319,16 +409,18 @@ fn schedule<'rb, R: Resolver<'rb>>(
                 Premise::Atom(atom) => Some((i, atom)),
                 _ => None,
             });
-            match first_atom {
-                Some((i, atom)) => {
-                    let mut b = Bindings::new(rule.num_vars);
-                    let rows = layers.collect_matches(Part::Full, atom, &mut b, &mut counters);
-                    if !rows.is_empty() {
-                        seeded.push((rule_idx, None, Some((i, rows))));
-                    }
-                }
-                None => seeded.push((rule_idx, None, None)),
-            }
+            let seed = match first_atom {
+                Some((i, atom)) => match seed(i, atom, Part::Full, rule, seeds) {
+                    s if s.rows == 0 => continue,
+                    s => Some(s),
+                },
+                None => None,
+            };
+            tasks.push(PureTask {
+                rule_idx,
+                rot_j: None,
+                seed,
+            });
         } else {
             // Delta rotation: one firing per rotated premise, seeded on
             // that premise's matches against the delta. An empty seed
@@ -337,74 +429,83 @@ fn schedule<'rb, R: Resolver<'rb>>(
                 let Premise::Atom(atom) = &rule.premises[j] else {
                     unreachable!("rot positions are positive atoms")
                 };
-                let mut b = Bindings::new(rule.num_vars);
-                let rows = layers.collect_matches(Part::Delta, atom, &mut b, &mut counters);
-                if rows.is_empty() {
+                let s = seed(j, atom, Part::Delta, rule, seeds);
+                if s.rows == 0 {
                     continue;
                 }
                 if class.pure {
-                    seeded.push((rule_idx, Some(j), Some((j, rows))));
+                    tasks.push(PureTask {
+                        rule_idx,
+                        rot_j: Some(j),
+                        seed: Some(s),
+                    });
                 } else {
+                    // Impure firings match their premises in the walk.
+                    seeds.truncate(s.at);
                     impure.push((rule_idx, Some(j)));
                 }
             }
         }
     }
-    // Chunk seed rows so a round dominated by one rule (e.g. transitive
-    // closure) still spreads across the pool.
-    let tasks = chunk_tasks(seeded, fx.workers);
     r.split().2.absorb_matches(counters);
     tasks
 }
 
-/// Splits each seeded work item into up to `chunks` contiguous row
-/// chunks.
-fn chunk_tasks(seeded: Vec<(usize, Option<usize>, Option<Seed>)>, chunks: usize) -> Vec<PureTask> {
-    let mut tasks = Vec::new();
-    for (rule_idx, rot_j, seed) in seeded {
-        match seed {
-            Some((sidx, mut rows)) if chunks > 1 && rows.len() > 1 => {
-                let per = rows.len().div_ceil(chunks);
-                while !rows.is_empty() {
-                    let rest = rows.split_off(rows.len().min(per));
-                    tasks.push(PureTask {
-                        rule_idx,
-                        rot_j,
-                        seed: Some((sidx, std::mem::replace(&mut rows, rest))),
+/// Splits each seeded task into up to `chunks` contiguous row chunks, so
+/// a round dominated by one rule (e.g. transitive closure) still spreads
+/// across the pool.
+fn chunk_tasks(tasks: Vec<PureTask>, chunks: usize) -> Vec<PureTask> {
+    let mut out = Vec::new();
+    for task in tasks {
+        match task.seed {
+            Some(seed) if seed.rows > 1 => {
+                let per = seed.rows.div_ceil(chunks);
+                for first in (0..seed.rows).step_by(per) {
+                    out.push(PureTask {
+                        seed: Some(Seed {
+                            at: seed.at + first * seed.width,
+                            rows: per.min(seed.rows - first),
+                            ..seed
+                        }),
+                        ..task
                     });
                 }
             }
-            seed => tasks.push(PureTask {
-                rule_idx,
-                rot_j,
-                seed,
-            }),
+            _ => out.push(task),
         }
     }
-    tasks
+    out
 }
 
-/// Runs the round's pure tasks — on scoped worker threads when the pool
-/// and the workload justify it, inline otherwise. Results are appended
-/// to `fresh` in task order, so the outcome is deterministic for every
-/// pool size.
+/// Whether `tasks` would split into more than one task for the pool.
+fn splits(tasks: &[PureTask]) -> bool {
+    match tasks {
+        [] => false,
+        [task] => task.seed.is_some_and(|s| s.rows > 1),
+        _ => true,
+    }
+}
+
+/// Runs the round's pure tasks — chunked over scoped worker threads when
+/// the pool and the workload justify it, inline otherwise. Results are
+/// appended to `fresh` in task order, so the outcome is deterministic
+/// for every pool size.
 fn run_pure<'rb, R: Resolver<'rb>>(
     r: &mut R,
     db: DbId,
     older: &Database,
     delta: &Database,
-    tasks: &[PureTask],
-    fresh: &mut Vec<GroundAtom>,
+    tasks: Vec<PureTask>,
+    seeds: &[Symbol],
+    fresh: &mut Heads,
 ) -> Result<()> {
     if tasks.is_empty() {
         return Ok(());
     }
-    let weight: usize = tasks
-        .iter()
-        .map(|t| t.seed.as_ref().map_or(64, |(_, rows)| rows.len()))
-        .sum();
+    let weight: usize = tasks.iter().map(|t| t.seed.map_or(64, |s| s.rows)).sum();
     let (ctx, fx, stats) = r.split();
-    let eligible = fx.workers > 1 && tasks.len() > 1;
+    // Decided before chunking, which only spawning rounds pay for.
+    let eligible = fx.workers > 1 && splits(&tasks);
     let spawn = eligible && weight >= PARALLEL_MIN_DELTA;
     if eligible && !spawn {
         stats.parallel_skipped += 1;
@@ -414,18 +515,29 @@ fn run_pure<'rb, R: Resolver<'rb>>(
     let mut counters = MatchCounters::default();
     let result = if spawn {
         stats.parallel_rounds += 1;
-        run_pure_parallel(ctx, fx, layers, R::FIRE_SITE, tasks, &mut counters, fresh)
+        let tasks = chunk_tasks(tasks, fx.workers);
+        run_pure_parallel(
+            ctx,
+            fx,
+            layers,
+            R::FIRE_SITE,
+            &tasks,
+            seeds,
+            &mut counters,
+            fresh,
+        )
     } else {
-        tasks.iter().try_for_each(|task| {
-            let mut env = Pure {
-                ctx,
-                classes: &fx.classes,
-                layers,
-                budget: &mut fx.budget,
-                counters: &mut counters,
-            };
-            env.fire(task, R::FIRE_SITE, fresh)
-        })
+        let mut env = Pure {
+            ctx,
+            classes: &fx.classes,
+            layers,
+            budget: &mut fx.budget,
+            counters: &mut counters,
+            rows: &mut fx.rows,
+        };
+        tasks
+            .iter()
+            .try_for_each(|task| env.fire(task, seeds, R::FIRE_SITE, fresh))
     };
     stats.absorb_matches(counters);
     result
@@ -433,44 +545,48 @@ fn run_pure<'rb, R: Resolver<'rb>>(
 
 /// Fans `tasks` out over the pool's scoped threads. Each worker claims
 /// tasks from a shared cursor, carries its own budget clone (deadline and
-/// cancellation token still observed, failpoints probed per task) and
-/// match counters, and buffers derived heads per task; buffers are merged
-/// into `fresh` in task order at the barrier, so the outcome is
-/// deterministic for every pool size. Returns the first worker error.
+/// cancellation token still observed, failpoints probed per task), match
+/// counters and row stack, and buffers derived heads per task; buffers
+/// are merged into `fresh` in task order at the barrier, so the outcome
+/// is deterministic for every pool size. Returns the first worker error.
+#[allow(clippy::too_many_arguments)]
 fn run_pure_parallel(
     ctx: &Context<'_>,
     fx: &Fixpoint,
     layers: ModelLayers<'_>,
     site: &'static str,
     tasks: &[PureTask],
+    seeds: &[Symbol],
     counters: &mut MatchCounters,
-    fresh: &mut Vec<GroundAtom>,
+    fresh: &mut Heads,
 ) -> Result<()> {
     let next = &AtomicUsize::new(0);
     let abort = &AtomicBool::new(false);
-    type WorkerOut = (Vec<(usize, Vec<GroundAtom>)>, MatchCounters, Option<Error>);
+    type WorkerOut = (Vec<(usize, Heads)>, MatchCounters, Option<Error>);
     let worker_results: Vec<WorkerOut> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..fx.workers.min(tasks.len()))
             .map(|_| {
                 let mut budget = fx.budget.clone();
                 s.spawn(move || {
-                    let mut outs: Vec<(usize, Vec<GroundAtom>)> = Vec::new();
+                    let mut outs: Vec<(usize, Heads)> = Vec::new();
                     let mut counters = MatchCounters::default();
+                    let mut rows = Vec::new();
                     let mut err = None;
+                    let mut env = Pure {
+                        ctx,
+                        classes: &fx.classes,
+                        layers,
+                        budget: &mut budget,
+                        counters: &mut counters,
+                        rows: &mut rows,
+                    };
                     while !abort.load(Ordering::Relaxed) {
                         let t = next.fetch_add(1, Ordering::Relaxed);
                         if t >= tasks.len() {
                             break;
                         }
-                        let mut env = Pure {
-                            ctx,
-                            classes: &fx.classes,
-                            layers,
-                            budget: &mut budget,
-                            counters: &mut counters,
-                        };
-                        let mut out = Vec::new();
-                        match env.fire(&tasks[t], site, &mut out) {
+                        let mut out = Heads::default();
+                        match env.fire(&tasks[t], seeds, site, &mut out) {
                             Ok(()) => outs.push((t, out)),
                             Err(e) => {
                                 err = Some(e);
@@ -494,7 +610,7 @@ fn run_pure_parallel(
             })
             .collect()
     });
-    let mut merged: Vec<(usize, Vec<GroundAtom>)> = Vec::new();
+    let mut merged: Vec<(usize, Heads)> = Vec::new();
     let mut first_err = None;
     for (outs, c, err) in worker_results {
         merged.extend(outs);
@@ -505,8 +621,8 @@ fn run_pure_parallel(
         return Err(e);
     }
     merged.sort_by_key(|(t, _)| *t);
-    for (_, out) in merged {
-        fresh.extend(out);
+    for (_, out) in &merged {
+        fresh.append(out);
     }
     Ok(())
 }
@@ -520,7 +636,7 @@ fn fire_impure<'rb, R: Resolver<'rb>>(
     rot_j: Option<usize>,
     older: &Database,
     delta: &Database,
-    out: &mut Vec<GroundAtom>,
+    out: &mut Heads,
 ) -> Result<()> {
     hdl_base::failpoint!(R::FIRE_SITE);
     let rule: &'rb HypRule = &r.shared().0.rb.rules[rule_idx];
@@ -551,11 +667,17 @@ trait Env<'rb> {
     /// Folds premise-match work (and domain-enumeration steps, one
     /// attempt each) into the run's counters.
     fn charge(&mut self, c: MatchCounters);
+    /// Appends the rows of `atom`'s matches in `part` (the values of
+    /// `vars`) to the thread's row stack, charging the work; returns how
+    /// many there are.
+    fn collect(&mut self, part: Part, atom: &Atom, vars: &[Var], b: &mut Bindings) -> usize;
+    /// The thread's row stack.
+    fn rows(&mut self) -> &mut Vec<Symbol>;
     fn layered(&self, head: Symbol, pred: Symbol) -> bool;
     fn handed_below(&mut self);
-    /// Whether `fact` holds below the layered model of the firing's
-    /// database.
-    fn prove(&mut self, fact: GroundAtom) -> Result<bool>;
+    /// Whether `atom` grounded by `b` holds below the layered model of
+    /// the firing's database.
+    fn prove(&mut self, atom: &Atom, b: &Bindings) -> Result<bool>;
     /// Whether `goal` holds in the firing's database modified by the
     /// grounded `adds`/`dels`.
     fn hypothetical(
@@ -574,25 +696,28 @@ const ONE_STEP: MatchCounters = MatchCounters {
     hits: 0,
 };
 
-/// A pure firing's environment: shared reads plus its own budget and
-/// counters.
+/// A pure firing's environment: shared reads plus its own budget,
+/// counters and row stack.
 struct Pure<'a, 'rb> {
     ctx: &'a Context<'rb>,
     classes: &'a [RuleClass],
     layers: ModelLayers<'a>,
     budget: &'a mut Budget,
     counters: &'a mut MatchCounters,
+    rows: &'a mut Vec<Symbol>,
 }
 
 impl<'rb> Pure<'_, 'rb> {
-    /// Fires one pure task: replays each seed row into the bindings and
-    /// walks the remaining premises. `site` is the engine's failpoint,
-    /// probed once per task so injection stays live inside worker loops.
+    /// Fires one pure task: replays each of its seed rows (stored in
+    /// `seeds`) into the bindings and walks the remaining premises.
+    /// `site` is the engine's failpoint, probed once per task so
+    /// injection stays live inside worker loops.
     fn fire(
         &mut self,
         task: &PureTask,
+        seeds: &[Symbol],
         site: &'static str,
-        out: &mut Vec<GroundAtom>,
+        out: &mut Heads,
     ) -> Result<()> {
         // `failpoint!` compiles to nothing without the feature; keep
         // `site` formally used either way.
@@ -603,18 +728,23 @@ impl<'rb> Pure<'_, 'rb> {
             rule,
             rule_idx: task.rule_idx,
             rot_j: task.rot_j,
-            seed: task.seed.as_ref().map(|(sidx, _)| *sidx),
+            seed: task.seed.map(|s| s.premise),
         };
         let mut b = Bindings::new(rule.num_vars);
-        let Some((_, rows)) = &task.seed else {
+        let Some(seed) = task.seed else {
             return firing.walk(self, 0, &mut b, out);
         };
-        for row in rows {
-            for &(v, c) in row {
-                b.set(v, c);
-            }
+        let Premise::Atom(atom) = &rule.premises[seed.premise] else {
+            unreachable!("seeds are positive atoms")
+        };
+        // The seed's columns: its free variables under no bindings, as
+        // when it was collected.
+        let vars = b.free_vars_of(atom);
+        debug_assert_eq!(vars.len(), seed.width);
+        for i in 0..seed.rows {
+            replay_row(seeds, seed.at, i, &vars, &mut b);
             firing.walk(self, 0, &mut b, out)?;
-            for &(v, _) in row {
+            for v in vars.iter() {
                 b.unset(v);
             }
         }
@@ -638,13 +768,20 @@ impl<'rb> Env<'rb> for Pure<'_, 'rb> {
     fn charge(&mut self, c: MatchCounters) {
         self.counters.merge(c);
     }
+    fn collect(&mut self, part: Part, atom: &Atom, vars: &[Var], b: &mut Bindings) -> usize {
+        self.layers
+            .collect_rows(part, atom, vars, b, self.counters, self.rows)
+    }
+    fn rows(&mut self) -> &mut Vec<Symbol> {
+        self.rows
+    }
     fn layered(&self, _: Symbol, _: Symbol) -> bool {
         true
     }
     fn handed_below(&mut self) {
         unreachable!("pure rules read every premise from the layered model")
     }
-    fn prove(&mut self, _: GroundAtom) -> Result<bool> {
+    fn prove(&mut self, _: &Atom, _: &Bindings) -> Result<bool> {
         unreachable!("pure rules read every premise from the layered model")
     }
     fn hypothetical(
@@ -684,14 +821,25 @@ impl<'a, 'rb: 'a, R: Resolver<'rb>> Env<'rb> for Impure<'a, R> {
     fn charge(&mut self, c: MatchCounters) {
         self.r.split().2.absorb_matches(c);
     }
+    fn collect(&mut self, part: Part, atom: &Atom, vars: &[Var], b: &mut Bindings) -> usize {
+        let (ctx, fx, stats) = self.r.split();
+        let layers = ModelLayers::new(ctx.dbs.view(self.db), self.older, self.delta);
+        let mut c = MatchCounters::default();
+        let n = layers.collect_rows(part, atom, vars, b, &mut c, &mut fx.rows);
+        stats.absorb_matches(c);
+        n
+    }
+    fn rows(&mut self) -> &mut Vec<Symbol> {
+        &mut self.r.split().1.rows
+    }
     fn layered(&self, head: Symbol, pred: Symbol) -> bool {
         self.r.layered(head, pred)
     }
     fn handed_below(&mut self) {
         self.r.handed_below();
     }
-    fn prove(&mut self, fact: GroundAtom) -> Result<bool> {
-        self.r.prove(self.db, fact)
+    fn prove(&mut self, atom: &Atom, b: &Bindings) -> Result<bool> {
+        self.r.prove(self.db, atom, b)
     }
     fn hypothetical(
         &mut self,
@@ -706,19 +854,23 @@ impl<'a, 'rb: 'a, R: Resolver<'rb>> Env<'rb> for Impure<'a, R> {
             .split()
             .0
             .hypothetical_db(self.db, adds, dels, bindings);
-        let goal_fact = goal.ground(bindings).expect("grounded");
         if db2 == self.db && self.r.layered(head, goal.pred) {
             // Degenerate hypothetical: every addition already present and
             // every deletion already absent. The goal is tested inside the
             // current fixpoint, where it behaves like a positive premise
             // (monotone — the EDB never changes during a fixpoint, so the
             // degeneracy is round-stable).
-            return Ok(self.older.contains(&goal_fact)
-                || self.delta.contains(&goal_fact)
-                || self.ctx().dbs.view(self.db).contains(&goal_fact));
+            let args = goal.ground_args(bindings).expect("grounded");
+            return Ok(self.older.contains_tuple(goal.pred, &args)
+                || self.delta.contains_tuple(goal.pred, &args)
+                || self
+                    .ctx()
+                    .dbs
+                    .view(self.db)
+                    .contains_tuple(goal.pred, &args));
         }
         self.r.split().2.databases_created += 1;
-        self.r.prove(db2, goal_fact)
+        self.r.prove(db2, goal, bindings)
     }
 }
 
@@ -738,7 +890,7 @@ impl<'rb> Firing<'rb> {
         env: &mut E,
         idx: usize,
         b: &mut Bindings,
-        out: &mut Vec<GroundAtom>,
+        out: &mut Heads,
     ) -> Result<()> {
         env.budget().check()?;
         let rule = self.rule;
@@ -747,7 +899,7 @@ impl<'rb> Firing<'rb> {
             // (Definition 3's ground substitution).
             let free = b.free_vars_of(&rule.head);
             return ground_each(env, &free, 0, b, &mut |_, b| {
-                out.push(rule.head.ground(b).expect("head grounded"));
+                out.push(&rule.head, b);
                 Ok(())
             });
         };
@@ -760,23 +912,27 @@ impl<'rb> Firing<'rb> {
         match premise {
             Premise::Atom(atom) if env.layered(head, atom.pred) => {
                 // Provable instances are exactly the layered model slice
-                // the rotation assigns to this position. Rows are
-                // collected first: the walk below needs `&mut` the env
-                // while the view borrows the store.
+                // the rotation assigns to this position. Rows go on the
+                // thread's row stack first: the walk below needs `&mut`
+                // the env while the view borrows the store. Deeper walks
+                // push above them and truncate back before returning.
                 let part = part_for(env.class(self.rule_idx), self.rot_j, idx);
-                let mut c = MatchCounters::default();
-                let rows = env.layers().collect_matches(part, atom, b, &mut c);
-                env.charge(c);
-                for row in rows {
-                    for &(v, c) in &row {
-                        b.set(v, c);
-                    }
-                    next(env, b)?;
-                    for &(v, _) in &row {
+                let vars = b.free_vars_of(atom);
+                let base = env.rows().len();
+                let n = env.collect(part, atom, &vars, b);
+                let mut result = Ok(());
+                for i in 0..n {
+                    replay_row(env.rows(), base, i, &vars, b);
+                    result = next(env, b);
+                    for v in vars.iter() {
                         b.unset(v);
                     }
+                    if result.is_err() {
+                        break;
+                    }
                 }
-                Ok(())
+                env.rows().truncate(base);
+                result
             }
             Premise::Atom(atom) => {
                 // Defined below the layered model: one proof per
@@ -784,7 +940,7 @@ impl<'rb> Firing<'rb> {
                 env.handed_below();
                 let free = b.free_vars_of(atom);
                 ground_each(env, &free, 0, b, &mut |env, b| {
-                    if env.prove(atom.ground(b).expect("grounded"))? {
+                    if env.prove(atom, b)? {
                         next(env, b)?;
                     }
                     Ok(())
@@ -795,10 +951,10 @@ impl<'rb> Firing<'rb> {
                 // assignment is provable (`¬∃inner`). The negated
                 // predicate is closed: strictly lower stratum, or an
                 // earlier sub-stratum of this segment.
-                let inner = &env.ctx().plans[self.rule_idx].inner_neg_vars[idx];
-                let outer: Vec<Var> = b
+                let inner = env.ctx().plans[self.rule_idx].inner_neg_vars[idx].clone();
+                let outer: VarList = b
                     .free_vars_of(atom)
-                    .into_iter()
+                    .iter()
                     .filter(|v| !inner.contains(v))
                     .collect();
                 let layered = env.layered(head, atom.pred);
@@ -811,7 +967,6 @@ impl<'rb> Firing<'rb> {
                         found
                     } else {
                         env.handed_below();
-                        let inner = env.ctx().plans[self.rule_idx].inner_neg_vars[idx].clone();
                         exists_below(env, atom, &inner, 0, b)?
                     };
                     if !witnessed {
@@ -889,7 +1044,7 @@ fn exists_below<'rb, E: Env<'rb>>(
     b: &mut Bindings,
 ) -> Result<bool> {
     let Some(&v) = vars.get(pos) else {
-        return env.prove(atom.ground(b).expect("grounded"));
+        return env.prove(atom, b);
     };
     for i in 0..env.ctx().domain.len() {
         let c = env.ctx().domain[i];

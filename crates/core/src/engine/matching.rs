@@ -18,8 +18,15 @@
 //! each instantiation exactly once per round via the rotation
 //! `Full^{<j} ⋈ Δp_j ⋈ Old^{>j}`: premise `j` is pinned to the delta,
 //! premises before it read the full model, premises after it the old one.
+//!
+//! Nothing here allocates per candidate. Matching tests the layers'
+//! stored facts in place, and [`ModelLayers::collect_rows`] appends the
+//! matches a caller must replay (because its walk needs `&mut` state the
+//! layers borrow) to one flat buffer of constants, one fixed-width row
+//! per match, instead of a vector per row. Callers use that buffer as a
+//! stack: collect above its current length, replay, truncate back.
 
-use hdl_base::{Atom, Bindings, Database, DbView, MatchCounters, Symbol, Var};
+use hdl_base::{Atom, Bindings, Database, DbView, MatchCounters, Symbol, Var, VarList};
 
 /// Which slice of the layered model a premise reads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,28 +97,26 @@ impl<'a> ModelLayers<'a> {
         }
     }
 
-    /// Collects the binding rows matching `atom` in the selected `part`
-    /// (only the newly bound variables are recorded, for replay in the
-    /// caller).
-    pub fn collect_matches(
+    /// Appends one row per match of `atom` in the selected `part` to
+    /// `rows`: the values the match gives `vars` (the atom's free
+    /// variables under `bindings`), in order. Returns the number of rows,
+    /// which [`replay_row`] binds back one at a time.
+    pub fn collect_rows(
         &self,
         part: Part,
         atom: &Atom,
+        vars: &[Var],
         bindings: &mut Bindings,
         counters: &mut MatchCounters,
-    ) -> Vec<Vec<(Var, Symbol)>> {
-        let before: Vec<Var> = bindings.free_vars_of(atom);
-        let mut rows = Vec::new();
+        rows: &mut Vec<Symbol>,
+    ) -> usize {
+        let mut n = 0;
         self.for_each_match(part, atom, bindings, counters, |b| {
-            rows.push(
-                before
-                    .iter()
-                    .map(|&v| (v, b.get(v).expect("bound by match")))
-                    .collect(),
-            );
+            rows.extend(vars.iter().map(|&v| b.get(v).expect("bound by match")));
+            n += 1;
             false
         });
-        rows
+        n
     }
 
     /// Whether `atom` matches anywhere in the selected `part`.
@@ -126,11 +131,20 @@ impl<'a> ModelLayers<'a> {
     }
 }
 
+/// Binds `vars` to row `i` of the rows a [`ModelLayers::collect_rows`]
+/// call appended to `rows` from offset `base`.
+pub fn replay_row(rows: &[Symbol], base: usize, i: usize, vars: &[Var], bindings: &mut Bindings) {
+    let row = &rows[base + i * vars.len()..][..vars.len()];
+    for (&v, &c) in vars.iter().zip(row) {
+        bindings.set(v, c);
+    }
+}
+
 /// The variables of `goal`, `adds`, and `dels` not bound under
 /// `bindings`, in first-occurrence order (the enumeration order for
 /// grounding a hypothetical premise over the domain).
-pub fn collect_free(goal: &Atom, adds: &[Atom], dels: &[Atom], bindings: &Bindings) -> Vec<Var> {
-    let mut free: Vec<Var> = Vec::new();
+pub fn collect_free(goal: &Atom, adds: &[Atom], dels: &[Atom], bindings: &Bindings) -> VarList {
+    let mut free = VarList::new();
     for v in goal
         .vars()
         .chain(adds.iter().flat_map(|a| a.vars()))
@@ -188,10 +202,13 @@ mod tests {
         let bound = Atom::new(Symbol(0), vec![Term::Const(Symbol(3))]);
         assert!(layers.exists(Part::Delta, &bound, &mut b, &mut c));
         assert!(!layers.exists(Part::Old, &bound, &mut b, &mut c));
-        assert!(layers
-            .collect_matches(Part::Full, &pattern, &mut b, &mut c)
-            .len()
-            .eq(&3));
+        let mut rows = vec![Symbol(99)];
+        let vars = [Var(0)];
+        let n = layers.collect_rows(Part::Full, &pattern, &vars, &mut b, &mut c, &mut rows);
+        assert_eq!(n, 3);
+        assert_eq!(rows, [99, 1, 2, 3].map(Symbol), "appended above the base");
+        replay_row(&rows, 1, 2, &vars, &mut b);
+        assert_eq!(b.get(Var(0)), Some(Symbol(3)));
     }
 
     #[test]
@@ -204,13 +221,13 @@ mod tests {
         let dels = [Atom::new(Symbol(2), vec![Term::Var(Var(3))])];
         let mut b = Bindings::new(4);
         assert_eq!(
-            collect_free(&goal, &adds, &dels, &b),
-            vec![Var(1), Var(0), Var(2), Var(3)]
+            collect_free(&goal, &adds, &dels, &b).as_slice(),
+            &[Var(1), Var(0), Var(2), Var(3)]
         );
         b.set(Var(0), Symbol(9));
         assert_eq!(
-            collect_free(&goal, &adds, &dels, &b),
-            vec![Var(1), Var(2), Var(3)]
+            collect_free(&goal, &adds, &dels, &b).as_slice(),
+            &[Var(1), Var(2), Var(3)]
         );
         assert!(empty_layer().is_empty());
     }

@@ -35,7 +35,7 @@ use crate::engine::context::Context;
 use crate::engine::fixpoint::{self, classify, Fixpoint, Model, Resolver, RuleClass};
 use crate::engine::search::{self, Parts, Prover, Tables, NO_CUT};
 use crate::engine::stats::{EngineStats, Limits};
-use hdl_base::{Atom, Database, DbId, FactId, FxHashMap, GroundAtom, Result, Symbol};
+use hdl_base::{Atom, Bindings, Database, DbId, FactId, FxHashMap, Result, Symbol};
 use std::sync::Arc;
 
 /// Work counters of the PROVE procedures: the Theorem 3 quantities, plus
@@ -234,8 +234,8 @@ impl<'rb> Resolver<'rb> for ProveEngine<'rb> {
     }
 
     /// `TESTᵢ⁰` falling through to `PROVE_Σᵢ₋₁`.
-    fn prove(&mut self, db: DbId, fact: GroundAtom) -> Result<bool> {
-        let fid = self.ctx.fact_id(fact);
+    fn prove(&mut self, db: DbId, atom: &Atom, bindings: &Bindings) -> Result<bool> {
+        let fid = self.ctx.ground_id(atom, bindings);
         let mut cut = NO_CUT;
         self.subgoal(fid, db, 0, &mut cut)
     }

@@ -48,18 +48,23 @@ use crate::engine::budget::Budget;
 use crate::engine::context::Context;
 use crate::engine::matching::collect_free;
 use crate::engine::stats::{EngineStats, Limits};
-use hdl_base::{Atom, Bindings, DbId, Error, FactId, FxHashMap, Result, Symbol, Term, Var};
+use hdl_base::{
+    Atom, Bindings, DbId, Error, FactId, FxHashMap, Result, Symbol, Term, Var, VarList,
+};
 use std::sync::Arc;
 
 /// Sentinel: no in-progress ancestor was hit.
 pub(crate) const NO_CUT: u64 = u64::MAX;
 
-/// The kernel's share of an engine: the goal tables and the store sizes
-/// the memory caps are measured from.
+/// The kernel's share of an engine: the goal tables, the candidate
+/// stack and the store sizes the memory caps are measured from.
 #[derive(Default)]
 pub(crate) struct Tables {
     memo: FxHashMap<(FactId, DbId), bool>,
     in_progress: FxHashMap<(FactId, DbId), u64>,
+    /// EDB premise candidates of every walk on the current branch, each
+    /// walk's above the one that called it (see [`walk`]).
+    candidates: Vec<FactId>,
     /// Store sizes when the budget was installed; memory caps bound
     /// growth past these, not absolute size (engines are reused).
     facts_baseline: u64,
@@ -193,25 +198,25 @@ fn expand<'rb, R: Prover<'rb>>(
 ) -> Result<(bool, u64)> {
     let ctx = r.split().0;
     let rb: &'rb Rulebase = ctx.rb;
-    let fact = ctx.dbs.facts().fact(goal).clone();
+    let pred = ctx.dbs.facts().fact(goal).pred;
     // O(1) shared handle — the group is never copied, even though the
     // walks below re-borrow the engine mutably.
-    let Some(rule_ids) = ctx.defs.get(&fact.pred).map(Arc::clone) else {
+    let Some(rule_ids) = ctx.defs.get(&pred).map(Arc::clone) else {
         return Ok((false, NO_CUT));
     };
     let mut my_cut = NO_CUT;
     for &rule_idx in rule_ids.iter() {
         let rule: &'rb HypRule = &rb.rules[rule_idx];
         let mut bindings = Bindings::new(rule.num_vars);
-        let Some(trail) = bindings.match_atom(&rule.head, &fact) else {
+        let ctx = r.split().0;
+        let Some(trail) = bindings.match_atom(&rule.head, ctx.dbs.facts().fact(goal)) else {
             continue;
         };
         // Definition 3: substitutions range over dom(R, DB); a goal
         // mentioning foreign constants cannot instantiate a rule.
-        let ctx = r.split().0;
         if trail
             .iter()
-            .any(|&v| !ctx.in_domain(bindings.get(v).expect("bound")))
+            .any(|v| !ctx.in_domain(bindings.get(v).expect("bound")))
         {
             continue;
         }
@@ -243,38 +248,47 @@ fn walk<'rb, R: Prover<'rb>>(
         r.proved(f.goal, f.db, Some((f.rule_idx, bindings)));
         return Ok(true);
     }
-    let ctx = r.split().0;
+    let (ctx, t, ..) = r.split();
     match &f.rule.premises[idx] {
         Premise::Atom(atom) if !ctx.has_rules(atom.pred) => {
             // Pure EDB predicate: drive bindings from the overlay view
-            // (the flat root's shared index plus this database's own
-            // additions). Collected so the walk below can re-borrow.
-            let candidates: Vec<FactId> = ctx.dbs.view(f.db).facts_of(atom.pred).collect();
-            for fid in candidates {
-                let Some(trail) = bindings.match_atom(atom, r.split().0.dbs.facts().fact(fid))
-                else {
+            // (the flat root's shared indexes plus this database's own
+            // additions), probing the argument index when a position is
+            // bound. The candidates go on the kernel's stack so the walk
+            // below can re-borrow the engine; deeper walks push above
+            // them and truncate back before returning.
+            let base = t.candidates.len();
+            let (_, found) = ctx.dbs.view(f.db).candidates(atom, bindings);
+            t.candidates.extend(found);
+            let end = t.candidates.len();
+            let mut result = Ok(false);
+            for i in base..end {
+                let (ctx, t, ..) = r.split();
+                let fact = ctx.dbs.facts().fact(t.candidates[i]);
+                let Some(trail) = bindings.match_atom(atom, fact) else {
                     continue;
                 };
-                let ok = walk(r, f, idx + 1, bindings, cut)?;
+                result = walk(r, f, idx + 1, bindings, cut);
                 bindings.undo(&trail);
-                if ok {
-                    return Ok(true);
+                if !matches!(result, Ok(false)) {
+                    break;
                 }
             }
-            Ok(false)
+            r.split().1.candidates.truncate(base);
+            result
         }
         Premise::Atom(atom) => {
             let free = bindings.free_vars_of(atom);
             for_each_grounding(r, &free, bindings, &mut |r, b| {
-                let fid = r.split().0.fact_id(atom.ground(b).expect("grounded"));
+                let fid = r.split().0.ground_id(atom, b);
                 Ok(r.subgoal(fid, f.db, f.depth + 1, cut)? && walk(r, f, idx + 1, b, cut)?)
             })
         }
         Premise::Neg(atom) => {
             let inner = ctx.plans[f.rule_idx].inner_neg_vars[idx].clone();
-            let outer: Vec<Var> = bindings
+            let outer: VarList = bindings
                 .free_vars_of(atom)
-                .into_iter()
+                .iter()
                 .filter(|v| !inner.contains(v))
                 .collect();
             for_each_grounding(r, &outer, bindings, &mut |r, b| {
@@ -290,7 +304,7 @@ fn walk<'rb, R: Prover<'rb>>(
             let free = collect_free(goal, adds, dels, bindings);
             for_each_grounding(r, &free, bindings, &mut |r, b| {
                 let db2 = hypothetical_db(r, f.db, adds, dels, b)?;
-                let gid = r.split().0.fact_id(goal.ground(b).expect("grounded"));
+                let gid = r.split().0.ground_id(goal, b);
                 Ok(r.subgoal(gid, db2, f.depth + 1, cut)? && walk(r, f, idx + 1, b, cut)?)
             })
         }
@@ -309,7 +323,7 @@ fn first_instance<'rb, R: Prover<'rb>>(
 ) -> Result<Option<FactId>> {
     let mut found = None;
     for_each_grounding(r, vars, bindings, &mut |r, b| {
-        let fid = r.split().0.fact_id(atom.ground(b).expect("grounded"));
+        let fid = r.split().0.ground_id(atom, b);
         let mut cut = NO_CUT;
         let ok = r.subgoal(fid, db, depth, &mut cut)?;
         debug_assert_eq!(
@@ -402,7 +416,7 @@ pub(crate) fn first_proof<'rb, R: Prover<'rb>>(
             let mut found = None;
             let walked = for_each_grounding(r, &free, &mut bindings, &mut |r, b| {
                 let db2 = hypothetical_db(r, db, adds, dels, b)?;
-                let gid = r.split().0.fact_id(goal.ground(b).expect("grounded"));
+                let gid = r.split().0.ground_id(goal, b);
                 let mut cut = NO_CUT;
                 let ok = r.subgoal(gid, db2, 0, &mut cut)?;
                 found = ok.then_some((gid, db2));
@@ -436,7 +450,7 @@ pub(crate) fn answers_partial<'rb, R: Prover<'rb>>(
     let base = r.split().0.base_db;
     let mut out = Vec::new();
     let walked = for_each_grounding(r, &free, &mut bindings, &mut |r, b| {
-        let fid = r.split().0.fact_id(pattern.ground(b).expect("grounded"));
+        let fid = r.split().0.ground_id(pattern, b);
         let mut cut = NO_CUT;
         if r.subgoal(fid, base, 0, &mut cut)? {
             out.push(

@@ -30,11 +30,9 @@ use hdl_base::{Atom, Bindings, Database, DbId, Error, FactId, FxHashMap, Result,
 enum ProofStep {
     /// Inference rule 1: present in the database.
     Membership,
-    /// Inference rule 3: a rule instance, with the leaf-time bindings.
-    Rule {
-        rule_idx: usize,
-        bindings: Vec<Option<Symbol>>,
-    },
+    /// Inference rule 3: a rule instance, with the leaf-time bindings
+    /// (inline, so recording a step stays allocation-free).
+    Rule { rule_idx: usize, bindings: Bindings },
 }
 
 /// The top-down engine, bound to one rulebase and one base database.
@@ -152,7 +150,7 @@ impl<'rb> TopDownEngine<'rb> {
                             .iter()
                             .map(|t| match t {
                                 hdl_base::Term::Var(v) => {
-                                    bindings[v.index()].map_or(*t, hdl_base::Term::Const)
+                                    bindings.get(*v).map_or(*t, hdl_base::Term::Const)
                                 }
                                 c => *c,
                             })
@@ -253,7 +251,7 @@ impl<'rb> Prover<'rb> for TopDownEngine<'rb> {
                 None => ProofStep::Membership,
                 Some((rule_idx, bindings)) => ProofStep::Rule {
                     rule_idx,
-                    bindings: bindings.snapshot(),
+                    bindings: bindings.clone(),
                 },
             });
     }

@@ -12,6 +12,11 @@
 //! Only definitive outcomes ([`Outcome::is_definitive`]) are stored:
 //! `Cancelled` / `DeadlineExceeded` / `Error` depend on the budget, not
 //! the program, and must never be replayed to a later caller.
+//!
+//! The cache holds at most [`CAPACITY`] answers. A snapshot that serves
+//! more distinct queries than that starts over with an empty cache, so
+//! its memory stays bounded however long the snapshot lives and however
+//! fast queries arrive.
 
 use crate::outcome::Outcome;
 use hdl_base::{DbId, FxHashMap};
@@ -39,6 +44,9 @@ pub struct CacheKey {
     /// (`ask`/`rows`).
     pub goal: String,
 }
+
+/// Answers the cache holds before it starts over.
+pub const CAPACITY: usize = 1 << 14;
 
 /// A concurrency-safe map from canonical queries to definitive outcomes.
 #[derive(Debug, Default)]
@@ -75,11 +83,16 @@ impl AnswerCache {
     }
 
     /// Stores a definitive outcome; non-definitive outcomes are refused
-    /// (budget trips must re-evaluate).
+    /// (budget trips must re-evaluate). A new key that would take the
+    /// cache past [`CAPACITY`] empties it first.
     pub fn put(&self, key: CacheKey, outcome: Outcome) {
         hdl_base::failpoint_fire!("cache::put");
         if outcome.is_definitive() {
-            self.map().insert(key, outcome);
+            let mut map = self.map();
+            if map.len() >= CAPACITY && !map.contains_key(&key) {
+                map.clear();
+            }
+            map.insert(key, outcome);
         }
     }
 
@@ -155,6 +168,22 @@ mod tests {
         cache.put(del_branch.clone(), Outcome::False);
         assert_eq!(cache.get(&positive), Some(Outcome::True));
         assert_eq!(cache.get(&del_branch), Some(Outcome::False));
+    }
+
+    #[test]
+    fn a_full_cache_starts_over() {
+        let cache = AnswerCache::new();
+        for i in 0..CAPACITY {
+            cache.put(key(1, &format!("ask p{i}")), Outcome::True);
+        }
+        assert_eq!(cache.len(), CAPACITY);
+        // Re-storing a present key keeps everything.
+        cache.put(key(1, "ask p0"), Outcome::True);
+        assert_eq!(cache.len(), CAPACITY);
+        cache.put(key(1, "ask q"), Outcome::False);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.get(&key(1, "ask q")), Some(Outcome::False));
+        assert_eq!(cache.get(&key(1, "ask p0")), None);
     }
 
     #[test]
