@@ -7,7 +7,7 @@
 //!   linear stratifiability and the relaxation algorithm that constructs a
 //!   concrete `(Δᵢ, Σᵢ)` stratification, plus the global
 //!   negation-stratification used by the evaluation engines;
-//! - [`lint`] — diagnostics for common rulebase mistakes (unbound head
+//! - [`lint`](mod@lint) — diagnostics for common rulebase mistakes (unbound head
 //!   variables, probable typos, insertions nothing reads).
 
 pub mod linearity;

@@ -2,7 +2,7 @@
 //!
 //! For a stratified hypothetical rulebase `R` and database `DB`, the
 //! *perfect model* `M(DB)` is computed stratum by stratum exactly as for
-//! stratified Horn programs ([1], [20] in the paper), with one addition: a
+//! stratified Horn programs (\[1\], \[20\] in the paper), with one addition: a
 //! hypothetical premise `B[add: Āθ, del: C̄θ]` holds iff
 //! `Bθ ∈ M((DB ∖ C̄θ) ∪ Āθ)` — the perfect model of the *modified*
 //! database, computed recursively (deletions apply first, so a fact in

@@ -552,25 +552,11 @@ impl<'rb> MagicEngine<'rb> {
                 }
             }
         };
-        let base = self.ctx.dbs.to_database(self.ctx.base_db);
-        let fresh0 = self.first_fresh(query.atoms());
-        match rewrite(self.rb, &[], vec![query.clone()], fresh0) {
-            Ok(out) => {
-                let mut db2 = base;
-                db2.insert(out.seed.clone());
-                match BottomUpEngine::new_with_constants(&out.rb, &db2, &self.ctx.domain) {
-                    Ok(eng) => {
-                        let mut inner = eng.with_limits(self.limits).with_parallelism(self.workers);
-                        inner.set_budget(self.budget.clone());
-                        let answer = Atom::new(out.answer_pred, Vec::new());
-                        let r = inner.holds(&Premise::Atom(answer));
-                        self.finish(&out, &inner);
-                        r
-                    }
-                    Err(_) => self.fallback_holds(&query),
-                }
-            }
-            Err(_) => self.fallback_holds(&query),
+        match self.run_rewritten(&[], &query, |inner, answer| {
+            inner.holds(&Premise::Atom(answer))
+        }) {
+            Some(r) => r,
+            None => self.fallback(|eng| eng.holds(&query))?,
         }
     }
 
@@ -580,33 +566,14 @@ impl<'rb> MagicEngine<'rb> {
         if self.atom_foreign(pattern) {
             return (Vec::new(), None);
         }
-        let base = self.ctx.dbs.to_database(self.ctx.base_db);
-        let fresh0 = self.first_fresh(std::iter::once(pattern));
-        match rewrite(
-            self.rb,
-            &pattern.args,
-            vec![Premise::Atom(pattern.clone())],
-            fresh0,
-        ) {
-            Ok(out) => {
-                let mut db2 = base;
-                db2.insert(out.seed.clone());
-                match BottomUpEngine::new_with_constants(&out.rb, &db2, &self.ctx.domain) {
-                    Ok(eng) => {
-                        let mut inner = eng.with_limits(self.limits).with_parallelism(self.workers);
-                        inner.set_budget(self.budget.clone());
-                        let answer = Atom::new(out.answer_pred, pattern.args.clone());
-                        let r = inner.answers_partial(&answer);
-                        self.finish(&out, &inner);
-                        r
-                    }
-                    Err(e) => {
-                        let _ = e;
-                        self.fallback_answers(pattern)
-                    }
-                }
-            }
-            Err(_) => self.fallback_answers(pattern),
+        let query = Premise::Atom(pattern.clone());
+        match self.run_rewritten(&pattern.args, &query, |inner, answer| {
+            inner.answers_partial(&answer)
+        }) {
+            Some(r) => r,
+            None => self
+                .fallback(|eng| eng.answers_partial(pattern))
+                .unwrap_or_else(|e| (Vec::new(), Some(e))),
         }
     }
 
@@ -618,33 +585,47 @@ impl<'rb> MagicEngine<'rb> {
         }
     }
 
-    /// Whole-query degradation to plain semi-naive evaluation; counted
-    /// as one fallback per rulebase predicate.
-    fn fallback_holds(&mut self, query: &Premise) -> Result<bool> {
-        let base = self.ctx.dbs.to_database(self.ctx.base_db);
-        let mut eng = BottomUpEngine::new_with_constants(self.rb, &base, &self.ctx.domain)?
+    /// A fresh inner semi-naive engine over `rb` and `db`, grounding
+    /// over the accumulated domain, with this engine's limits,
+    /// parallelism and budget.
+    fn inner_engine<'a>(&self, rb: &'a Rulebase, db: &Database) -> Result<BottomUpEngine<'a>> {
+        let mut eng = BottomUpEngine::new_with_constants(rb, db, &self.ctx.domain)?
             .with_limits(self.limits)
             .with_parallelism(self.workers);
         eng.set_budget(self.budget.clone());
-        let r = eng.holds(query);
-        self.stats.merge_run(eng.stats());
-        self.stats.unbound_fallbacks += self.ctx.defs.len() as u64;
-        r
+        Ok(eng)
     }
 
-    /// Whole-query degradation for answer enumeration.
-    fn fallback_answers(&mut self, pattern: &Atom) -> (Vec<Vec<Symbol>>, Option<Error>) {
+    /// Rewrites `query` (the body of a synthetic query rule with head
+    /// arguments `head_args`) for demand, seeds the base database, and
+    /// runs `eval` on the answer atom in a fresh inner engine. `None`
+    /// when the rewrite or the inner engine's construction fails: the
+    /// caller degrades to [`MagicEngine::fallback`].
+    fn run_rewritten<T>(
+        &mut self,
+        head_args: &[Term],
+        query: &Premise,
+        eval: impl FnOnce(&mut BottomUpEngine<'_>, Atom) -> T,
+    ) -> Option<T> {
+        let mut db = self.ctx.dbs.to_database(self.ctx.base_db);
+        let fresh0 = self.first_fresh(query.atoms());
+        let out = rewrite(self.rb, head_args, vec![query.clone()], fresh0).ok()?;
+        db.insert(out.seed.clone());
+        let mut inner = self.inner_engine(&out.rb, &db).ok()?;
+        let r = eval(&mut inner, Atom::new(out.answer_pred, head_args.to_vec()));
+        self.finish(&out, &inner);
+        Some(r)
+    }
+
+    /// Whole-query degradation to plain semi-naive evaluation of the
+    /// original rulebase; counted as one fallback per rulebase predicate.
+    fn fallback<T>(&mut self, eval: impl FnOnce(&mut BottomUpEngine<'rb>) -> T) -> Result<T> {
         let base = self.ctx.dbs.to_database(self.ctx.base_db);
-        let eng = match BottomUpEngine::new_with_constants(self.rb, &base, &self.ctx.domain) {
-            Ok(eng) => eng,
-            Err(e) => return (Vec::new(), Some(e)),
-        };
-        let mut eng = eng.with_limits(self.limits).with_parallelism(self.workers);
-        eng.set_budget(self.budget.clone());
-        let r = eng.answers_partial(pattern);
+        let mut eng = self.inner_engine(self.rb, &base)?;
+        let r = eval(&mut eng);
         self.stats.merge_run(eng.stats());
         self.stats.unbound_fallbacks += self.ctx.defs.len() as u64;
-        r
+        Ok(r)
     }
 }
 

@@ -23,12 +23,20 @@
 //! resolver. The goal-directed searches — `TopDownEngine`'s and
 //! `PROVE_Σᵢ`'s — likewise run on one tabled search kernel, [`search`],
 //! which each engine drives through its own prover.
+//!
+//! Callers meet the three query engines — top-down, bottom-up and
+//! magic — through one front door, [`front`]: an [`Engine`] built from
+//! an [`EngineKind`], plus the answers a materialized perfect model
+//! gives without any engine ([`model_holds`], [`model_answers`]).
+//! `Session` and the `hdl-service` workers both go through it, so
+//! neither picks an engine by hand.
 
 pub mod bottomup;
 pub mod budget;
 pub mod context;
 pub mod demand;
 pub mod fixpoint;
+pub mod front;
 pub mod matching;
 pub mod proof;
 pub mod prove;
@@ -41,6 +49,7 @@ pub use bottomup::BottomUpEngine;
 pub use budget::{Budget, CancelToken, MemoryLimits};
 pub use context::Context;
 pub use demand::MagicEngine;
+pub use front::{model_answers, model_holds, render_rows, Engine, EngineKind};
 pub use proof::{render as render_proof, ProofChild, ProofNode};
 pub use prove::ProveEngine;
 pub use reference::NaiveEngine;

@@ -14,7 +14,7 @@
 //!   independent recursive calls; the goal-sequence statistics of
 //!   Theorem 3 are still recorded per expansion. The search is the
 //!   tabled kernel in [`crate::engine::search`], shared with the
-//!   top-down engine; this engine's [`Prover`] impl decides sub-goals
+//!   top-down engine; this engine's `Prover` impl decides sub-goals
 //!   by partition.
 //! - **`PROVE_Δᵢ`** (§5.2.2) is the P component: the perfect model of the
 //!   Horn-with-negation segment `Δᵢ` over a given database, computed

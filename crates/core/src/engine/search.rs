@@ -15,9 +15,9 @@
 //!   groundings, negation over its outer and inner variables with its
 //!   `∃` sub-search, and hypothetical groundings through one database
 //!   helper that counts and bounds the databases created;
-//! - the query entry points — [`first_proof`] (and through it [`holds`])
+//! - the query entry points — `first_proof` (and through it `holds`)
 //!   with the domain growth for fresh `add:` constants, and
-//!   [`answers_partial`] — and the grounding enumerator.
+//!   `answers_partial` — and the grounding enumerator.
 //!
 //! Ground goals are pairs `(fact, database)`. Function-free proofs never
 //! need to repeat a pair along a branch, so a branch that revisits an
@@ -27,9 +27,9 @@
 //! programs.
 //!
 //! The engines differ only in how a ground sub-goal is decided: the
-//! top-down engine hands every one to the tabled [`goal`], while PROVE
+//! top-down engine hands every one to the tabled `goal`, while PROVE
 //! first answers membership, EDB and `Δ`-defined goals itself and hands
-//! only `Σ`-defined ones to it. The [`Prover`] trait carries that
+//! only `Σ`-defined ones to it. The `Prover` trait carries that
 //! difference, plus the engine's failpoint and limit names, its
 //! per-expansion and success hooks and the tables it drops when the
 //! domain grows. The walk is generic over it, so the calls dispatch

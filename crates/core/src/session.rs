@@ -1,12 +1,11 @@
 //! A convenience façade: load programs and ask queries as text.
 //!
 //! [`Session`] owns the symbol table, rulebase, and database, and answers
-//! textual queries with a fresh engine per call (engine construction is
-//! cheap — a linear stratification pass; memo tables are per-call).
+//! textual queries with a fresh [`Engine`] per call (engine construction
+//! is cheap — a linear stratification pass; memo tables are per-call).
 //! Every evaluation runs on a dedicated thread with an enlarged stack,
 //! so deep proofs cannot overflow the caller. For long query sequences
-//! against one database, construct a
-//! [`TopDownEngine`](crate::engine::TopDownEngine) directly and reuse it,
+//! against one database, construct an [`Engine`] directly and reuse it,
 //! or publish a [`Session::snapshot`] and drive it through the
 //! `hdl-service` concurrent query service.
 //!
@@ -22,15 +21,19 @@
 //! assert!(!s.ask("?- grad(tony).").unwrap());
 //! ```
 
-use crate::ast::{HypRule, Rulebase};
-use crate::engine::{BottomUpEngine, Budget, EngineStats, MagicEngine, TopDownEngine};
+use crate::ast::{HypRule, Premise, Rulebase};
+use crate::engine::{
+    model_answers, model_holds, render_rows, Budget, Engine, EngineStats, TopDownEngine,
+};
 use crate::maintain::{MaintenanceStats, MaterializedModel};
 use crate::parser::{parse_program, parse_query, split_facts};
 use crate::snapshot::Snapshot;
 use crate::stack::call_with_deep_stack;
-use hdl_base::{Database, GroundAtom, Result, SymbolTable};
+use hdl_base::{Atom, Database, GroundAtom, Result, Symbol, SymbolTable};
 use std::sync::Arc;
 use std::time::Duration;
+
+pub use crate::engine::EngineKind;
 
 /// A state change about to be committed to a [`Session`].
 ///
@@ -68,36 +71,6 @@ pub trait SessionObserver: Send {
     fn on_mutation(&mut self, symbols: &SymbolTable, mutation: &Mutation<'_>) -> Result<()>;
 }
 
-/// Which engine a [`Session`] evaluates with.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
-pub enum EngineKind {
-    /// Goal-directed with tabling (default; best for search workloads).
-    #[default]
-    TopDown,
-    /// Perfect-model reference engine.
-    BottomUp,
-    /// Demand-driven: magic-sets rewrite in front of a semi-naive
-    /// bottom-up run (best for point queries with bound arguments).
-    Magic,
-}
-
-impl std::str::FromStr for EngineKind {
-    type Err = hdl_base::Error;
-
-    /// Accepts the CLI spellings `top-down` / `topdown` / `td`,
-    /// `bottom-up` / `bottomup` / `bu`, and `magic` / `demand`.
-    fn from_str(s: &str) -> Result<Self> {
-        match s {
-            "top-down" | "topdown" | "td" => Ok(EngineKind::TopDown),
-            "bottom-up" | "bottomup" | "bu" => Ok(EngineKind::BottomUp),
-            "magic" | "demand" => Ok(EngineKind::Magic),
-            other => Err(hdl_base::Error::Invalid(format!(
-                "unknown engine `{other}` (expected top-down, bottom-up, or magic)"
-            ))),
-        }
-    }
-}
-
 /// An owned program + database with a textual query interface.
 #[derive(Default)]
 pub struct Session {
@@ -113,7 +86,7 @@ pub struct Session {
     parallelism: usize,
     deadline: Option<Duration>,
     last_stats: Option<EngineStats>,
-    arities: hdl_base::FxHashMap<hdl_base::Symbol, usize>,
+    arities: hdl_base::FxHashMap<Symbol, usize>,
     /// Materialized perfect model of the effective database, built on
     /// demand by [`Session::model`] and then kept current across
     /// [`Session::assert_fact`] / [`Session::retract_fact`] by
@@ -139,27 +112,27 @@ impl Session {
         database: Database,
         assumptions: Vec<Vec<GroundAtom>>,
     ) -> Self {
-        let mut arities = hdl_base::FxHashMap::default();
-        for rule in rulebase.iter() {
-            for atom in
-                std::iter::once(&rule.head).chain(rule.premises.iter().flat_map(|p| p.atoms()))
-            {
-                arities.entry(atom.pred).or_insert(atom.arity());
-            }
-        }
-        for fact in database
+        let mut session = Session {
+            symbols,
+            ..Session::default()
+        };
+        let atoms = rulebase.iter().flat_map(rule_atoms);
+        let facts = database
             .iter_facts()
-            .chain(assumptions.iter().flatten().cloned())
+            .chain(assumptions.iter().flatten().cloned());
+        for (pred, arity) in atoms
+            .map(|a| (a.pred, a.arity()))
+            .chain(facts.map(|f| (f.pred, f.arity())))
         {
-            arities.entry(fact.pred).or_insert(fact.arity());
+            // The parts were arity-checked when first committed; the
+            // first arity seen stands.
+            let _ = session.check_arity(pred, arity);
         }
         Session {
-            symbols,
             rulebase,
             database,
             assumptions,
-            arities,
-            ..Session::default()
+            ..session
         }
     }
 
@@ -238,24 +211,8 @@ impl Session {
         let parsed = parse_program(src, &mut self.symbols)?;
         // Check new atoms against the session-wide arity registry before
         // committing anything.
-        for rule in parsed.iter() {
-            for atom in
-                std::iter::once(&rule.head).chain(rule.premises.iter().flat_map(|p| p.atoms()))
-            {
-                match self.arities.get(&atom.pred) {
-                    Some(&a) if a != atom.arity() => {
-                        return Err(hdl_base::Error::ArityMismatch {
-                            predicate: self.symbols.name(atom.pred).to_owned(),
-                            expected: a,
-                            found: atom.arity(),
-                        });
-                    }
-                    Some(_) => {}
-                    None => {
-                        self.arities.insert(atom.pred, atom.arity());
-                    }
-                }
-            }
+        for atom in parsed.iter().flat_map(rule_atoms) {
+            self.check_arity(atom.pred, atom.arity())?;
         }
         let (rules, facts) = split_facts(parsed);
         // Write-ahead: one atomic record for the whole load, offered
@@ -279,27 +236,11 @@ impl Session {
     /// from a write-ahead log during recovery. Arity-checked against the
     /// session registry and offered to the observer like [`Session::load`].
     pub fn apply_program(&mut self, rules: Vec<HypRule>, facts: Vec<GroundAtom>) -> Result<()> {
-        for rule in &rules {
-            for atom in
-                std::iter::once(&rule.head).chain(rule.premises.iter().flat_map(|p| p.atoms()))
-            {
-                match self.arities.get(&atom.pred) {
-                    Some(&a) if a != atom.arity() => {
-                        return Err(hdl_base::Error::ArityMismatch {
-                            predicate: self.symbols.name(atom.pred).to_owned(),
-                            expected: a,
-                            found: atom.arity(),
-                        });
-                    }
-                    Some(_) => {}
-                    None => {
-                        self.arities.insert(atom.pred, atom.arity());
-                    }
-                }
-            }
+        for atom in rules.iter().flat_map(rule_atoms) {
+            self.check_arity(atom.pred, atom.arity())?;
         }
         for f in &facts {
-            self.check_fact_arity(f)?;
+            self.check_arity(f.pred, f.arity())?;
         }
         self.observe(&Mutation::Program {
             rules: &rules,
@@ -325,17 +266,18 @@ impl Session {
         }
     }
 
-    /// Registers (or checks) the arity of one ground fact.
-    fn check_fact_arity(&mut self, fact: &GroundAtom) -> Result<()> {
-        match self.arities.get(&fact.pred) {
-            Some(&a) if a != fact.arity() => Err(hdl_base::Error::ArityMismatch {
-                predicate: self.symbols.name(fact.pred).to_owned(),
+    /// Registers the arity of `pred` on first use; every later use must
+    /// agree with it.
+    fn check_arity(&mut self, pred: Symbol, arity: usize) -> Result<()> {
+        match self.arities.get(&pred) {
+            Some(&a) if a != arity => Err(hdl_base::Error::ArityMismatch {
+                predicate: self.symbols.name(pred).to_owned(),
                 expected: a,
-                found: fact.arity(),
+                found: arity,
             }),
             Some(_) => Ok(()),
             None => {
-                self.arities.insert(fact.pred, fact.arity());
+                self.arities.insert(pred, arity);
                 Ok(())
             }
         }
@@ -347,7 +289,7 @@ impl Session {
     /// incrementally: the new fact extends the model by semi-naive delta
     /// continuation rather than a full fixpoint.
     pub fn assert_fact(&mut self, fact: GroundAtom) -> Result<()> {
-        self.check_fact_arity(&fact)?;
+        self.check_arity(fact.pred, fact.arity())?;
         self.observe(&Mutation::Program {
             rules: &[],
             facts: std::slice::from_ref(&fact),
@@ -424,7 +366,7 @@ impl Session {
     /// session-level analogue of the paper's `[add: …]` premise).
     pub fn assume(&mut self, facts: Vec<GroundAtom>) -> Result<()> {
         for f in &facts {
-            self.check_fact_arity(f)?;
+            self.check_arity(f.pred, f.arity())?;
         }
         self.observe(&Mutation::Assume(&facts))?;
         self.assumptions.push(facts);
@@ -466,14 +408,6 @@ impl Session {
         std::borrow::Cow::Owned(merged)
     }
 
-    /// Whether `atom` matches anywhere in `model` (existential over the
-    /// pattern's free variables).
-    fn model_matches(model: &Database, atom: &hdl_base::Atom) -> bool {
-        let mut bindings =
-            hdl_base::Bindings::new(atom.vars().map(|v| v.index() + 1).max().unwrap_or(0));
-        model.for_each_match(atom, &mut bindings, |_| true)
-    }
-
     /// Evaluates a textual query (`?- premise.`).
     ///
     /// Evaluation runs on a dedicated thread with an enlarged stack
@@ -481,121 +415,57 @@ impl Session {
     /// overflow the caller's stack.
     pub fn ask(&mut self, query: &str) -> Result<bool> {
         let q = parse_query(query, &mut self.symbols)?;
-        // A live materialized model answers plain and negated atom
-        // queries by membership — the engines agree with the perfect
-        // model on those by construction. Hypothetical queries still
-        // need overlay evaluation and fall through to an engine.
-        if let Some(m) = &self.materialized {
-            match &q {
-                crate::ast::Premise::Atom(atom) => {
-                    let found = Self::model_matches(m.model(), atom);
-                    self.last_stats = Some(EngineStats::default());
-                    return Ok(found);
-                }
-                crate::ast::Premise::Neg(atom) => {
-                    let found = Self::model_matches(m.model(), atom);
-                    self.last_stats = Some(EngineStats::default());
-                    return Ok(!found);
-                }
-                crate::ast::Premise::Hyp { .. } => {}
-            }
+        // A live materialized model answers plain and negated atoms by
+        // membership; hypothetical queries fall through to an engine.
+        if let Some(found) = self
+            .materialized
+            .as_ref()
+            .and_then(|m| model_holds(m.model(), &q))
+        {
+            self.last_stats = Some(EngineStats::default());
+            return Ok(found);
         }
-        let database = self.effective_database();
-        let (rulebase, database) = (&self.rulebase, database.as_ref());
-        let (engine, budget) = (self.engine, self.budget());
-        let workers = self.parallelism.max(1);
-        let (r, stats) = call_with_deep_stack(move || -> Result<(bool, EngineStats)> {
-            match engine {
-                EngineKind::TopDown => {
-                    let mut eng = TopDownEngine::new(rulebase, database)?;
-                    eng.set_budget(budget);
-                    Ok((eng.holds(&q)?, eng.stats().clone()))
-                }
-                EngineKind::BottomUp => {
-                    let mut eng = BottomUpEngine::new(rulebase, database)?;
-                    eng.set_budget(budget);
-                    eng.set_parallelism(workers);
-                    Ok((eng.holds(&q)?, eng.stats().clone()))
-                }
-                EngineKind::Magic => {
-                    let mut eng = MagicEngine::new(rulebase, database)?;
-                    eng.set_budget(budget);
-                    eng.set_parallelism(workers);
-                    Ok((eng.holds(&q)?, eng.stats().clone()))
-                }
-            }
-        })?;
-        self.last_stats = Some(stats);
-        Ok(r)
+        self.run(move |eng| eng.holds(&q))
     }
 
     /// All tuples satisfying a non-ground atom pattern, e.g.
     /// `answers("tc(X, Y)")`.
     pub fn answers(&mut self, pattern: &str) -> Result<Vec<Vec<String>>> {
         let q = parse_query(&format!("?- {pattern}."), &mut self.symbols)?;
-        let crate::ast::Premise::Atom(atom) = q else {
+        let Premise::Atom(atom) = q else {
             return Err(hdl_base::Error::Invalid(
                 "answers() takes a plain atom pattern".into(),
             ));
         };
-        if let Some(m) = &self.materialized {
-            let mut bindings =
-                hdl_base::Bindings::new(atom.vars().map(|v| v.index() + 1).max().unwrap_or(0));
-            let mut rows = Vec::new();
-            m.model().for_each_match(&atom, &mut bindings, |b| {
-                rows.push(
-                    atom.args
-                        .iter()
-                        .map(|t| match t {
-                            hdl_base::Term::Const(c) => *c,
-                            hdl_base::Term::Var(v) => b.get(*v).expect("bound by match"),
-                        })
-                        .collect::<Vec<_>>(),
-                );
-                false
-            });
-            rows.sort();
-            rows.dedup();
-            return Ok(rows
-                .into_iter()
-                .map(|row| {
-                    row.into_iter()
-                        .map(|s| self.symbols.name(s).to_owned())
-                        .collect()
-                })
-                .collect());
-        }
+        let rows = match &self.materialized {
+            Some(m) => {
+                self.last_stats = Some(EngineStats::default());
+                model_answers(m.model(), &atom)
+            }
+            None => self.run(move |eng| eng.answers(&atom))?,
+        };
+        Ok(render_rows(&rows, &self.symbols))
+    }
+
+    /// Runs `query` on a fresh engine of the selected kind over the
+    /// effective database, on a deep-stack thread, and records the
+    /// engine's counters as [`Session::last_stats`].
+    fn run<T: Send>(
+        &mut self,
+        query: impl FnOnce(&mut Engine<'_>) -> Result<T> + Send,
+    ) -> Result<T> {
         let database = self.effective_database();
         let (rulebase, database) = (&self.rulebase, database.as_ref());
-        let (engine, budget) = (self.engine, self.budget());
-        let workers = self.parallelism.max(1);
-        let rows = call_with_deep_stack(move || match engine {
-            EngineKind::TopDown => {
-                let mut eng = TopDownEngine::new(rulebase, database)?;
-                eng.set_budget(budget);
-                eng.answers(&atom)
-            }
-            EngineKind::BottomUp => {
-                let mut eng = BottomUpEngine::new(rulebase, database)?;
-                eng.set_budget(budget);
-                eng.set_parallelism(workers);
-                eng.answers(&atom)
-            }
-            EngineKind::Magic => {
-                let mut eng = MagicEngine::new(rulebase, database)?;
-                eng.set_budget(budget);
-                eng.set_parallelism(workers);
-                eng.answers(&atom)
-            }
+        let (kind, budget, workers) = (self.engine, self.budget(), self.parallelism);
+        let (r, stats) = call_with_deep_stack(move || -> Result<(T, EngineStats)> {
+            let mut eng = Engine::new(kind, rulebase, database)?;
+            eng.set_budget(budget);
+            eng.set_parallelism(workers);
+            let r = query(&mut eng)?;
+            Ok((r, eng.stats().clone()))
         })?;
-        Ok(rows
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|s| self.symbols.name(s).to_owned())
-                    .collect()
-            })
-            .collect())
+        self.last_stats = Some(stats);
+        Ok(r)
     }
 
     /// Evaluates a textual query and, if provable, renders a proof tree
@@ -616,7 +486,9 @@ impl Session {
         Ok(proof.map(|p| crate::engine::proof::render(&p, &self.symbols)))
     }
 
-    /// The statistics of the most recent [`ask`](Self::ask).
+    /// The counters of the most recent successful [`ask`](Self::ask),
+    /// [`answers`](Self::answers) or [`explain`](Self::explain) — all
+    /// zero when a materialized model answered it.
     pub fn last_stats(&self) -> Option<&EngineStats> {
         self.last_stats.as_ref()
     }
@@ -657,6 +529,11 @@ impl Session {
         out.push_str(&crate::pretty::database(&self.database, &self.symbols));
         out
     }
+}
+
+/// Every atom of `rule`: its head, then its premises' atoms.
+fn rule_atoms(rule: &HypRule) -> impl Iterator<Item = &Atom> {
+    std::iter::once(&rule.head).chain(rule.premises.iter().flat_map(|p| p.atoms()))
 }
 
 #[cfg(test)]
@@ -709,6 +586,35 @@ mod tests {
             .unwrap();
         let rows = s.answers("popular(X)").unwrap();
         assert_eq!(rows, vec![vec!["bo".to_string()], vec!["cy".to_string()]]);
+    }
+
+    #[test]
+    fn answers_records_its_own_stats() {
+        let mut s = Session::new();
+        s.load(
+            "edge(a, b). edge(b, c).
+             tc(X, Y) :- edge(X, Y).
+             tc(X, Z) :- edge(X, Y), tc(Y, Z).",
+        )
+        .unwrap();
+        assert!(s.ask("?- edge(a, b).").unwrap());
+        s.answers("tc(a, X)").unwrap();
+        let mut syms = s.symbols.clone();
+        let crate::ast::Premise::Atom(pattern) = parse_query("?- tc(a, X).", &mut syms).unwrap()
+        else {
+            unreachable!()
+        };
+        let mut eng = TopDownEngine::new(&s.rulebase, &s.database).unwrap();
+        eng.answers(&pattern).unwrap();
+        assert_eq!(
+            s.last_stats(),
+            Some(eng.stats()),
+            "stats of the answers run"
+        );
+        // A materialized model answers without an engine: zero counters.
+        s.model().unwrap();
+        s.answers("tc(a, X)").unwrap();
+        assert_eq!(s.last_stats(), Some(&EngineStats::default()));
     }
 
     #[test]

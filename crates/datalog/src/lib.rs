@@ -9,10 +9,10 @@
 //!
 //! - [`ast`] — rules with positive/negated body literals;
 //! - [`depgraph`] — the predicate dependency graph and Tarjan SCCs;
-//! - [`stratify`] — the stratified-negation test and stratum assignment;
+//! - [`stratify`](mod@stratify) — the stratified-negation test and stratum assignment;
 //! - [`eval`] / [`naive`] — naive bottom-up evaluation to the perfect
-//!   model (Apt–Blair–Walker / Przymusinski semantics, the paper's [1] and
-//!   [20]);
+//!   model (Apt–Blair–Walker / Przymusinski semantics, the paper's \[1\] and
+//!   \[20\]);
 //! - [`program`] — an arity-checked rule container.
 //!
 //! The hypothetical engine in `hdl-core` reuses this crate's dependency

@@ -1,4 +1,4 @@
-//! Stratification of Datalog programs with negation ([1] in the paper).
+//! Stratification of Datalog programs with negation (\[1\] in the paper).
 //!
 //! A program is *stratified* if no cycle of the predicate dependency graph
 //! passes through a negative edge. The stratification assigns each predicate

@@ -10,7 +10,7 @@
 //! of mutations pays a handful of fsyncs instead of hundreds.
 //!
 //! The ack-after-commit protocol is preserved exactly: a submitter
-//! blocks in [`GroupCommitter::commit`] until the fsync covering its
+//! blocks in `GroupCommitter::commit` until the fsync covering its
 //! records has returned, and only then does the session apply the
 //! mutation to memory and ack the client. Crash recovery is therefore
 //! byte-for-byte the same contract as the direct path — every acked
@@ -23,7 +23,7 @@
 //! Deep batches need *pipelining*: if every writer holds its session
 //! lock while blocked on the fsync, a WAL can never have more than one
 //! commit in flight and batching degenerates to one commit per sync.
-//! [`GroupCommitter::submit`] is the non-blocking half — enqueue the
+//! `GroupCommitter::submit` is the non-blocking half — enqueue the
 //! records, get a [`CommitTicket`], release the session lock so the
 //! next connection can stack its commit behind yours, and `wait` the
 //! ticket before acking the client. The durability contract is
@@ -44,7 +44,7 @@ use std::thread::JoinHandle;
 
 /// A pending group commit: the receipt for one submitted record group.
 ///
-/// Produced by the pipelined commit path ([`GroupCommitter::submit`]):
+/// Produced by the pipelined commit path (`GroupCommitter::submit`):
 /// the submitter enqueues its records without blocking, keeps doing
 /// useful work (applying the mutation to memory, releasing its session
 /// lock so other writers can stack into the same batch), and calls

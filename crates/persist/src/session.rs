@@ -154,7 +154,7 @@ impl DurableSession {
     /// Like [`open_grouped`](Self::open_grouped), but mutating calls
     /// return as soon as their records are *enqueued* with the committer
     /// — durability arrives later, on the [`CommitTicket`] collected via
-    /// [`take_pending_commit`](Self::take_pending_commit). The caller
+    /// [`take_pending_commits`](Self::take_pending_commits). The caller
     /// MUST wait that ticket before acking the mutation to anyone, and
     /// must stop mutating the session if it resolves to an error (the
     /// in-memory state is then ahead of a failed log). This is the mode

@@ -235,8 +235,9 @@ impl Server {
         self.inner.shutdown.store(true, SeqCst);
     }
 
-    /// Whether a drain has been requested (by [`request_shutdown`]
-    /// (Self::request_shutdown) or a client `shutdown` op).
+    /// Whether a drain has been requested (by
+    /// [`request_shutdown`](Self::request_shutdown) or a client
+    /// `shutdown` op).
     pub fn shutdown_requested(&self) -> bool {
         self.inner.shutdown.load(SeqCst)
     }

@@ -6,10 +6,9 @@ use crate::outcome::Outcome;
 use crate::stats::{ServiceStats, StatsCell};
 use hdl_base::SymbolTable;
 use hdl_core::engine::{
-    BottomUpEngine, Budget, CancelToken, MagicEngine, MemoryLimits, TopDownEngine,
+    model_answers, model_holds, render_rows, Budget, CancelToken, Engine, EngineKind, MemoryLimits,
 };
 use hdl_core::parser::parse_query;
-use hdl_core::session::EngineKind;
 use hdl_core::snapshot::Snapshot;
 use hdl_core::stack::DEEP_STACK_BYTES;
 use hdl_core::{pretty, Premise};
@@ -446,15 +445,11 @@ impl Drop for QueryService {
     }
 }
 
-/// Engines a worker keeps alive for the snapshot it is currently
-/// serving; built lazily, so a pure top-down workload never pays for a
+/// The engines a worker keeps alive for the snapshot it is currently
+/// serving, one slot per [`EngineKind`] (indexed by `kind as usize`).
+/// Each is built lazily, so a pure top-down workload never pays for a
 /// bottom-up model (and vice versa).
-#[derive(Default)]
-struct Engines<'rb> {
-    top_down: Option<TopDownEngine<'rb>>,
-    bottom_up: Option<BottomUpEngine<'rb>>,
-    magic: Option<MagicEngine<'rb>>,
-}
+type EngineSlots<'rb> = [Option<Engine<'rb>>; 3];
 
 /// Spawns one worker thread. The thread supervises its own loop: a
 /// panic that escapes per-job isolation (e.g. an injected fault at
@@ -504,7 +499,7 @@ fn worker_loop(shared: &Shared, widx: usize) {
         // they are declared after `snap` (dropped before it).
         let snap = Arc::clone(&first.snapshot);
         let mut symbols = snap.symbols().clone();
-        let mut engines = Engines::default();
+        let mut engines = EngineSlots::default();
         let mut job = Some(first);
         while let Some(j) = job.take() {
             if !Arc::ptr_eq(&j.snapshot, &snap) && j.snapshot.epoch() != snap.epoch() {
@@ -554,7 +549,7 @@ fn run_job<'rb>(
     shared: &Shared,
     snap: &'rb Snapshot,
     symbols: &mut SymbolTable,
-    engines: &mut Engines<'rb>,
+    engines: &mut EngineSlots<'rb>,
     job: &Job,
 ) -> Outcome {
     use std::sync::atomic::Ordering::Relaxed;
@@ -570,7 +565,7 @@ fn run_job<'rb>(
             Err(payload) => {
                 shared.stats.panics_recovered.fetch_add(1, Relaxed);
                 *symbols = snap.symbols().clone();
-                *engines = Engines::default();
+                *engines = EngineSlots::default();
                 if job.token.is_cancelled() {
                     return Outcome::Cancelled;
                 }
@@ -609,48 +604,6 @@ fn count_outcome(shared: &Shared, outcome: &Outcome) {
     };
 }
 
-/// Whether `atom` matches anywhere in `model` (existential over free
-/// variables — the engines' query convention).
-fn model_exists(model: &hdl_base::Database, atom: &hdl_base::Atom) -> bool {
-    let mut bindings =
-        hdl_base::Bindings::new(atom.vars().map(|v| v.index() + 1).max().unwrap_or(0));
-    model.for_each_match(atom, &mut bindings, |_| true)
-}
-
-/// All tuples of `pattern` in `model`, rendered through `symbols` —
-/// sorted and deduplicated exactly like the engines' `answers`.
-fn model_rows(
-    model: &hdl_base::Database,
-    pattern: &hdl_base::Atom,
-    symbols: &SymbolTable,
-) -> Vec<Vec<String>> {
-    let mut bindings =
-        hdl_base::Bindings::new(pattern.vars().map(|v| v.index() + 1).max().unwrap_or(0));
-    let mut rows: Vec<Vec<hdl_base::Symbol>> = Vec::new();
-    model.for_each_match(pattern, &mut bindings, |b| {
-        rows.push(
-            pattern
-                .args
-                .iter()
-                .map(|t| match t {
-                    hdl_base::Term::Const(c) => *c,
-                    hdl_base::Term::Var(v) => b.get(*v).expect("bound by match"),
-                })
-                .collect(),
-        );
-        false
-    });
-    rows.sort();
-    rows.dedup();
-    rows.into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|s| symbols.name(s).to_owned())
-                .collect()
-        })
-        .collect()
-}
-
 /// Strips optional `?-` / trailing `.` dressing so batch files and API
 /// callers can write goals either way.
 fn normalize_goal(text: &str) -> String {
@@ -674,7 +627,7 @@ fn process<'rb>(
     shared: &Shared,
     snap: &'rb Snapshot,
     symbols: &mut SymbolTable,
-    engines: &mut Engines<'rb>,
+    engines: &mut EngineSlots<'rb>,
     job: &Job,
 ) -> Outcome {
     // Parse in the worker's private symbol extension.
@@ -686,9 +639,14 @@ fn process<'rb>(
         Ok(q) => q,
         Err(e) => return Outcome::Error(e.to_string()),
     };
-    if tag == "rows" && !matches!(query, Premise::Atom(_)) {
-        return Outcome::Error("answers takes a plain atom pattern".into());
-    }
+    // The atom pattern of an answers request; `None` for a yes/no query.
+    let pattern = match (&job.request.kind, &query) {
+        (RequestKind::Ask(_), _) => None,
+        (RequestKind::Answers(_), Premise::Atom(atom)) => Some(atom),
+        (RequestKind::Answers(_), _) => {
+            return Outcome::Error("answers takes a plain atom pattern".into())
+        }
+    };
 
     // A snapshot published with a materialized model answers plain and
     // negated atom queries by membership — no engine, no fixpoint, no
@@ -697,59 +655,38 @@ fn process<'rb>(
     // the worker's private extension can never appear in the model, so
     // membership stays correct for them (it is simply false).
     if let Some(model) = snap.model() {
-        match &query {
-            Premise::Atom(atom) if tag == "ask" => {
-                return if model_exists(model, atom) {
-                    Outcome::True
-                } else {
-                    Outcome::False
-                };
-            }
-            Premise::Neg(atom) => {
-                return if model_exists(model, atom) {
-                    Outcome::False
-                } else {
-                    Outcome::True
-                };
-            }
-            Premise::Atom(atom) => return Outcome::Answers(model_rows(model, atom, symbols)),
-            Premise::Hyp { .. } => {}
+        if let Some(atom) = pattern {
+            return Outcome::Answers(render_rows(&model_answers(model, atom), symbols));
+        }
+        if let Some(found) = model_holds(model, &query) {
+            return Outcome::from_verdict(Ok(found));
         }
     }
 
-    // Ensure the engine for this (snapshot, kind) pair exists; a
+    // Build the engine for this (snapshot, kind) pair if missing; a
     // stratification failure is a property of the snapshot, reported
     // per query.
-    let engine = job.request.engine;
-    let base_db = match ensure_engine(engines, snap, engine) {
-        Ok(db) => db,
-        Err(e) => return Outcome::Error(e.to_string()),
-    };
+    let kind = job.request.engine;
+    let slot = &mut engines[kind as usize];
+    if slot.is_none() {
+        match Engine::new(kind, snap.rulebase(), snap.database()) {
+            Ok(eng) => *slot = Some(eng),
+            Err(e) => return Outcome::Error(e.to_string()),
+        }
+    }
+    let eng = slot.as_mut().expect("engine built above");
 
     // Canonical key: pretty-printing normalizes whitespace and
     // alpha-renames variables, so textual variants of one goal share a
     // cache entry across all workers. The negative-delta fingerprint
     // distinguishes deletion overlays whose DbId could alias a
     // positive-only database with the same canonical set.
-    let neg_fingerprint = match engine {
-        EngineKind::TopDown => {
-            let eng = engines.top_down.as_ref().expect("engine ensured");
-            eng.context().dbs.neg_fingerprint(base_db)
-        }
-        EngineKind::BottomUp => {
-            let eng = engines.bottom_up.as_ref().expect("engine ensured");
-            eng.context().dbs.neg_fingerprint(base_db)
-        }
-        EngineKind::Magic => {
-            let eng = engines.magic.as_ref().expect("engine ensured");
-            eng.context().dbs.neg_fingerprint(base_db)
-        }
-    };
+    let base_db = eng.context().base_db;
     let key = CacheKey {
         epoch: snap.epoch(),
-        engine,
+        engine: kind,
         db: base_db,
-        neg_fingerprint,
+        neg_fingerprint: eng.context().dbs.neg_fingerprint(base_db),
         goal: format!("{tag} {}", pretty::premise(&query, symbols)),
     };
     if let Some(cached) = shared.cache.get(&key) {
@@ -762,56 +699,13 @@ fn process<'rb>(
     if let Some(d) = job.request.deadline {
         budget = budget.with_deadline(d);
     }
+    eng.set_budget(budget);
 
-    // `expect("engine ensured")` below is a documented invariant, not a
-    // recoverable condition: `ensure_engine` succeeded above for this
-    // exact `engine` kind, so the slot is `Some`. (If it ever trips, the
-    // per-job `catch_unwind` still contains it.)
-    let outcome = match (&job.request.kind, engine) {
-        (RequestKind::Ask(_), EngineKind::TopDown) => {
-            let eng = engines.top_down.as_mut().expect("engine ensured");
-            eng.set_budget(budget);
-            Outcome::from_verdict(eng.holds(&query))
-        }
-        (RequestKind::Ask(_), EngineKind::BottomUp) => {
-            let eng = engines.bottom_up.as_mut().expect("engine ensured");
-            eng.set_budget(budget);
-            Outcome::from_verdict(eng.holds(&query))
-        }
-        (RequestKind::Ask(_), EngineKind::Magic) => {
-            let eng = engines.magic.as_mut().expect("engine ensured");
-            eng.set_budget(budget);
-            Outcome::from_verdict(eng.holds(&query))
-        }
-        (RequestKind::Answers(_), _) => {
-            let Premise::Atom(atom) = &query else {
-                unreachable!("checked above")
-            };
-            let (rows, trip) = match engine {
-                EngineKind::TopDown => {
-                    let eng = engines.top_down.as_mut().expect("engine ensured");
-                    eng.set_budget(budget);
-                    eng.answers_partial(atom)
-                }
-                EngineKind::BottomUp => {
-                    let eng = engines.bottom_up.as_mut().expect("engine ensured");
-                    eng.set_budget(budget);
-                    eng.answers_partial(atom)
-                }
-                EngineKind::Magic => {
-                    let eng = engines.magic.as_mut().expect("engine ensured");
-                    eng.set_budget(budget);
-                    eng.answers_partial(atom)
-                }
-            };
-            let rows: Vec<Vec<String>> = rows
-                .into_iter()
-                .map(|row| {
-                    row.into_iter()
-                        .map(|s| symbols.name(s).to_owned())
-                        .collect()
-                })
-                .collect();
+    let outcome = match pattern {
+        None => Outcome::from_verdict(eng.holds(&query)),
+        Some(atom) => {
+            let (rows, trip) = eng.answers_partial(atom);
+            let rows = render_rows(&rows, symbols);
             match trip {
                 None => Outcome::Answers(rows),
                 // Trip with nothing proven: plain structured trip.
@@ -829,50 +723,6 @@ fn process<'rb>(
     // Budget trips and errors are never cached (put refuses them too).
     shared.cache.put(key, outcome.clone());
     outcome
-}
-
-/// Builds the requested engine for the current snapshot if missing and
-/// returns the base database id (part of the cache key).
-fn ensure_engine<'rb>(
-    engines: &mut Engines<'rb>,
-    snap: &'rb Snapshot,
-    kind: EngineKind,
-) -> hdl_base::Result<hdl_base::DbId> {
-    match kind {
-        EngineKind::TopDown => {
-            if engines.top_down.is_none() {
-                engines.top_down = Some(TopDownEngine::new(snap.rulebase(), snap.database())?);
-            }
-            Ok(engines
-                .top_down
-                .as_ref()
-                .expect("just built")
-                .context()
-                .base_db)
-        }
-        EngineKind::BottomUp => {
-            if engines.bottom_up.is_none() {
-                engines.bottom_up = Some(BottomUpEngine::new(snap.rulebase(), snap.database())?);
-            }
-            Ok(engines
-                .bottom_up
-                .as_ref()
-                .expect("just built")
-                .context()
-                .base_db)
-        }
-        EngineKind::Magic => {
-            if engines.magic.is_none() {
-                engines.magic = Some(MagicEngine::new(snap.rulebase(), snap.database())?);
-            }
-            Ok(engines
-                .magic
-                .as_ref()
-                .expect("just built")
-                .context()
-                .base_db)
-        }
-    }
 }
 
 #[cfg(test)]
