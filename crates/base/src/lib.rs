@@ -21,7 +21,9 @@
 //! - [`SmallVec`] — inline-capacity storage for the tiny per-node deltas
 //!   and the engines' per-match buffers (bindings, trails, ground
 //!   arguments);
-//! - [`FxHashMap`] / [`FxHashSet`] — fast hashing for interned keys.
+//! - [`FxHashMap`] / [`FxHashSet`] — fast hashing for interned keys;
+//! - [`Json`] — the JSON value every counter renders through and the
+//!   wire protocol parses.
 
 #![warn(missing_docs)]
 
@@ -32,6 +34,7 @@ pub mod factstore;
 #[cfg(feature = "failpoints")]
 pub mod failpoint;
 pub mod hasher;
+pub mod json;
 pub mod serialize;
 pub mod smallvec;
 pub mod subst;
@@ -44,6 +47,7 @@ pub use database::{Database, MatchCounters};
 pub use error::{Error, Result};
 pub use factstore::{DbEntry, DbId, DbStore, FactId, FactStore, OverlayStats, FLATTEN_THRESHOLD};
 pub use hasher::{FxHashMap, FxHashSet, FxHasher};
+pub use json::Json;
 pub use serialize::{crc32, Decoder, Encoder};
 pub use smallvec::SmallVec;
 pub use subst::{Bindings, VarList};

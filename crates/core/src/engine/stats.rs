@@ -4,7 +4,7 @@
 //! E7 checks goal-sequence lengths against the Theorem 3 bound
 //! `O(n^{2kᵢk₀})`, and E9 plots how work grows with the number of strata.
 
-use hdl_base::{MatchCounters, OverlayStats};
+use hdl_base::{Json, MatchCounters, OverlayStats};
 
 /// Work counters for one engine run.
 #[derive(Default, Debug, Clone, PartialEq, Eq)]
@@ -104,42 +104,36 @@ impl EngineStats {
         self.overlay = other.overlay;
     }
 
-    /// One-line JSON object of the counters (for `:stats --json` and
-    /// the network protocol's `stats` op). Keys are stable.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(384);
-        let _ = write!(
-            out,
-            "{{\"goal_expansions\":{},\"databases_created\":{},\"memo_hits\":{},\"calls\":{},\
-             \"max_depth\":{},\"rounds\":{},\"parallel_rounds\":{},\"parallel_skipped\":{},\
-             \"magic_rules\":{},\"demand_facts\":{},\"adorned_strata\":{},\
-             \"unbound_fallbacks\":{},\"index_probes\":{},\
-             \"index_hits\":{},\"delta_facts_per_round\":[",
-            self.goal_expansions,
-            self.databases_created,
-            self.memo_hits,
-            self.calls,
-            self.max_depth,
-            self.rounds,
-            self.parallel_rounds,
-            self.parallel_skipped,
-            self.magic_rules,
-            self.demand_facts,
-            self.adorned_strata,
-            self.unbound_fallbacks,
-            self.index_probes,
-            self.index_hits,
-        );
-        for (i, d) in self.delta_facts_per_round.iter().enumerate() {
-            let _ = write!(out, "{}{d}", if i > 0 { "," } else { "" });
-        }
-        let _ = write!(
-            out,
-            "],\"overlay_nodes\":{},\"overlay_delta_facts\":{},\"overlay_materialized_facts\":{}}}",
-            self.overlay.nodes, self.overlay.delta_facts, self.overlay.materialized_facts
-        );
-        out
+    /// JSON object of the counters (for `:stats --json` and the
+    /// network protocol's `stats` op). Keys are stable.
+    pub fn to_json(&self) -> Json {
+        let n = |v: u64| Json::num(v as f64);
+        Json::obj(vec![
+            ("goal_expansions", n(self.goal_expansions)),
+            ("databases_created", n(self.databases_created)),
+            ("memo_hits", n(self.memo_hits)),
+            ("calls", n(self.calls)),
+            ("max_depth", n(self.max_depth)),
+            ("rounds", n(self.rounds)),
+            ("parallel_rounds", n(self.parallel_rounds)),
+            ("parallel_skipped", n(self.parallel_skipped)),
+            ("magic_rules", n(self.magic_rules)),
+            ("demand_facts", n(self.demand_facts)),
+            ("adorned_strata", n(self.adorned_strata)),
+            ("unbound_fallbacks", n(self.unbound_fallbacks)),
+            ("index_probes", n(self.index_probes)),
+            ("index_hits", n(self.index_hits)),
+            (
+                "delta_facts_per_round",
+                Json::Arr(self.delta_facts_per_round.iter().map(|&d| n(d)).collect()),
+            ),
+            ("overlay_nodes", n(self.overlay.nodes)),
+            ("overlay_delta_facts", n(self.overlay.delta_facts)),
+            (
+                "overlay_materialized_facts",
+                n(self.overlay.materialized_facts),
+            ),
+        ])
     }
 }
 

@@ -35,7 +35,9 @@
 
 use crate::ast::{HypRule, Premise, Rulebase};
 use crate::engine::BottomUpEngine;
-use hdl_base::{Atom, Bindings, Database, FxHashMap, FxHashSet, GroundAtom, Result, Symbol, Term};
+use hdl_base::{
+    Atom, Bindings, Database, FxHashMap, FxHashSet, GroundAtom, Json, Result, Symbol, Term,
+};
 
 /// Counters describing how a [`MaterializedModel`] has been maintained.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -59,21 +61,19 @@ pub struct MaintenanceStats {
 }
 
 impl MaintenanceStats {
-    /// One-line JSON object of the counters (for `:stats --json` and
-    /// the network protocol's `stats` op). Keys are stable.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"full_builds\":{},\"incremental_retractions\":{},\"incremental_assertions\":{},\
-             \"conservative_updates\":{},\"domain_rebuilds\":{},\"overdeleted_facts\":{},\
-             \"rederived_facts\":{}}}",
-            self.full_builds,
-            self.incremental_retractions,
-            self.incremental_assertions,
-            self.conservative_updates,
-            self.domain_rebuilds,
-            self.overdeleted_facts,
-            self.rederived_facts
-        )
+    /// JSON object of the counters (for `:stats --json`). Keys are
+    /// stable.
+    pub fn to_json(&self) -> Json {
+        let n = |v: u64| Json::num(v as f64);
+        Json::obj(vec![
+            ("full_builds", n(self.full_builds)),
+            ("incremental_retractions", n(self.incremental_retractions)),
+            ("incremental_assertions", n(self.incremental_assertions)),
+            ("conservative_updates", n(self.conservative_updates)),
+            ("domain_rebuilds", n(self.domain_rebuilds)),
+            ("overdeleted_facts", n(self.overdeleted_facts)),
+            ("rederived_facts", n(self.rederived_facts)),
+        ])
     }
 }
 

@@ -37,7 +37,7 @@
 //! independent worlds and carry no ordering contract.
 
 use crate::wal::WalWriter;
-use hdl_base::{Error, Result};
+use hdl_base::{Error, Json, Result};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -119,13 +119,16 @@ pub struct GroupCommitStats {
 }
 
 impl GroupCommitStats {
-    /// One-line JSON object of the counters (for the server's `stats`
-    /// op and BENCH_serve.json). Keys are stable.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"batches\":{},\"commits\":{},\"fsync_groups\":{},\"max_batch\":{}}}",
-            self.batches, self.commits, self.fsync_groups, self.max_batch
-        )
+    /// JSON object of the counters (for the server's `stats` op and
+    /// BENCH_serve.json). Keys are stable.
+    pub fn to_json(&self) -> Json {
+        let n = |v: u64| Json::num(v as f64);
+        Json::obj(vec![
+            ("batches", n(self.batches)),
+            ("commits", n(self.commits)),
+            ("fsync_groups", n(self.fsync_groups)),
+            ("max_batch", n(self.max_batch)),
+        ])
     }
 }
 

@@ -13,12 +13,12 @@
 use crate::checkpoint::{load_newest_valid, wal_path};
 use crate::codec::{decode_record, WalRecord};
 use crate::wal::{read_wal, FsyncPolicy, WalWriter};
-use hdl_base::{Error, Result};
+use hdl_base::{Error, Json, Result};
 use hdl_core::{Session, Snapshot};
 use std::fs;
 use std::path::Path;
 
-/// What recovery found and did, for `:stats` and the service report.
+/// What recovery found and did, for `:stats` and the `stats` op.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Epoch of the checkpoint restored from (0 = none, fresh world).
@@ -39,18 +39,24 @@ impl RecoveryReport {
         self.checkpoint_epoch > 0 || self.records_replayed > 0
     }
 
-    /// One-line JSON object of the report (for `:stats --json` and the
-    /// network protocol's `stats` op). Keys are stable.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"checkpoint_epoch\":{},\"records_replayed\":{},\"records_truncated\":{},\
-             \"bytes_truncated\":{},\"checkpoints_skipped\":{}}}",
-            self.checkpoint_epoch,
-            self.records_replayed,
-            self.records_truncated,
-            self.bytes_truncated,
-            self.checkpoints_skipped
-        )
+    /// Whether recovery found anything worth telling an operator:
+    /// state restored, a torn tail truncated, or a corrupt checkpoint
+    /// skipped.
+    pub fn is_noteworthy(&self) -> bool {
+        self.restored_anything() || self.records_truncated > 0 || self.checkpoints_skipped > 0
+    }
+
+    /// JSON object of the report (for `:stats --json` and the network
+    /// protocol's `stats` op). Keys are stable.
+    pub fn to_json(&self) -> Json {
+        let n = |v: u64| Json::num(v as f64);
+        Json::obj(vec![
+            ("checkpoint_epoch", n(self.checkpoint_epoch)),
+            ("records_replayed", n(self.records_replayed)),
+            ("records_truncated", n(self.records_truncated)),
+            ("bytes_truncated", n(self.bytes_truncated)),
+            ("checkpoints_skipped", n(self.checkpoints_skipped)),
+        ])
     }
 }
 

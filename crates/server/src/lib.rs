@@ -23,14 +23,13 @@
 
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod protocol;
 pub mod replication;
 pub mod server;
 pub mod tenant;
 
+pub use hdl_base::Json;
 pub use hdl_persist::GroupCommitter;
-pub use json::Json;
 pub use protocol::{outcome_reply, Reply, Request, PROTOCOL_VERSION};
 pub use replication::{
     FenceState, FollowerState, ReplicaTenant, ReplicationHandle, Shipper, ShipperStats,

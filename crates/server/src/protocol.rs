@@ -6,7 +6,7 @@
 //! clients can match replies to requests). See `docs/protocol.md` for
 //! the full wire-format reference with examples.
 
-use crate::json::Json;
+use hdl_base::Json;
 use hdl_core::session::EngineKind;
 use hdl_service::Outcome;
 use std::time::Duration;

@@ -43,9 +43,9 @@
 //! before the normal [`crate::tenant::Registry`] reopens them as
 //! writable tenants (recovery replays exactly the acked prefix).
 
-use crate::json::Json;
 use crate::protocol::Reply;
 use crate::tenant::{validate_tenant_name, Registry, TenantError, TenantQuotas};
+use hdl_base::Json;
 use hdl_persist::{AckTracker, FsyncPolicy, Position, Replica, Ship, WalTap};
 use hdl_service::{QueryService, ServiceConfig};
 use std::collections::{BTreeMap, BTreeSet};
@@ -279,9 +279,15 @@ impl FenceState {
                 let _ = hdl_persist::checkpoint::sync_dir(root);
             }
             Err(e) => eprintln!(
-                "{{\"warn\":\"fence_persist_failed\",\"path\":{},\"error\":{}}}",
-                Json::str(root.join(FENCE_FILE).display().to_string()),
-                Json::str(e.to_string())
+                "{}",
+                Json::obj(vec![
+                    ("warn", Json::str("fence_persist_failed")),
+                    (
+                        "path",
+                        Json::str(root.join(FENCE_FILE).display().to_string())
+                    ),
+                    ("error", Json::str(e.to_string())),
+                ])
             ),
         }
     }

@@ -17,12 +17,12 @@
 //! in-flight replies still deliver, joins the handlers, checkpoints
 //! every durable tenant, and shuts the group committer down.
 
-use crate::json::Json;
 use crate::protocol::{outcome_reply, Reply, Request, PROTOCOL_VERSION};
 use crate::replication::{
     b64_decode, FenceState, FollowerState, ReplicaTenant, ReplicationHandle, Shipper, ShipperStats,
 };
 use crate::tenant::{BatchOp, BatchReply, Registry, RegistryConfig, Tenant, TenantQuotas};
+use hdl_base::Json;
 use hdl_core::session::EngineKind;
 use hdl_persist::{FsyncPolicy, GroupCommitter};
 use hdl_service::QueryRequest;
@@ -1017,11 +1017,6 @@ fn with_tenant(
     }
 }
 
-/// Embeds a `to_json()` string from another crate as a JSON value.
-fn raw(json: String) -> Json {
-    Json::parse(&json).unwrap_or(Json::Null)
-}
-
 fn stats_reply(
     inner: &Arc<Inner>,
     tenant: Option<&Tenant>,
@@ -1048,7 +1043,7 @@ fn stats_reply(
         (
             "group_commit",
             match &inner.committer {
-                Some(c) => raw(c.stats().to_json()),
+                Some(c) => c.stats().to_json(),
                 None => Json::Null,
             },
         ),
@@ -1073,11 +1068,11 @@ fn stats_reply(
     if let Some(t) = tenant {
         reply = reply
             .with("tenant", t.stats_json())
-            .with("service", raw(t.service().stats().to_json()));
+            .with("service", t.service().stats().to_json());
     } else if let Some(r) = replica {
         reply = reply
             .with("tenant", r.stats_json())
-            .with("service", raw(r.service().stats().to_json()));
+            .with("service", r.service().stats().to_json());
     }
     reply
 }

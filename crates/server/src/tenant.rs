@@ -27,10 +27,10 @@
 //! touches the session or the WAL, and queries past the tenant's
 //! in-flight cap are shed as `overloaded` without being enqueued.
 
-use crate::json::Json;
 use crate::replication::ReplicationHandle;
+use hdl_base::Json;
 use hdl_core::{parse_ground_facts, parse_program, split_facts};
-use hdl_persist::{DurableSession, FsyncPolicy, GroupCommitter};
+use hdl_persist::{DurableSession, FsyncPolicy, GroupCommitter, RecoveryReport};
 use hdl_service::{Outcome, QueryRequest, QueryService, ServiceConfig};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -260,11 +260,6 @@ impl Tenant {
                 ..ServiceConfig::default()
             },
         );
-        if let Some(r) = session.recovery_report() {
-            if r.restored_anything() || r.records_truncated > 0 || r.checkpoints_skipped > 0 {
-                service.set_recovery(r.checkpoint_epoch, r.records_replayed, r.records_truncated);
-            }
-        }
         Ok(Tenant {
             name: name.to_owned(),
             session: Mutex::new(session),
@@ -614,6 +609,12 @@ impl Tenant {
             (
                 "sync_replicas",
                 Json::num(self.sync_replicas.load(Relaxed) as f64),
+            ),
+            (
+                "recovery",
+                session
+                    .recovery_report()
+                    .map_or(Json::Null, RecoveryReport::to_json),
             ),
         ])
     }

@@ -190,17 +190,6 @@ struct Shared {
     cache: AnswerCache,
     stats: StatsCell,
     config: ServiceConfig,
-    /// Startup recovery report (set once by the host after a durable
-    /// session restore; merged into every stats snapshot).
-    recovery: Mutex<Option<RecoveryInfo>>,
-}
-
-/// What a durable host restored on startup, for `:stats`.
-#[derive(Clone, Copy, Debug)]
-struct RecoveryInfo {
-    checkpoint_epoch: u64,
-    records_replayed: u64,
-    records_truncated: u64,
 }
 
 impl Shared {
@@ -278,7 +267,6 @@ impl QueryService {
             cache: AnswerCache::new(),
             stats: StatsCell::new(workers),
             config,
-            recovery: Mutex::new(None),
         });
         let handles = (0..workers)
             .map(|widx| spawn_worker(&shared, widx))
@@ -398,28 +386,7 @@ impl QueryService {
         s.cache_hits = hits;
         s.cache_misses = misses;
         s.cache_entries = self.shared.cache.len() as u64;
-        if let Some(r) = *lock_recover(&self.shared.recovery) {
-            s.recovered = true;
-            s.recovery_checkpoint_epoch = r.checkpoint_epoch;
-            s.recovery_records_replayed = r.records_replayed;
-            s.recovery_records_truncated = r.records_truncated;
-        }
         s
-    }
-
-    /// Records what a durable host restored on startup; the report shows
-    /// up in every subsequent [`stats`](Self::stats) snapshot.
-    pub fn set_recovery(
-        &self,
-        checkpoint_epoch: u64,
-        records_replayed: u64,
-        records_truncated: u64,
-    ) {
-        *lock_recover(&self.shared.recovery) = Some(RecoveryInfo {
-            checkpoint_epoch,
-            records_replayed,
-            records_truncated,
-        });
     }
 
     /// Drains the queue, stops the workers, and joins them.
@@ -912,17 +879,5 @@ mod tests {
         // A shed ticket still resolved, so it counts as served: the
         // outcome counters must always sum into `queries_served`.
         assert_eq!(stats.queries_served, 1);
-    }
-
-    #[test]
-    fn recovery_report_is_merged_into_stats() {
-        let service = QueryService::new(university(), 1);
-        assert!(!service.stats().recovered);
-        service.set_recovery(3, 12, 1);
-        let stats = service.stats();
-        assert!(stats.recovered);
-        assert_eq!(stats.recovery_checkpoint_epoch, 3);
-        assert_eq!(stats.recovery_records_replayed, 12);
-        assert_eq!(stats.recovery_records_truncated, 1);
     }
 }

@@ -1,5 +1,6 @@
 //! Service-level counters, surfaced through `:stats` and batch summaries.
 
+use hdl_base::Json;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -64,12 +65,6 @@ impl StatsCell {
                 .iter()
                 .map(|n| Duration::from_nanos(n.load(Ordering::Relaxed)))
                 .collect(),
-            // Recovery is per-process, not per-worker: the service merges
-            // it in from the host's report (see `QueryService::stats`).
-            recovered: false,
-            recovery_checkpoint_epoch: 0,
-            recovery_records_replayed: 0,
-            recovery_records_truncated: 0,
         }
     }
 }
@@ -110,65 +105,35 @@ pub struct ServiceStats {
     pub workers_respawned: u64,
     /// Per-worker time spent evaluating queries.
     pub worker_busy: Vec<Duration>,
-    /// Whether this process restored durable state on startup (the
-    /// fields below are only meaningful when set).
-    pub recovered: bool,
-    /// Epoch of the checkpoint recovery restored from (0 = WAL only).
-    pub recovery_checkpoint_epoch: u64,
-    /// WAL records replayed on top of the checkpoint.
-    pub recovery_records_replayed: u64,
-    /// Torn or corrupt WAL records truncated during recovery.
-    pub recovery_records_truncated: u64,
 }
 
 impl ServiceStats {
-    /// One-line JSON object of every counter — the machine-readable
-    /// form behind `:stats --json` and the network protocol's `stats`
-    /// op. Keys are stable; scrapers may rely on them.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(512);
-        let _ = write!(
-            out,
-            "{{\"queries_served\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_entries\":{},\
-             \"cancelled\":{},\"deadline_exceeded\":{},\"errors\":{},\"snapshots_published\":{},\
-             \"panics_recovered\":{},\"retries\":{},\"shed\":{},\"memory_trips\":{},\
-             \"workers_respawned\":{},\"worker_busy_ms\":[",
-            self.queries_served,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_entries,
-            self.cancelled,
-            self.deadline_exceeded,
-            self.errors,
-            self.snapshots_published,
-            self.panics_recovered,
-            self.retries,
-            self.shed,
-            self.memory_trips,
-            self.workers_respawned,
-        );
-        for (i, d) in self.worker_busy.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{:.3}",
-                if i > 0 { "," } else { "" },
-                d.as_secs_f64() * 1e3
-            );
-        }
-        let _ = write!(out, "],\"recovered\":{}", self.recovered);
-        if self.recovered {
-            let _ = write!(
-                out,
-                ",\"recovery_checkpoint_epoch\":{},\"recovery_records_replayed\":{},\
-                 \"recovery_records_truncated\":{}",
-                self.recovery_checkpoint_epoch,
-                self.recovery_records_replayed,
-                self.recovery_records_truncated
-            );
-        }
-        out.push('}');
-        out
+    /// JSON object of every counter — the machine-readable form behind
+    /// `:stats --json` and the network protocol's `stats` op. Keys are
+    /// stable; scrapers may rely on them. `worker_busy_ms` keeps
+    /// microsecond resolution.
+    pub fn to_json(&self) -> Json {
+        let n = |v: u64| Json::num(v as f64);
+        let busy_ms = |d: &Duration| Json::num((d.as_secs_f64() * 1e6).round() / 1e3);
+        Json::obj(vec![
+            ("queries_served", n(self.queries_served)),
+            ("cache_hits", n(self.cache_hits)),
+            ("cache_misses", n(self.cache_misses)),
+            ("cache_entries", n(self.cache_entries)),
+            ("cancelled", n(self.cancelled)),
+            ("deadline_exceeded", n(self.deadline_exceeded)),
+            ("errors", n(self.errors)),
+            ("snapshots_published", n(self.snapshots_published)),
+            ("panics_recovered", n(self.panics_recovered)),
+            ("retries", n(self.retries)),
+            ("shed", n(self.shed)),
+            ("memory_trips", n(self.memory_trips)),
+            ("workers_respawned", n(self.workers_respawned)),
+            (
+                "worker_busy_ms",
+                Json::Arr(self.worker_busy.iter().map(busy_ms).collect()),
+            ),
+        ])
     }
 }
 
@@ -197,15 +162,6 @@ impl fmt::Display for ServiceStats {
             self.panics_recovered, self.retries, self.workers_respawned
         )?;
         writeln!(f, "snapshots published {}", self.snapshots_published)?;
-        if self.recovered {
-            writeln!(
-                f,
-                "recovery            checkpoint epoch {}, {} records replayed, {} truncated",
-                self.recovery_checkpoint_epoch,
-                self.recovery_records_replayed,
-                self.recovery_records_truncated
-            )?;
-        }
         write!(f, "worker busy        ")?;
         for (i, d) in self.worker_busy.iter().enumerate() {
             write!(f, " #{i}:{:.1?}", d)?;
@@ -228,18 +184,5 @@ mod tests {
         assert_eq!(s.worker_busy.len(), 2);
         assert_eq!(s.worker_busy[1], Duration::from_millis(5));
         assert!(s.to_string().contains("queries served      3"));
-    }
-
-    #[test]
-    fn recovery_line_appears_only_when_recovered() {
-        let mut s = StatsCell::new(1).snapshot();
-        assert!(!s.to_string().contains("recovery"));
-        s.recovered = true;
-        s.recovery_checkpoint_epoch = 4;
-        s.recovery_records_replayed = 17;
-        s.recovery_records_truncated = 1;
-        assert!(s
-            .to_string()
-            .contains("recovery            checkpoint epoch 4, 17 records replayed, 1 truncated"));
     }
 }

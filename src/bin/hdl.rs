@@ -341,18 +341,16 @@ fn open_session(opts: &Opts) -> Result<DurableSession, String> {
     };
     let session = DurableSession::open(dir, opts.fsync)
         .map_err(|e| format!("cannot open persist dir {dir}: {e}"))?;
-    if let Some(r) = session.recovery_report() {
-        if r.restored_anything() || r.records_truncated > 0 || r.checkpoints_skipped > 0 {
-            eprintln!(
-                "recovered from {dir}: checkpoint epoch {}, {} records replayed, \
-                 {} records truncated ({} bytes), {} corrupt checkpoints skipped",
-                r.checkpoint_epoch,
-                r.records_replayed,
-                r.records_truncated,
-                r.bytes_truncated,
-                r.checkpoints_skipped
-            );
-        }
+    if let Some(r) = session.recovery_report().filter(|r| r.is_noteworthy()) {
+        eprintln!(
+            "recovered from {dir}: checkpoint epoch {}, {} records replayed, \
+             {} records truncated ({} bytes), {} corrupt checkpoints skipped",
+            r.checkpoint_epoch,
+            r.records_replayed,
+            r.records_truncated,
+            r.bytes_truncated,
+            r.checkpoints_skipped
+        );
     }
     Ok(session)
 }
@@ -426,11 +424,6 @@ fn batch_main(args: &[String]) -> i32 {
         Err(msg) => return usage_error("batch", &msg),
     };
     let service = QueryService::with_config(session.snapshot(), opts.service_config());
-    if let Some(r) = session.recovery_report() {
-        if r.restored_anything() || r.records_truncated > 0 || r.checkpoints_skipped > 0 {
-            service.set_recovery(r.checkpoint_epoch, r.records_replayed, r.records_truncated);
-        }
-    }
     let mut status = 0;
     let mut dirty = false;
     let mut tickets = Vec::new();
@@ -851,11 +844,6 @@ fn serve_stdin(opts: &Opts) -> i32 {
         eprintln!("loaded {path}");
     }
     let service = QueryService::with_config(session.snapshot(), opts.service_config());
-    if let Some(r) = session.recovery_report() {
-        if r.restored_anything() || r.records_truncated > 0 || r.checkpoints_skipped > 0 {
-            service.set_recovery(r.checkpoint_epoch, r.records_replayed, r.records_truncated);
-        }
-    }
     eprintln!(
         "serving on {} workers — queries on stdin, :answers PATTERN, :assume FACTS, \
          :retract FACT, :materialize, :checkpoint, :stats, :quit",
@@ -879,18 +867,22 @@ fn serve_stdin(opts: &Opts) -> i32 {
         match line {
             ":quit" | ":q" | ":exit" => break,
             ":stats --json" => {
-                let maintenance = session
-                    .maintenance_stats()
-                    .map(|m| m.to_json())
-                    .unwrap_or_else(|| "null".into());
-                println!(
-                    "{{\"service\":{},\"maintenance\":{maintenance}}}",
-                    service.stats().to_json()
-                );
+                let json = Json::obj(vec![
+                    ("service", service.stats().to_json()),
+                    ("maintenance", maintenance_json(&session)),
+                    ("recovery", recovery_json(&session)),
+                ]);
+                println!("{json}");
                 let _ = out.flush();
             }
             ":stats" => {
                 println!("{}", service.stats());
+                if let Some(r) = session.recovery_report().filter(|r| r.is_noteworthy()) {
+                    println!(
+                        "recovery            checkpoint epoch {}, {} records replayed, {} truncated",
+                        r.checkpoint_epoch, r.records_replayed, r.records_truncated
+                    );
+                }
                 if let Some(m) = session.maintenance_stats() {
                     print!("{}", render_maintenance(&m));
                 }
@@ -1324,28 +1316,36 @@ fn render_stats(s: &hdl_core::engine::EngineStats) -> String {
     out
 }
 
-/// One line of JSON with every counter the REPL session has: last-query
+/// One JSON object with every counter the REPL session has: last-query
 /// engine stats, model maintenance, recovery, and durability state.
 /// Scripted clients parse this instead of the aligned human tables.
-fn repl_stats_json(session: &DurableSession) -> String {
-    let engine = session
-        .last_stats()
-        .map(|s| s.to_json())
-        .unwrap_or_else(|| "null".into());
-    let maintenance = session
+fn repl_stats_json(session: &DurableSession) -> Json {
+    Json::obj(vec![
+        (
+            "engine",
+            session
+                .last_stats()
+                .map_or(Json::Null, EngineStats::to_json),
+        ),
+        ("maintenance", maintenance_json(session)),
+        ("recovery", recovery_json(session)),
+        ("durable", Json::Bool(session.is_durable())),
+        ("epoch", Json::num(session.epoch() as f64)),
+    ])
+}
+
+/// The model-maintenance counters, or `null` before a model exists.
+fn maintenance_json(session: &DurableSession) -> Json {
+    session
         .maintenance_stats()
-        .map(|m| m.to_json())
-        .unwrap_or_else(|| "null".into());
-    let recovery = session
+        .map_or(Json::Null, |m| m.to_json())
+}
+
+/// The startup recovery report, or `null` for an ephemeral session.
+fn recovery_json(session: &DurableSession) -> Json {
+    session
         .recovery_report()
-        .map(|r| r.to_json())
-        .unwrap_or_else(|| "null".into());
-    format!(
-        "{{\"engine\":{engine},\"maintenance\":{maintenance},\"recovery\":{recovery},\
-         \"durable\":{},\"epoch\":{}}}",
-        session.is_durable(),
-        session.epoch()
-    )
+        .map_or(Json::Null, RecoveryReport::to_json)
 }
 
 /// Crude interactivity check without adding a dependency: honour an
