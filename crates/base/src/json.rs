@@ -8,7 +8,8 @@
 //! after the value is an error — because every protocol line must be
 //! exactly one JSON object, and bounded: arrays and objects may nest at
 //! most [`MAX_DEPTH`] deep, so a hostile line cannot overflow the stack
-//! of the thread parsing it.
+//! of the thread parsing it. [`Json::parse_request`] also stops after
+//! [`MAX_REQUEST_VALUES`] values, so a server never builds a huge tree.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -16,6 +17,10 @@ use std::fmt;
 /// How deep arrays and objects may nest in parsed input. The deepest
 /// protocol message nests 4 levels; the parser recurses once per level.
 pub const MAX_DEPTH: usize = 64;
+
+/// How many values [`Json::parse_request`] accepts; the largest protocol
+/// request is one object of under a dozen fields.
+pub const MAX_REQUEST_VALUES: usize = 1024;
 
 /// A parsed JSON value. Object keys are ordered (BTreeMap) so rendered
 /// output is deterministic.
@@ -89,9 +94,21 @@ impl Json {
     /// Parses exactly one JSON value from `text` (trailing whitespace
     /// allowed, trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, String> {
+        Self::parse_counted(text, usize::MAX)
+    }
+
+    /// Like [`parse`](Self::parse), but fails as soon as the input holds
+    /// more than [`MAX_REQUEST_VALUES`] values (every array element,
+    /// object member and the top-level value count one each).
+    pub fn parse_request(text: &str) -> Result<Json, String> {
+        Self::parse_counted(text, MAX_REQUEST_VALUES)
+    }
+
+    fn parse_counted(text: &str, values: usize) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            values,
         };
         p.skip_ws();
         let value = p.value(0)?;
@@ -160,6 +177,8 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// How many more values the input may hold.
+    values: usize,
 }
 
 impl Parser<'_> {
@@ -193,6 +212,13 @@ impl Parser<'_> {
 
     /// Parses one value nested inside `depth` arrays and objects.
     fn value(&mut self, depth: usize) -> Result<Json, String> {
+        if self.values == 0 {
+            let at = self.pos;
+            return Err(format!(
+                "more than {MAX_REQUEST_VALUES} values at byte {at}"
+            ));
+        }
+        self.values -= 1;
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),

@@ -9,10 +9,9 @@
 //! fsync per WAL file touched in the batch** — so a batch of hundreds
 //! of mutations pays a handful of fsyncs instead of hundreds.
 //!
-//! The ack-after-commit protocol is preserved exactly: a submitter
-//! blocks in `GroupCommitter::commit` until the fsync covering its
-//! records has returned, and only then does the session apply the
-//! mutation to memory and ack the client. Crash recovery is therefore
+//! The ack-after-commit protocol is preserved exactly: nothing is acked
+//! to a client before the fsync covering its records has returned.
+//! Crash recovery is therefore
 //! byte-for-byte the same contract as the direct path — every acked
 //! mutation is on disk, and a crash mid-batch can only lose records
 //! that were never acked (the kill-matrix in `tests/crash_recovery.rs`
@@ -20,15 +19,13 @@
 //! [`WalWriter::append_group`] / [`WalWriter::sync_commits`] and are
 //! shared by construction).
 //!
-//! Deep batches need *pipelining*: if every writer holds its session
-//! lock while blocked on the fsync, a WAL can never have more than one
-//! commit in flight and batching degenerates to one commit per sync.
-//! `GroupCommitter::submit` is the non-blocking half — enqueue the
-//! records, get a [`CommitTicket`], release the session lock so the
-//! next connection can stack its commit behind yours, and `wait` the
-//! ticket before acking the client. The durability contract is
-//! unchanged (nothing is acked before its fsync); only the *lock* no
-//! longer spans the wait.
+//! Deep batches need *pipelining*: if every writer held its session
+//! lock while blocked on the fsync, a WAL could never have more than
+//! one commit in flight and batching would degenerate to one commit per
+//! sync. So a submitter enqueues its records (`GroupCommitter::submit`),
+//! gets a [`CommitTicket`], releases the session lock so the next
+//! connection can stack its commit behind it, and `wait`s the ticket
+//! before acking the client; only the *lock* no longer spans the wait.
 //!
 //! Ordering: submissions against the same WAL are appended in
 //! submission order (the queue is FIFO and the committer never reorders
@@ -173,9 +170,9 @@ impl GroupCommitter {
         })
     }
 
-    /// Submits one mutation's record group against `wal` and blocks
-    /// until it is durable (or failed). The caller must not hold the
-    /// `wal` lock — the committer takes it to append.
+    /// Submits one record group against `wal` and blocks until it is
+    /// durable (or failed). The caller must not hold the `wal` lock —
+    /// the committer takes it to append.
     pub(crate) fn commit(&self, wal: &Arc<Mutex<SharedWal>>, payloads: Vec<Vec<u8>>) -> Result<()> {
         self.submit(wal, payloads).wait()
     }

@@ -28,23 +28,27 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// The observer installed into the wrapped session. In direct mode it
-/// commits (append + policy fsync) inline under the WAL lock; in group
-/// mode it hands the record group to the shared [`GroupCommitter`] and
-/// blocks until the batch fsync covering it has returned. In *pipelined*
-/// group mode it does not block at all: it enqueues the records and
-/// *stages* the records where the caller can flush them into one
-/// committer submission via
-/// [`DurableSession::take_pending_commits`] — the caller owns the
-/// obligation to wait the resulting ticket before acking anything.
+/// commits (append + policy fsync) inline under the WAL lock. In
+/// pipelined group mode it does not block at all: it *stages* the
+/// records where the caller can flush them into one committer
+/// submission via [`DurableSession::take_pending_commits`] — the caller
+/// owns the obligation to wait the resulting ticket before acking
+/// anything.
 struct WalObserver {
     shared: Arc<Mutex<SharedWal>>,
-    group: Option<Arc<GroupCommitter>>,
-    /// `Some` selects pipelined mode; the buffer accumulates the WAL
-    /// records of every mutation not yet handed to the committer, in
-    /// application order. A caller applying a whole window of mutations
-    /// under one lock hold then pays ONE submission (one queue hop, one
-    /// ticket) for the window instead of one per mutation.
-    staged: Option<Arc<Mutex<Vec<Vec<u8>>>>>,
+    /// `Some` selects pipelined group mode.
+    pipeline: Option<Pipeline>,
+}
+
+/// Pipelined group mode: the shared committer, and the WAL records of
+/// every mutation not yet handed to it, in application order. A caller
+/// applying a whole window of mutations under one lock hold then pays
+/// ONE submission (one queue hop, one ticket) for the window instead of
+/// one per mutation.
+#[derive(Clone)]
+struct Pipeline {
+    committer: Arc<GroupCommitter>,
+    staged: Arc<Mutex<Vec<Vec<u8>>>>,
 }
 
 impl SessionObserver for WalObserver {
@@ -65,7 +69,7 @@ impl SessionObserver for WalObserver {
             Mutation::Assume(facts) => encode_assume_record(facts),
             Mutation::PopAssumption => encode_pop_record(),
         });
-        match &self.group {
+        match &self.pipeline {
             None => {
                 let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
                 guard.writer.commit(&refs)?;
@@ -76,35 +80,22 @@ impl SessionObserver for WalObserver {
                 guard.synced = symbols.len();
                 Ok(())
             }
-            Some(committer) => match &self.staged {
-                None => {
-                    // The committer takes the WAL lock itself; holding it
-                    // across the blocking submit would deadlock. Mutations
-                    // on one session are serialized (`&mut Session`), so
-                    // the watermark cannot race between release and
-                    // re-lock.
-                    drop(guard);
-                    committer.commit(&self.shared, payloads)?;
-                    let mut guard = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
-                    guard.synced = symbols.len();
-                    Ok(())
-                }
-                Some(buffer) => {
-                    // Pipelined: advance the watermark at *staging* time —
-                    // the suffix is already in this payload, and staging
-                    // preserves order, so the next mutation must not
-                    // re-send it. If the commit later fails, the caller
-                    // sees the ticket error and must stop using the
-                    // session (memory is ahead of a failed log).
-                    guard.synced = symbols.len();
-                    drop(guard);
-                    buffer
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .extend(payloads);
-                    Ok(())
-                }
-            },
+            Some(pipeline) => {
+                // Advance the watermark at *staging* time — the suffix is
+                // already in this payload, and staging preserves order,
+                // so the next mutation must not re-send it. If the commit
+                // later fails, the caller sees the ticket error and must
+                // stop using the session (memory is ahead of a failed
+                // log).
+                guard.synced = symbols.len();
+                drop(guard);
+                pipeline
+                    .staged
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .extend(payloads);
+                Ok(())
+            }
         }
     }
 }
@@ -116,10 +107,9 @@ struct Durable {
     epoch: u64,
     shared: Arc<Mutex<SharedWal>>,
     report: RecoveryReport,
-    /// The committer, when commits route through group mode.
-    group: Option<Arc<GroupCommitter>>,
-    /// The pipelined-mode staging buffer shared with the observer.
-    staged: Option<Arc<Mutex<Vec<Vec<u8>>>>>,
+    /// The committer and staging buffer shared with the observer, in
+    /// pipelined group mode.
+    pipeline: Option<Pipeline>,
 }
 
 /// A session with optional durability; derefs to [`Session`].
@@ -135,25 +125,14 @@ const KEEP_CHECKPOINTS: usize = 2;
 impl DurableSession {
     /// Opens (recovering if needed) a durable session rooted at `dir`.
     pub fn open(dir: impl Into<PathBuf>, policy: FsyncPolicy) -> Result<Self> {
-        Self::open_inner(dir.into(), policy, None, false)
+        Self::open_inner(dir.into(), policy, None)
     }
 
-    /// Like [`open`](Self::open), but routes every WAL commit through a
+    /// Like [`open`](Self::open), but routes WAL commits through a
     /// shared [`GroupCommitter`] so concurrent sessions' mutations are
-    /// batched into one fsync pass per drain. The durability contract is
-    /// unchanged: the mutating call returns only after this session's
-    /// records are on disk under the configured policy.
-    pub fn open_grouped(
-        dir: impl Into<PathBuf>,
-        policy: FsyncPolicy,
-        committer: Arc<GroupCommitter>,
-    ) -> Result<Self> {
-        Self::open_inner(dir.into(), policy, Some(committer), false)
-    }
-
-    /// Like [`open_grouped`](Self::open_grouped), but mutating calls
-    /// return as soon as their records are *enqueued* with the committer
-    /// — durability arrives later, on the [`CommitTicket`] collected via
+    /// batched into one fsync pass per drain. Mutating calls return as
+    /// soon as their records are *staged* — durability arrives later, on
+    /// the [`CommitTicket`] collected via
     /// [`take_pending_commits`](Self::take_pending_commits). The caller
     /// MUST wait that ticket before acking the mutation to anyone, and
     /// must stop mutating the session if it resolves to an error (the
@@ -166,14 +145,13 @@ impl DurableSession {
         policy: FsyncPolicy,
         committer: Arc<GroupCommitter>,
     ) -> Result<Self> {
-        Self::open_inner(dir.into(), policy, Some(committer), true)
+        Self::open_inner(dir.into(), policy, Some(committer))
     }
 
     fn open_inner(
         dir: PathBuf,
         policy: FsyncPolicy,
-        group: Option<Arc<GroupCommitter>>,
-        pipelined: bool,
+        committer: Option<Arc<GroupCommitter>>,
     ) -> Result<Self> {
         let recovered = recover(&dir, policy)?;
         let mut session = recovered.session;
@@ -182,15 +160,13 @@ impl DurableSession {
             synced: session.symbols().len(),
             epoch: recovered.epoch,
         }));
-        let staged = if pipelined && group.is_some() {
-            Some(Arc::new(Mutex::new(Vec::new())))
-        } else {
-            None
-        };
+        let pipeline = committer.map(|committer| Pipeline {
+            committer,
+            staged: Arc::new(Mutex::new(Vec::new())),
+        });
         session.set_observer(Some(Box::new(WalObserver {
             shared: Arc::clone(&shared),
-            group: group.clone(),
-            staged: staged.clone(),
+            pipeline: pipeline.clone(),
         })));
         Ok(DurableSession {
             session,
@@ -200,8 +176,7 @@ impl DurableSession {
                 epoch: recovered.epoch,
                 shared,
                 report: recovered.report,
-                group,
-                staged,
+                pipeline,
             }),
         })
     }
@@ -259,14 +234,19 @@ impl DurableSession {
         let Some(durable) = &self.durable else {
             return Vec::new();
         };
-        let (Some(committer), Some(buffer)) = (&durable.group, &durable.staged) else {
+        let Some(pipeline) = &durable.pipeline else {
             return Vec::new();
         };
-        let payloads = std::mem::take(&mut *buffer.lock().unwrap_or_else(PoisonError::into_inner));
+        let payloads = std::mem::take(
+            &mut *pipeline
+                .staged
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         if payloads.is_empty() {
             return Vec::new();
         }
-        vec![committer.submit(&durable.shared, payloads)]
+        vec![pipeline.committer.submit(&durable.shared, payloads)]
     }
 
     /// Blocks until every record this session has enqueued with the
@@ -281,13 +261,13 @@ impl DurableSession {
         let Some(durable) = &self.durable else {
             return Ok(());
         };
-        let Some(committer) = &durable.group else {
+        let Some(pipeline) = &durable.pipeline else {
             return Ok(());
         };
         // FIFO per WAL: once the empty barrier group is durable, so is
         // everything submitted before it — including tickets a
         // concurrent caller collected but has not finished waiting.
-        committer.commit(&durable.shared, Vec::new())
+        pipeline.committer.commit(&durable.shared, Vec::new())
     }
 
     /// Serializes the whole session state to a new checkpoint epoch,
@@ -515,16 +495,28 @@ mod tests {
             for (i, dir) in dirs.iter().enumerate() {
                 let committer = Arc::clone(&committer);
                 scope.spawn(move || {
-                    let mut s =
-                        DurableSession::open_grouped(dir.path(), FsyncPolicy::Always, committer)
-                            .unwrap();
+                    let mut s = DurableSession::open_grouped_pipelined(
+                        dir.path(),
+                        FsyncPolicy::Always,
+                        committer,
+                    )
+                    .unwrap();
+                    // One ticket per mutation, each waited before the next.
+                    let durable = |s: &mut DurableSession| {
+                        let tickets = s.take_pending_commits();
+                        assert_eq!(tickets.len(), 1, "one submission per mutation");
+                        tickets.into_iter().for_each(|t| t.wait().unwrap());
+                    };
                     s.load(PROGRAM).unwrap();
+                    durable(&mut s);
                     for j in 0..10 {
                         let f = parse_fact(&mut s, &format!("edge(t{i}_{j}, a)."));
                         s.assert_fact(f).unwrap();
+                        durable(&mut s);
                     }
                     let g = parse_fact(&mut s, &format!("edge(t{i}_0, a)."));
                     assert!(s.retract_fact(&g).unwrap());
+                    durable(&mut s);
                 });
             }
         });

@@ -133,9 +133,12 @@ pub enum Request {
 
 impl Request {
     /// Parses one protocol line. Returns the request plus the echoed id
-    /// (if any).
+    /// (if any). Parsing stops after
+    /// [`MAX_REQUEST_VALUES`](hdl_base::json::MAX_REQUEST_VALUES) values,
+    /// so a line far larger than any request costs no more than the line
+    /// itself.
     pub fn parse(line: &str) -> Result<(Request, Option<u64>), String> {
-        let value = Json::parse(line)?;
+        let value = Json::parse_request(line)?;
         let id = value.get("id").and_then(Json::as_u64);
         let op = value
             .get("op")
@@ -304,6 +307,7 @@ pub fn outcome_reply(op: &str, outcome: &Outcome) -> Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdl_base::json::MAX_REQUEST_VALUES;
 
     #[test]
     fn parses_the_full_op_set() {
@@ -378,6 +382,23 @@ mod tests {
         assert!(Request::parse("{\"op\":\"warp\"}").is_err());
         assert!(Request::parse("{\"op\":\"rep_fence\"}").is_err());
         assert!(Request::parse("not json").is_err());
+    }
+
+    #[test]
+    fn requests_holding_too_many_values_are_parse_errors() {
+        // The object, its two members and `n` elements: n + 3 values.
+        let stats = |n| format!("{{\"op\":\"stats\",\"pad\":[{}]}}", vec!["0"; n].join(","));
+        let fits = Request::parse(&stats(MAX_REQUEST_VALUES - 3));
+        assert_eq!(fits.unwrap().0, Request::Stats);
+        let err = Request::parse(&stats(MAX_REQUEST_VALUES - 2)).unwrap_err();
+        assert!(err.starts_with("more than"), "{err}");
+        // Far past the limit, parsing stops at the limit's element.
+        let flat = format!("[{}]", vec!["0"; 1 << 20].join(","));
+        let err = Request::parse(&flat).unwrap_err();
+        let at = format!("at byte {}", 2 * MAX_REQUEST_VALUES - 1);
+        assert!(err.ends_with(&at), "{err}");
+        // Replies parse without the limit.
+        assert!(Json::parse(&flat).is_ok());
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   ...
 //! ```
 //!
-//! Lines ending in `.` are programs (rules/facts) or queries (`?- …`).
-//! Commands: `:load FILE`, `:rules`, `:facts`, `:answers PATTERN`,
-//! `:explain QUERY`, `:strata`, `:stats`, `:help`, `:quit`.
+//! Lines ending in `.` are programs (rules/facts) or queries (`?- …`);
+//! lines starting with `:` are commands. One command table defines the
+//! commands of every mode: `:help` lists the REPL's, and an unknown
+//! command names the ones its mode accepts.
 //!
 //! Two further modes drive the `hdl-service` concurrent executor:
 //!
@@ -23,17 +24,17 @@
 //! $ printf '?- grad(tony).\n' | hdl serve --stdin --workers 4 program.hdl
 //! ```
 //!
-//! `batch` runs every `?- …` line of its input concurrently (program
-//! lines load in order and publish fresh snapshots), emits one result
-//! line per query in input order, prints a `ServiceStats` summary to
-//! stderr, and exits non-zero if any query errored. `serve --stdin`
-//! loads the given program files, then answers query lines from stdin
-//! one at a time; `:stats` prints the live service counters (`:stats
-//! --json` as one machine-readable line). Both accept `:answers
-//! PATTERN` lines for all-tuples queries; a budget trip mid-scan prints
-//! the partial answer set (`… partial: reason`) rather than discarding
-//! tuples already proven. `serve` with neither `--stdin` nor `--listen`
-//! is a usage error.
+//! `batch` runs every query line of its input (`?- …` or `:answers
+//! PATTERN`) concurrently (program lines load in order and publish fresh
+//! snapshots), emits one result line per query in input order, prints a
+//! `ServiceStats` summary to stderr, and exits non-zero if any query or
+//! other line errored. `serve --stdin` loads the given program files,
+//! then runs stdin line by line like the REPL, except that queries go
+//! through the worker pool, every mutation publishes a fresh snapshot,
+//! and `:stats` prints the live service counters. A budget trip
+//! mid-scan prints the partial answer set (`… partial: reason`) rather
+//! than discarding tuples already proven. `serve` with neither `--stdin`
+//! nor `--listen` is a usage error.
 //!
 //! The network server and its client (`crates/server`,
 //! `docs/protocol.md`):
@@ -52,7 +53,7 @@
 //! `--tenant-max-facts`, `--tenant-max-depth`, `--tenant-queue-cap`,
 //! `--tenant-in-flight`. SIGTERM or a client `shutdown` op drains
 //! gracefully, checkpointing every durable tenant. `connect` turns
-//! REPL-dialect lines into protocol requests (raw `{…}` lines pass
+//! each input line into its protocol request (raw `{…}` lines pass
 //! through) and prints each JSON reply.
 //!
 //! Fault-tolerance flags (batch/serve): `--max-facts N` caps the facts
@@ -87,6 +88,175 @@ fn main() {
         _ => repl_main(&args),
     };
     std::process::exit(status);
+}
+
+/// The modes that read `:` commands (`batch` takes only `:answers`,
+/// and treats every other line as program text).
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    Repl,
+    Serve,
+    Connect,
+}
+
+use Mode::{Connect, Repl, Serve};
+
+/// One input line, parsed once for every mode.
+#[derive(Clone, Copy, PartialEq)]
+enum Command<'a> {
+    /// `?- goal.` (the whole line).
+    Query(&'a str),
+    /// Rules and facts; `connect` passes a line starting with `{`
+    /// through as a raw protocol request.
+    Program(&'a str),
+    Answers(&'a str),
+    Assume(&'a str),
+    Retract(&'a str),
+    Pop,
+    Materialize,
+    Checkpoint,
+    Stats {
+        json: bool,
+    },
+    Load(&'a str),
+    Save(&'a str),
+    Rules,
+    Facts,
+    Explain(&'a str),
+    Strata,
+    Lint,
+    Open(&'a str),
+    Promote,
+    Shutdown,
+    Help,
+    Quit,
+    /// A `:` line that names no command.
+    Unknown,
+}
+
+/// One row of the command table.
+struct Spec {
+    name: &'static str,
+    aliases: &'static [&'static str],
+    /// The argument as `:help` shows it; empty when there is none.
+    arg: &'static str,
+    help: &'static str,
+    /// The modes that accept the command.
+    modes: &'static [Mode],
+    /// Builds the command from its trimmed argument.
+    build: for<'a> fn(&'a str) -> Command<'a>,
+}
+
+/// Every `:` command of every mode, in `:help` order. The REPL's
+/// `:help`, the `serve --stdin` banner and the unknown-command messages
+/// are generated from it.
+#[rustfmt::skip]
+const COMMANDS: &[Spec] = &[
+    Spec { name: "load", aliases: &[], arg: "FILE", modes: &[Repl],
+           build: |arg| Command::Load(arg), help: "load a program file" },
+    Spec { name: "save", aliases: &[], arg: "FILE", modes: &[Repl],
+           build: |arg| Command::Save(arg), help: "write rules+facts to a file" },
+    Spec { name: "rules", aliases: &[], arg: "", modes: &[Repl],
+           build: |_| Command::Rules, help: "show the loaded rules" },
+    Spec { name: "facts", aliases: &[], arg: "", modes: &[Repl],
+           build: |_| Command::Facts, help: "show the loaded facts" },
+    Spec { name: "open", aliases: &[], arg: "NAME", modes: &[Connect],
+           build: |arg| Command::Open(arg), help: "bind the connection to a tenant" },
+    Spec { name: "answers", aliases: &[], arg: "PATTERN", modes: ALL,
+           build: |arg| Command::Answers(arg), help: "all tuples matching e.g. tc(X, Y)" },
+    Spec { name: "explain", aliases: &[], arg: "?- QUERY.", modes: &[Repl],
+           build: |arg| Command::Explain(arg), help: "proof tree for a provable query" },
+    Spec { name: "strata", aliases: &[], arg: "", modes: &[Repl],
+           build: |_| Command::Strata, help: "linear stratification report" },
+    Spec { name: "lint", aliases: &[], arg: "", modes: &[Repl],
+           build: |_| Command::Lint, help: "diagnostics for the loaded rules" },
+    Spec { name: "assume", aliases: &[], arg: "FACTS", modes: ALL,
+           build: |arg| Command::Assume(arg), help: "push a hypothesis frame (f1, f2, ...)" },
+    Spec { name: "retract", aliases: &[], arg: "FACT", modes: ALL,
+           build: |arg| Command::Retract(arg),
+           help: "remove a base fact (incremental once materialized)" },
+    Spec { name: "pop", aliases: &[], arg: "", modes: ALL,
+           build: |_| Command::Pop, help: "pop the top hypothesis frame" },
+    Spec { name: "materialize", aliases: &[], arg: "", modes: &[Repl, Serve],
+           build: |_| Command::Materialize,
+           help: "build the model; later asserts/retracts maintain it" },
+    Spec { name: "checkpoint", aliases: &[], arg: "", modes: ALL,
+           build: |_| Command::Checkpoint, help: "compact the write-ahead log (--persist-dir)" },
+    Spec { name: "stats", aliases: &[], arg: "[--json]", modes: ALL,
+           build: |arg| Command::Stats { json: arg == "--json" },
+           help: "counters; --json prints one JSON line" },
+    Spec { name: "promote", aliases: &[], arg: "", modes: &[Connect],
+           build: |_| Command::Promote, help: "turn a follower server into a primary" },
+    Spec { name: "shutdown", aliases: &[], arg: "", modes: &[Connect],
+           build: |_| Command::Shutdown, help: "drain the server and stop it" },
+    Spec { name: "help", aliases: &["h"], arg: "", modes: &[Repl],
+           build: |_| Command::Help, help: "this list" },
+    Spec { name: "quit", aliases: &["q", "exit"], arg: "", modes: ALL,
+           build: |_| Command::Quit, help: "leave" },
+];
+
+/// Every mode that reads `:` commands.
+const ALL: &[Mode] = &[Repl, Serve, Connect];
+
+impl<'a> Command<'a> {
+    /// Maps one trimmed input line to its command.
+    fn parse(line: &'a str) -> Command<'a> {
+        if line.starts_with("?-") {
+            return Command::Query(line);
+        }
+        let Some(rest) = line.strip_prefix(':') else {
+            return Command::Program(line);
+        };
+        let (name, arg) = rest
+            .split_once(char::is_whitespace)
+            .map_or((rest, ""), |(name, arg)| (name, arg.trim()));
+        COMMANDS
+            .iter()
+            .find(|spec| spec.name == name || spec.aliases.contains(&name))
+            .map_or(Command::Unknown, |spec| (spec.build)(arg))
+    }
+}
+
+impl Spec {
+    /// `:name ARG`, as the command lists show it.
+    fn usage(&self) -> String {
+        match self.arg {
+            "" => format!(":{}", self.name),
+            arg => format!(":{} {arg}", self.name),
+        }
+    }
+}
+
+/// The commands `mode` accepts, as one comma-separated list.
+fn accepted(mode: Mode) -> String {
+    let usages: Vec<String> = COMMANDS
+        .iter()
+        .filter(|spec| spec.modes.contains(&mode))
+        .map(Spec::usage)
+        .collect();
+    usages.join(", ")
+}
+
+/// The error for a line `mode` has no command for.
+fn unknown(mode: Mode, line: &str) -> String {
+    format!("unknown command {line} ({})", accepted(mode))
+}
+
+/// The REPL's `:help` text.
+fn help() -> String {
+    let mut out = String::from(
+        "  fact(a, b).                    assert a fact\n\
+         \x20 head :- body.                  add a rule\n\
+         \x20 ?- query.                      evaluate (hypotheticals: goal[add: f])\n",
+    );
+    for spec in COMMANDS.iter().filter(|spec| spec.modes.contains(&Repl)) {
+        let mut usage = spec.usage();
+        for alias in spec.aliases {
+            usage += &format!(" | :{alias}");
+        }
+        out += &format!("  {usage:<31}{}\n", spec.help);
+    }
+    out
 }
 
 /// Options shared by all modes.
@@ -183,123 +353,35 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
         match arg.as_str() {
             "--workers" | "-w" => {
-                opts.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
+                opts.workers = flag_value(&mut it, "--workers")?;
                 opts.workers_set = true;
             }
-            "--engine" | "-e" => {
-                opts.engine = value("--engine")?
-                    .parse()
-                    .map_err(|e| format!("--engine: {e}"))?;
-            }
+            "--engine" | "-e" => opts.engine = flag_value(&mut it, "--engine")?,
             "--deadline-ms" => {
-                let ms: u64 = value("--deadline-ms")?
-                    .parse()
-                    .map_err(|e| format!("--deadline-ms: {e}"))?;
+                let ms = flag_value(&mut it, "--deadline-ms")?;
                 opts.deadline = Some(Duration::from_millis(ms));
             }
-            "--max-facts" => {
-                opts.max_facts = Some(
-                    value("--max-facts")?
-                        .parse()
-                        .map_err(|e| format!("--max-facts: {e}"))?,
-                );
-            }
-            "--retries" => {
-                opts.retries = Some(
-                    value("--retries")?
-                        .parse()
-                        .map_err(|e| format!("--retries: {e}"))?,
-                );
-            }
-            "--queue-cap" => {
-                opts.queue_cap = Some(
-                    value("--queue-cap")?
-                        .parse()
-                        .map_err(|e| format!("--queue-cap: {e}"))?,
-                );
-            }
-            "--persist-dir" => {
-                opts.persist_dir = Some(value("--persist-dir")?);
-            }
-            "--fsync" => {
-                opts.fsync = value("--fsync")?
-                    .parse()
-                    .map_err(|e| format!("--fsync: {e}"))?;
-            }
-            "--listen" | "-l" => {
-                opts.listen = Some(value("--listen")?);
-            }
-            "--stdin" => {
-                opts.stdin_mode = true;
-            }
-            "--persist-root" => {
-                opts.persist_root = Some(value("--persist-root")?);
-            }
-            "--group-commit" => {
-                opts.group_commit = true;
-            }
-            "--no-group-commit" => {
-                opts.group_commit = false;
-            }
-            "--max-connections" => {
-                opts.max_connections = value("--max-connections")?
-                    .parse()
-                    .map_err(|e| format!("--max-connections: {e}"))?;
-            }
-            "--tenant-max-facts" => {
-                opts.tenant_max_facts = Some(
-                    value("--tenant-max-facts")?
-                        .parse()
-                        .map_err(|e| format!("--tenant-max-facts: {e}"))?,
-                );
-            }
-            "--tenant-max-depth" => {
-                opts.tenant_max_depth = Some(
-                    value("--tenant-max-depth")?
-                        .parse()
-                        .map_err(|e| format!("--tenant-max-depth: {e}"))?,
-                );
-            }
-            "--tenant-queue-cap" => {
-                opts.tenant_queue_cap = Some(
-                    value("--tenant-queue-cap")?
-                        .parse()
-                        .map_err(|e| format!("--tenant-queue-cap: {e}"))?,
-                );
-            }
-            "--tenant-in-flight" => {
-                opts.tenant_in_flight = Some(
-                    value("--tenant-in-flight")?
-                        .parse()
-                        .map_err(|e| format!("--tenant-in-flight: {e}"))?,
-                );
-            }
-            "--tenant" | "-t" => {
-                opts.tenant = Some(value("--tenant")?);
-            }
-            "--replicate-to" => {
-                opts.replicate_to.push(value("--replicate-to")?);
-            }
-            "--sync-replicas" => {
-                opts.sync_replicas = value("--sync-replicas")?
-                    .parse()
-                    .map_err(|e| format!("--sync-replicas: {e}"))?;
-            }
-            "--follow" => {
-                opts.follow = Some(value("--follow")?);
-            }
-            "--reconnect" => {
-                opts.reconnect = true;
-            }
+            "--max-facts" => opts.max_facts = Some(flag_value(&mut it, arg)?),
+            "--retries" => opts.retries = Some(flag_value(&mut it, arg)?),
+            "--queue-cap" => opts.queue_cap = Some(flag_value(&mut it, arg)?),
+            "--persist-dir" => opts.persist_dir = Some(flag_value(&mut it, arg)?),
+            "--fsync" => opts.fsync = flag_value(&mut it, arg)?,
+            "--listen" | "-l" => opts.listen = Some(flag_value(&mut it, "--listen")?),
+            "--stdin" => opts.stdin_mode = true,
+            "--persist-root" => opts.persist_root = Some(flag_value(&mut it, arg)?),
+            "--no-group-commit" => opts.group_commit = false,
+            "--max-connections" => opts.max_connections = flag_value(&mut it, arg)?,
+            "--tenant-max-facts" => opts.tenant_max_facts = Some(flag_value(&mut it, arg)?),
+            "--tenant-max-depth" => opts.tenant_max_depth = Some(flag_value(&mut it, arg)?),
+            "--tenant-queue-cap" => opts.tenant_queue_cap = Some(flag_value(&mut it, arg)?),
+            "--tenant-in-flight" => opts.tenant_in_flight = Some(flag_value(&mut it, arg)?),
+            "--tenant" | "-t" => opts.tenant = Some(flag_value(&mut it, "--tenant")?),
+            "--replicate-to" => opts.replicate_to.push(flag_value(&mut it, arg)?),
+            "--sync-replicas" => opts.sync_replicas = flag_value(&mut it, arg)?,
+            "--follow" => opts.follow = Some(flag_value(&mut it, arg)?),
+            "--reconnect" => opts.reconnect = true,
             flag if flag.starts_with('-') => {
                 return Err(format!("unknown flag {flag}"));
             }
@@ -307,6 +389,18 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         }
     }
     Ok(opts)
+}
+
+/// Parses the argument after `flag`.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<String>,
+    flag: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let text = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    text.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn usage_error(mode: &str, msg: &str) -> i32 {
@@ -355,32 +449,19 @@ fn open_session(opts: &Opts) -> Result<DurableSession, String> {
     Ok(session)
 }
 
-/// Prints the mutation ack line scripted durable clients key on.
-fn ack(session: &DurableSession) {
-    if session.is_durable() {
-        println!("ok");
-        let _ = io::stdout().flush();
-    }
-}
-
-/// Builds the request for one query line: `?- goal.` asks, and
-/// `:answers PATTERN` enumerates all matching tuples.
-fn request_for(line: &str, opts: &Opts) -> QueryRequest {
-    let mut req = match line.strip_prefix(":answers") {
-        Some(pattern) => QueryRequest::answers(pattern.trim()),
-        None => QueryRequest::ask(line),
+/// The service request for a query line: `?- …` asks and `:answers
+/// PATTERN` enumerates all matching tuples. `None` for any other line.
+fn query_request(cmd: Command, opts: &Opts) -> Option<QueryRequest> {
+    let req = match cmd {
+        Command::Query(query) => QueryRequest::ask(query),
+        Command::Answers(pattern) => QueryRequest::answers(pattern),
+        _ => return None,
     }
     .with_engine(opts.engine);
-    if let Some(d) = opts.deadline {
-        req = req.with_deadline(d);
-    }
-    req
-}
-
-/// Whether this line is a query for the service (`?- …` ask or
-/// `:answers PATTERN`).
-fn is_query(line: &str) -> bool {
-    line.starts_with("?-") || line.starts_with(":answers ")
+    Some(match opts.deadline {
+        Some(d) => req.with_deadline(d),
+        None => req,
+    })
 }
 
 /// Reads the concatenation of `files` (stdin when empty) as lines.
@@ -408,7 +489,7 @@ fn is_skippable(line: &str) -> bool {
 /// `hdl batch [FILE ...]` — program lines load in order; every query
 /// line is submitted to the worker pool against the snapshot current at
 /// its position. Results print in input order; exit is non-zero if any
-/// query (or program line) errored.
+/// query (or other line) errored.
 fn batch_main(args: &[String]) -> i32 {
     let opts = match parse_opts(args) {
         Ok(o) => o,
@@ -432,13 +513,9 @@ fn batch_main(args: &[String]) -> i32 {
         if is_skippable(line) {
             continue;
         }
-        if is_query(line) {
-            if dirty {
-                service.publish(session.snapshot());
-                dirty = false;
-            }
-            tickets.push(service.submit(request_for(line, &opts)));
-        } else {
+        // Every line but a query is program text, so the program parser
+        // rejects any other command.
+        let Some(request) = query_request(Command::parse(line), &opts) else {
             match session.load(line) {
                 Ok(()) => dirty = true,
                 Err(e) => {
@@ -446,7 +523,13 @@ fn batch_main(args: &[String]) -> i32 {
                     status = 1;
                 }
             }
+            continue;
+        };
+        if dirty {
+            service.publish(session.snapshot());
+            dirty = false;
         }
+        tickets.push(service.submit(request));
     }
     for ticket in tickets {
         let outcome = ticket.wait();
@@ -477,8 +560,8 @@ fn checkpoint_on_exit(session: &mut DurableSession) {
 /// `hdl serve` — two modes:
 ///
 /// * `--listen ADDR`: the multi-tenant network server ([`serve_listen`]).
-/// * `--stdin`: loads the program files, then answers query lines from
-///   stdin through the worker pool, one result line each.
+/// * `--stdin`: loads the program files, then runs stdin like the REPL
+///   ([`serve_stdin`]), answering queries through the worker pool.
 ///
 /// Exactly one mode must be named.
 fn serve_main(args: &[String]) -> i32 {
@@ -683,8 +766,7 @@ fn reply_ok(reply: &str) -> bool {
 }
 
 /// `hdl connect ADDR [--tenant NAME] [--reconnect]` — a line client for
-/// the network server: REPL-style input is translated to protocol
-/// requests, raw JSON lines (starting with `{`) pass through verbatim,
+/// the network server: each input line is sent as its protocol request
 /// and every reply prints as its JSON line.
 fn connect_main(args: &[String]) -> i32 {
     let opts = match parse_opts(args) {
@@ -708,7 +790,6 @@ fn connect_main(args: &[String]) -> i32 {
         link.note_open(&line);
         let reply = link.step(&line)?;
         println!("{reply}");
-        let _ = io::stdout().flush();
         Some(reply_ok(&reply))
     };
     if let Some(tenant) = &opts.tenant {
@@ -717,14 +798,11 @@ fn connect_main(args: &[String]) -> i32 {
             ("tenant", Json::str(tenant)),
         ]);
         match step(&mut link, open.to_string()) {
+            Some(true) => {}
+            Some(false) => return 1,
             None => {
                 eprintln!("hdl connect: server closed the connection");
                 return 1;
-            }
-            Some(ok) => {
-                if !ok {
-                    return 1;
-                }
             }
         }
     }
@@ -735,11 +813,8 @@ fn connect_main(args: &[String]) -> i32 {
         if is_skippable(line) {
             continue;
         }
-        if line == ":quit" || line == ":q" || line == ":exit" {
-            let _ = step(&mut link, "{\"op\":\"close\"}".to_owned());
-            break;
-        }
-        let request = match client_request(line) {
+        let cmd = Command::parse(line);
+        let request = match protocol_request(cmd, line) {
             Ok(r) => r,
             Err(msg) => {
                 eprintln!("error: {msg}");
@@ -747,233 +822,66 @@ fn connect_main(args: &[String]) -> i32 {
                 continue;
             }
         };
+        if cmd == Command::Quit {
+            let _ = step(&mut link, request);
+            break;
+        }
         match step(&mut link, request) {
+            Some(true) => {}
+            Some(false) => status = 1,
             None => {
                 eprintln!("hdl connect: server closed the connection");
                 status = 1;
                 break;
             }
-            Some(ok) => {
-                if !ok {
-                    status = 1;
-                }
-            }
         }
     }
     status
 }
 
-/// Translates one client input line to a protocol request line.
-fn client_request(line: &str) -> Result<String, String> {
-    // Raw JSON passes through untouched (power users, scripts).
-    if line.starts_with('{') {
-        return Ok(line.to_owned());
-    }
-    let obj = |pairs: Vec<(&str, Json)>| Json::obj(pairs).to_string();
-    if let Some(rest) = line.strip_prefix(":open") {
-        let name = rest.trim();
-        if name.is_empty() {
-            return Err(":open takes a tenant name".into());
-        }
-        return Ok(obj(vec![
-            ("op", Json::str("open")),
-            ("tenant", Json::str(name)),
-        ]));
-    }
-    if let Some(rest) = line.strip_prefix(":answers") {
-        return Ok(obj(vec![
-            ("op", Json::str("answers")),
-            ("pattern", Json::str(rest.trim())),
-        ]));
-    }
-    if let Some(rest) = line.strip_prefix(":assume") {
-        return Ok(obj(vec![
-            ("op", Json::str("assume")),
-            ("facts", Json::str(rest.trim())),
-        ]));
-    }
-    if let Some(rest) = line.strip_prefix(":retract") {
-        return Ok(obj(vec![
-            ("op", Json::str("retract")),
-            ("fact", Json::str(rest.trim())),
-        ]));
-    }
-    match line {
-        ":pop" => return Ok(obj(vec![("op", Json::str("pop"))])),
-        ":checkpoint" => return Ok(obj(vec![("op", Json::str("checkpoint"))])),
-        ":stats" => return Ok(obj(vec![("op", Json::str("stats"))])),
-        ":promote" => return Ok(obj(vec![("op", Json::str("promote"))])),
-        ":shutdown" => return Ok(obj(vec![("op", Json::str("shutdown"))])),
-        _ => {}
-    }
-    if line.starts_with(':') {
-        return Err(format!(
-            "unknown command {line} (:open NAME, :answers PATTERN, :assume FACTS, \
-             :retract FACT, :pop, :checkpoint, :stats, :promote, :shutdown, :quit; \
-             `{{…}}` raw JSON)"
-        ));
-    }
-    if line.starts_with("?-") {
-        return Ok(obj(vec![
-            ("op", Json::str("query")),
-            ("q", Json::str(line)),
-        ]));
-    }
-    Ok(obj(vec![
-        ("op", Json::str("load")),
-        ("program", Json::str(line)),
-    ]))
-}
-
-/// The stdin queue-drain mode: loads the program files, then answers
-/// query lines from stdin through the worker pool, one result line each.
-fn serve_stdin(opts: &Opts) -> i32 {
-    let mut session = match open_session(opts) {
-        Ok(s) => s,
-        Err(msg) => return usage_error("serve", &msg),
+/// The protocol request line for one `connect` input line. A program
+/// line starting with `{` is a raw request and passes through unchanged.
+fn protocol_request(cmd: Command, line: &str) -> Result<String, String> {
+    let (op, field) = match cmd {
+        Command::Program(raw) if raw.starts_with('{') => return Ok(raw.to_owned()),
+        Command::Program(program) => ("load", Some(("program", program))),
+        Command::Query(query) => ("query", Some(("q", query))),
+        Command::Answers(pattern) => ("answers", Some(("pattern", pattern))),
+        Command::Assume(facts) => ("assume", Some(("facts", facts))),
+        Command::Retract(fact) => ("retract", Some(("fact", fact))),
+        Command::Open("") => return Err(format!("{line} needs a tenant name")),
+        Command::Open(tenant) => ("open", Some(("tenant", tenant))),
+        Command::Pop => ("pop", None),
+        Command::Checkpoint => ("checkpoint", None),
+        Command::Stats { .. } => ("stats", None),
+        Command::Promote => ("promote", None),
+        Command::Shutdown => ("shutdown", None),
+        Command::Quit => ("close", None),
+        _ => return Err(unknown(Connect, line)),
     };
-    for path in &opts.files {
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => return usage_error("serve", &format!("cannot read {path}: {e}")),
-        };
-        if let Err(e) = session.load(&src) {
-            eprintln!("error loading {path}: {e}");
-            return 1;
-        }
-        eprintln!("loaded {path}");
-    }
-    let service = QueryService::with_config(session.snapshot(), opts.service_config());
-    eprintln!(
-        "serving on {} workers — queries on stdin, :answers PATTERN, :assume FACTS, \
-         :retract FACT, :materialize, :checkpoint, :stats, :quit",
-        service.workers()
-    );
-    let mut status = 0;
-    let stdin = io::stdin();
-    let mut out = io::stdout();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("read error: {e}");
-                break;
-            }
-        };
-        let line = line.trim();
-        if is_skippable(line) {
-            continue;
-        }
-        match line {
-            ":quit" | ":q" | ":exit" => break,
-            ":stats --json" => {
-                let json = Json::obj(vec![
-                    ("service", service.stats().to_json()),
-                    ("maintenance", maintenance_json(&session)),
-                    ("recovery", recovery_json(&session)),
-                ]);
-                println!("{json}");
-                let _ = out.flush();
-            }
-            ":stats" => {
-                println!("{}", service.stats());
-                if let Some(r) = session.recovery_report().filter(|r| r.is_noteworthy()) {
-                    println!(
-                        "recovery            checkpoint epoch {}, {} records replayed, {} truncated",
-                        r.checkpoint_epoch, r.records_replayed, r.records_truncated
-                    );
-                }
-                if let Some(m) = session.maintenance_stats() {
-                    print!("{}", render_maintenance(&m));
-                }
-            }
-            ":materialize" => match session.model() {
-                Ok(model) => {
-                    println!("materialized {} facts", model.len());
-                    let _ = out.flush();
-                    service.publish(session.snapshot());
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    status = 1;
-                }
-            },
-            ":checkpoint" => match session.checkpoint() {
-                Ok(epoch) => {
-                    println!("checkpoint {epoch}");
-                    let _ = out.flush();
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    status = 1;
-                }
-            },
-            // Budget trips (cancelled / deadline / memory / partial
-            // rows) are reported on stdout but are not process errors.
-            _ if is_query(line) => {
-                let outcome = service.submit(request_for(line, opts)).wait();
-                if matches!(outcome, Outcome::Error(_)) {
-                    status = 1;
-                }
-                println!("{}", outcome.render_line());
-                let _ = out.flush();
-            }
-            _ if line.starts_with(":assume") || line.starts_with(":retract") || line == ":pop" => {
-                match serve_mutation(&mut session, line) {
-                    Ok(()) => {
-                        ack(&session);
-                        service.publish(session.snapshot());
-                    }
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        status = 1;
-                    }
-                }
-            }
-            _ if line.starts_with(':') => eprintln!(
-                "unknown command {line} (:answers PATTERN, :assume FACTS, :retract FACT, \
-                 :pop, :materialize, :checkpoint, :stats, :quit)"
-            ),
-            _ => match session.load(line) {
-                Ok(()) => {
-                    ack(&session);
-                    service.publish(session.snapshot());
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    status = 1;
-                }
-            },
-        }
-    }
-    service.shutdown();
-    checkpoint_on_exit(&mut session);
-    status
+    let mut pairs = vec![("op", Json::str(op))];
+    pairs.extend(field.map(|(key, value)| (key, Json::str(value))));
+    Ok(Json::obj(pairs).to_string())
 }
 
-/// Applies one `:assume FACTS` / `:retract FACT` / `:pop` line.
-fn serve_mutation(session: &mut DurableSession, line: &str) -> Result<(), String> {
-    if let Some(rest) = line.strip_prefix(":assume") {
-        let facts = hdl_core::parse_ground_facts(rest, session.symbols_mut())?;
-        return session.assume(facts).map_err(|e| e.to_string());
-    }
-    if let Some(rest) = line.strip_prefix(":retract") {
-        let mut facts = hdl_core::parse_ground_facts(rest, session.symbols_mut())?;
-        if facts.len() != 1 {
-            return Err("retract takes exactly one fact".to_owned());
-        }
-        let fact = facts.pop().expect("checked length");
-        return match session.retract_fact(&fact) {
-            Ok(true) => Ok(()),
-            Ok(false) => Ok(()), // logged either way; replay agrees
-            Err(e) => Err(e.to_string()),
-        };
-    }
-    match session.pop_assumption() {
-        Ok(Some(_)) => Ok(()),
-        Ok(None) => Err("no assumption frame to pop".to_owned()),
-        Err(e) => Err(e.to_string()),
-    }
+/// The stdin queue-drain mode: loads the program files, then runs stdin
+/// through a [`Shell`] whose queries go to the worker pool.
+fn serve_stdin(opts: &Opts) -> i32 {
+    let mut shell = match Shell::start(opts, "serve") {
+        Ok(shell) => shell,
+        Err(status) => return status,
+    };
+    let service = QueryService::with_config(shell.session.snapshot(), opts.service_config());
+    eprintln!(
+        "serving on {} workers — queries on stdin, {}",
+        service.workers(),
+        accepted(Serve)
+    );
+    shell.service = Some(service);
+    shell.run(false);
+    shell.service = None; // stops the workers before the checkpoint
+    checkpoint_on_exit(&mut shell.session);
+    shell.status
 }
 
 fn repl_main(args: &[String]) -> i32 {
@@ -981,246 +889,321 @@ fn repl_main(args: &[String]) -> i32 {
         Ok(o) => o,
         Err(msg) => return usage_error("", &msg),
     };
-    let mut session = match open_session(&opts) {
-        Ok(s) => s,
-        Err(msg) => return usage_error("", &msg),
+    let mut shell = match Shell::start(&opts, "") {
+        Ok(shell) => shell,
+        Err(status) => return status,
     };
-    session.set_engine(opts.engine);
-    session.set_deadline(opts.deadline);
+    shell.session.set_engine(opts.engine);
+    shell.session.set_deadline(opts.deadline);
     // In the REPL, --workers drives intra-round parallel rule firing of
     // the bottom-up engine (batch/serve give it to the service pool).
-    session.set_parallelism(opts.workers);
-    let mut status = 0;
-    for path in &opts.files {
-        match std::fs::read_to_string(path) {
-            Ok(src) => match session.load(&src) {
-                Ok(()) => eprintln!("loaded {path}"),
-                Err(e) => {
-                    eprintln!("error loading {path}: {e}");
-                    status = 1;
-                }
-            },
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                status = 1;
-            }
-        }
-    }
-    if status != 0 {
-        return status;
-    }
-
-    let stdin = io::stdin();
+    shell.session.set_parallelism(opts.workers);
     let interactive = atty_guess();
     if interactive {
         println!("hypothetical Datalog shell — :help for commands");
     }
-    let mut out = io::stdout();
-    loop {
-        if interactive {
-            print!("hdl> ");
-            let _ = out.flush();
-        }
-        let mut line = String::new();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) => {
-                eprintln!("read error: {e}");
-                break;
-            }
-        }
-        let line = line.trim();
-        if is_skippable(line) {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix(':') {
-            if !run_command(&mut session, rest) {
-                break;
-            }
-            continue;
-        }
-        if line.starts_with("?-") {
-            match session.ask(line) {
-                Ok(v) => println!("{v}"),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    status = 1;
-                }
-            }
-            continue;
-        }
-        match session.load(line) {
-            Ok(()) => ack(&session),
-            Err(e) => {
-                eprintln!("error: {e}");
-                status = 1;
-            }
-        }
-    }
-    checkpoint_on_exit(&mut session);
+    shell.run(interactive);
+    checkpoint_on_exit(&mut shell.session);
     // Interactive sessions exit clean; piped input propagates whether
-    // any line errored mid-stream.
+    // any line or command failed mid-stream.
     if interactive {
         0
     } else {
-        status
+        shell.status
     }
 }
 
-/// Returns `false` to quit.
-fn run_command(session: &mut DurableSession, rest: &str) -> bool {
-    let (cmd, arg) = match rest.split_once(' ') {
-        Some((c, a)) => (c, a.trim()),
-        None => (rest, ""),
-    };
-    match cmd {
-        "quit" | "q" | "exit" => return false,
-        "help" | "h" => {
-            println!(
-                "  fact(a, b).                    assert a fact\n\
-                 \x20 head :- body.                  add a rule\n\
-                 \x20 ?- query.                      evaluate (hypotheticals: goal[add: f])\n\
-                 \x20 :load FILE                     load a program file\n\
-                 \x20 :save FILE                     write rules+facts to a file\n\
-                 \x20 :rules | :facts                show the loaded program\n\
-                 \x20 :answers PATTERN               all tuples matching e.g. tc(X, Y)\n\
-                 \x20 :explain ?- QUERY.             proof tree for a provable query\n\
-                 \x20 :strata                        linear stratification report\n\
-                 \x20 :lint                          diagnostics for the loaded rules\n\
-                 \x20 :assume FACTS                  push a hypothesis frame (f1, f2, ...)\n\
-                 \x20 :pop                           pop the top hypothesis frame\n\
-                 \x20 :retract FACT                  remove a base fact (incremental once materialized)\n\
-                 \x20 :materialize                   build the model; later asserts/retracts maintain it\n\
-                 \x20 :checkpoint                    compact the write-ahead log (--persist-dir)\n\
-                 \x20 :stats [--json]                counters from the last query\n\
-                 \x20 :quit"
-            );
+/// The REPL and `serve --stdin`: one session driven line by line. Both
+/// modes run program lines, program files given on the command line,
+/// `:assume`, `:retract`, `:pop`, `:materialize`, `:checkpoint` and
+/// `:stats` through the same code; they differ in how they answer
+/// queries and in what follows a mutation.
+struct Shell<'o> {
+    session: DurableSession,
+    /// `serve --stdin`'s worker pool: it answers queries, gets a fresh
+    /// snapshot after each mutation, and `:stats` shows its counters.
+    /// `None` in the REPL, which answers in-session and narrates each
+    /// mutation instead.
+    service: Option<QueryService>,
+    opts: &'o Opts,
+    /// 1 once any line or command failed.
+    status: i32,
+}
+
+impl<'o> Shell<'o> {
+    /// Opens the session and loads the program files named on the
+    /// command line; `Err` carries the exit status when either failed.
+    fn start(opts: &'o Opts, mode: &str) -> Result<Self, i32> {
+        let session = open_session(opts).map_err(|msg| usage_error(mode, &msg))?;
+        let mut shell = Shell {
+            session,
+            service: None,
+            opts,
+            status: 0,
+        };
+        for path in &opts.files {
+            match std::fs::read_to_string(path) {
+                Ok(src) => match shell.session.load(&src) {
+                    Ok(()) => eprintln!("loaded {path}"),
+                    Err(e) => shell.fail(format!("error loading {path}: {e}")),
+                },
+                Err(e) => shell.fail(format!("cannot read {path}: {e}")),
+            }
         }
-        "load" => match std::fs::read_to_string(arg) {
-            Ok(src) => match session.load(&src) {
-                Ok(()) => {
-                    ack(session);
-                    println!("loaded {arg}");
+        match shell.status {
+            0 => Ok(shell),
+            status => Err(status),
+        }
+    }
+
+    /// Prints `msg` to stderr and marks the run failed.
+    fn fail(&mut self, msg: String) {
+        eprintln!("{msg}");
+        self.status = 1;
+    }
+
+    /// Runs stdin line by line until EOF or `:quit`, prompting when
+    /// `prompt` is set.
+    fn run(&mut self, prompt: bool) {
+        let prompt = || {
+            if prompt {
+                print!("hdl> ");
+                let _ = io::stdout().flush();
+            }
+        };
+        prompt();
+        for line in io::stdin().lock().lines() {
+            let line = match line {
+                Ok(line) => line,
+                Err(e) => {
+                    eprintln!("read error: {e}");
+                    break;
                 }
-                Err(e) => eprintln!("error: {e}"),
-            },
-            Err(e) => eprintln!("cannot read {arg}: {e}"),
-        },
-        "assume" => match hdl_core::parse_ground_facts(arg, session.symbols_mut()) {
-            Ok(facts) => match session.assume(facts) {
-                Ok(()) => {
-                    ack(session);
-                    println!("({} assumption frames)", session.assumptions().len());
+            };
+            let line = line.trim();
+            if !is_skippable(line) {
+                match Command::parse(line) {
+                    Command::Quit => break,
+                    cmd => self.execute(cmd, line),
                 }
-                Err(e) => eprintln!("error: {e}"),
-            },
-            Err(e) => eprintln!("error: {e}"),
-        },
-        "pop" => match session.pop_assumption() {
-            Ok(Some(frame)) => {
-                ack(session);
-                println!(
+            }
+            prompt();
+        }
+    }
+
+    /// Runs one command: the shared ones here, the rest in the mode's
+    /// own executor.
+    fn execute(&mut self, cmd: Command, line: &str) {
+        match cmd {
+            Command::Program(text) => self.mutate(|s| {
+                s.load(text)?;
+                Ok(String::new())
+            }),
+            Command::Assume(text) => self.mutate(|s| {
+                let facts = hdl_core::parse_ground_facts(text, s.symbols_mut())?;
+                s.assume(facts)?;
+                Ok(format!("({} assumption frames)", s.assumptions().len()))
+            }),
+            Command::Retract(text) => self.mutate(|s| {
+                let facts = hdl_core::parse_ground_facts(text, s.symbols_mut())?;
+                let [fact] = facts.as_slice() else {
+                    return Err("retract takes exactly one fact".into());
+                };
+                let removed = s.retract_fact(fact)?;
+                Ok(if removed { "retracted" } else { "no such fact" }.to_owned())
+            }),
+            Command::Pop => self.mutate(|s| match s.pop_assumption()? {
+                Some(frame) => Ok(format!(
                     "popped {} facts ({} frames left)",
                     frame.len(),
-                    session.assumptions().len()
-                );
-            }
-            Ok(None) => println!("no assumption frame to pop"),
-            Err(e) => eprintln!("error: {e}"),
-        },
-        "retract" => match hdl_core::parse_ground_facts(arg, session.symbols_mut()) {
-            Ok(facts) if facts.len() == 1 => {
-                let fact = &facts[0];
-                match session.retract_fact(fact) {
-                    Ok(removed) => {
-                        ack(session);
-                        println!("{}", if removed { "retracted" } else { "no such fact" });
-                    }
-                    Err(e) => eprintln!("error: {e}"),
+                    s.assumptions().len()
+                )),
+                None => Err("no assumption frame to pop".into()),
+            }),
+            Command::Materialize => match self.session.model() {
+                Ok(model) => {
+                    println!("materialized {} facts", model.len());
+                    self.publish();
                 }
-            }
-            Ok(_) => eprintln!("error: retract takes exactly one fact"),
-            Err(e) => eprintln!("error: {e}"),
-        },
-        "checkpoint" => match session.checkpoint() {
-            Ok(epoch) => println!("checkpoint {epoch}"),
-            Err(e) => eprintln!("error: {e}"),
-        },
-        "rules" => print!("{}", session.show_rules()),
-        "save" => match std::fs::write(arg, session.dump()) {
-            Ok(()) => println!("saved {arg}"),
-            Err(e) => eprintln!("cannot write {arg}: {e}"),
-        },
-        "facts" => print!(
-            "{}",
-            hdl_core::pretty::database(session.database(), session.symbols())
-        ),
-        "answers" => match session.answers(arg) {
-            Ok(rows) => {
-                for row in &rows {
-                    println!("{}", row.join(", "));
-                }
-                println!("({} answers)", rows.len());
-            }
-            Err(e) => eprintln!("error: {e}"),
-        },
-        "explain" => match session.explain(arg) {
-            Ok(Some(tree)) => print!("{tree}"),
-            Ok(None) => println!("not provable (or a negated query)"),
-            Err(e) => eprintln!("error: {e}"),
-        },
-        "lint" => {
-            let lints = hdl_core::analysis::lint::lint(session.rulebase(), session.symbols());
-            if lints.is_empty() {
-                println!("no lints");
-            }
-            for l in &lints {
-                println!(
-                    "  {}",
-                    hdl_core::analysis::lint::render_lint(l, session.symbols())
-                );
-            }
+                Err(e) => self.fail(format!("error: {e}")),
+            },
+            Command::Checkpoint => match self.session.checkpoint() {
+                Ok(epoch) => println!("checkpoint {epoch}"),
+                Err(e) => self.fail(format!("error: {e}")),
+            },
+            Command::Stats { json } => self.stats(json),
+            _ if self.service.is_some() => self.serve_only(cmd, line),
+            _ => self.repl_only(cmd, line),
         }
-        "strata" => match linear_stratification(session.rulebase()) {
-            Ok(ls) => {
-                println!("linearly stratified: {} strata", ls.num_strata());
-                let mut parts: Vec<(String, usize, bool)> = ls
-                    .part_of
-                    .iter()
-                    .map(|(&p, &part)| (session.symbols().name(p).to_owned(), part, ls.in_sigma(p)))
-                    .collect();
-                parts.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
-                for (name, part, sigma) in parts {
-                    let seg = if sigma { "Σ" } else { "Δ" };
+    }
+
+    /// Applies one mutation. On success it prints the `ok` ack (when
+    /// durable), then the REPL prints `apply`'s narration and `serve
+    /// --stdin` publishes a fresh snapshot.
+    fn mutate(
+        &mut self,
+        apply: impl FnOnce(&mut DurableSession) -> Result<String, Box<dyn std::error::Error>>,
+    ) {
+        match apply(&mut self.session) {
+            Ok(narration) => {
+                if self.session.is_durable() {
+                    println!("ok");
+                }
+                if self.service.is_some() {
+                    self.publish();
+                } else if !narration.is_empty() {
+                    println!("{narration}");
+                }
+            }
+            Err(e) => self.fail(format!("error: {e}")),
+        }
+    }
+
+    /// Hands the session's current state to the worker pool, if any.
+    fn publish(&self) {
+        if let Some(service) = &self.service {
+            service.publish(self.session.snapshot());
+        }
+    }
+
+    /// `:stats [--json]`: the REPL's last-query engine counters or the
+    /// pool's service counters, then recovery and model maintenance.
+    fn stats(&self, json: bool) {
+        let session = &self.session;
+        let maintenance = session.maintenance_stats();
+        let recovery = session.recovery_report();
+        if json {
+            let mut fields = vec![
+                (
+                    "maintenance",
+                    maintenance.map_or(Json::Null, |m| m.to_json()),
+                ),
+                (
+                    "recovery",
+                    recovery.map_or(Json::Null, RecoveryReport::to_json),
+                ),
+            ];
+            match &self.service {
+                Some(service) => fields.push(("service", service.stats().to_json())),
+                None => fields.extend([
+                    (
+                        "engine",
+                        session
+                            .last_stats()
+                            .map_or(Json::Null, EngineStats::to_json),
+                    ),
+                    ("durable", Json::Bool(session.is_durable())),
+                    ("epoch", Json::num(session.epoch() as f64)),
+                ]),
+            }
+            println!("{}", Json::obj(fields));
+            return;
+        }
+        match (&self.service, session.last_stats()) {
+            (Some(service), _) => println!("{}", service.stats()),
+            (None, Some(s)) => print!("{}", render_stats(s)),
+            (None, None) => println!("no query evaluated yet"),
+        }
+        if let Some(r) = recovery.filter(|r| r.is_noteworthy()) {
+            println!(
+                "recovery            checkpoint epoch {}, {} records replayed, {} truncated",
+                r.checkpoint_epoch, r.records_replayed, r.records_truncated
+            );
+        }
+        if let Some(m) = maintenance {
+            print!("{}", render_maintenance(&m));
+        }
+    }
+
+    /// `serve --stdin`'s own lines: queries, answered by the pool.
+    /// Budget trips (cancelled / deadline / memory / partial rows) are
+    /// reported on stdout but are not failures.
+    fn serve_only(&mut self, cmd: Command, line: &str) {
+        let (Some(service), Some(request)) = (&self.service, query_request(cmd, self.opts)) else {
+            return self.fail(unknown(Serve, line));
+        };
+        let outcome = service.submit(request).wait();
+        println!("{}", outcome.render_line());
+        if matches!(outcome, Outcome::Error(_)) {
+            self.status = 1;
+        }
+    }
+
+    /// The REPL's own lines, all answered in-session.
+    fn repl_only(&mut self, cmd: Command, line: &str) {
+        let session = &mut self.session;
+        match cmd {
+            Command::Query(query) => match session.ask(query) {
+                Ok(v) => println!("{v}"),
+                Err(e) => self.fail(format!("error: {e}")),
+            },
+            Command::Answers(pattern) => match session.answers(pattern) {
+                Ok(rows) => {
+                    for row in &rows {
+                        println!("{}", row.join(", "));
+                    }
+                    println!("({} answers)", rows.len());
+                }
+                Err(e) => self.fail(format!("error: {e}")),
+            },
+            Command::Explain(query) => match session.explain(query) {
+                Ok(Some(tree)) => print!("{tree}"),
+                Ok(None) => println!("not provable (or a negated query)"),
+                Err(e) => self.fail(format!("error: {e}")),
+            },
+            Command::Load(path) => match std::fs::read_to_string(path) {
+                Ok(src) => self.mutate(|s| {
+                    s.load(&src)?;
+                    Ok(format!("loaded {path}"))
+                }),
+                Err(e) => self.fail(format!("cannot read {path}: {e}")),
+            },
+            Command::Save(path) => match std::fs::write(path, session.dump()) {
+                Ok(()) => println!("saved {path}"),
+                Err(e) => self.fail(format!("cannot write {path}: {e}")),
+            },
+            Command::Rules => print!("{}", session.show_rules()),
+            Command::Facts => print!(
+                "{}",
+                hdl_core::pretty::database(session.database(), session.symbols())
+            ),
+            Command::Lint => {
+                let lints = hdl_core::analysis::lint::lint(session.rulebase(), session.symbols());
+                if lints.is_empty() {
+                    println!("no lints");
+                }
+                for l in &lints {
                     println!(
-                        "  {name:<24} partition {part:<3} ({seg}{})",
-                        part.div_ceil(2)
+                        "  {}",
+                        hdl_core::analysis::lint::render_lint(l, session.symbols())
                     );
                 }
             }
-            Err(e) => println!("not linearly stratified: {e}"),
-        },
-        "stats" => {
-            if arg == "--json" {
-                println!("{}", repl_stats_json(session));
-            } else {
-                match session.last_stats() {
-                    Some(s) => print!("{}", render_stats(s)),
-                    None => println!("no query evaluated yet"),
+            Command::Strata => match linear_stratification(session.rulebase()) {
+                Ok(ls) => {
+                    println!("linearly stratified: {} strata", ls.num_strata());
+                    let mut parts: Vec<(String, usize, bool)> = ls
+                        .part_of
+                        .iter()
+                        .map(|(&p, &part)| {
+                            (session.symbols().name(p).to_owned(), part, ls.in_sigma(p))
+                        })
+                        .collect();
+                    parts.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
+                    for (name, part, sigma) in parts {
+                        let seg = if sigma { "Σ" } else { "Δ" };
+                        println!(
+                            "  {name:<24} partition {part:<3} ({seg}{})",
+                            part.div_ceil(2)
+                        );
+                    }
                 }
-                if let Some(m) = session.maintenance_stats() {
-                    print!("{}", render_maintenance(&m));
-                }
-            }
+                Err(e) => println!("not linearly stratified: {e}"),
+            },
+            Command::Help => print!("{}", help()),
+            _ => self.fail(unknown(Repl, line)),
         }
-        "materialize" => match session.model() {
-            Ok(model) => println!("materialized {} facts", model.len()),
-            Err(e) => eprintln!("error: {e}"),
-        },
-        other => eprintln!("unknown command :{other} (try :help)"),
     }
-    true
 }
 
 /// Renders the materialized-model maintenance counters: how mutations
@@ -1314,38 +1297,6 @@ fn render_stats(s: &hdl_core::engine::EngineStats) -> String {
         s.overlay.nodes, s.overlay.delta_facts, s.overlay.materialized_facts
     );
     out
-}
-
-/// One JSON object with every counter the REPL session has: last-query
-/// engine stats, model maintenance, recovery, and durability state.
-/// Scripted clients parse this instead of the aligned human tables.
-fn repl_stats_json(session: &DurableSession) -> Json {
-    Json::obj(vec![
-        (
-            "engine",
-            session
-                .last_stats()
-                .map_or(Json::Null, EngineStats::to_json),
-        ),
-        ("maintenance", maintenance_json(session)),
-        ("recovery", recovery_json(session)),
-        ("durable", Json::Bool(session.is_durable())),
-        ("epoch", Json::num(session.epoch() as f64)),
-    ])
-}
-
-/// The model-maintenance counters, or `null` before a model exists.
-fn maintenance_json(session: &DurableSession) -> Json {
-    session
-        .maintenance_stats()
-        .map_or(Json::Null, |m| m.to_json())
-}
-
-/// The startup recovery report, or `null` for an ephemeral session.
-fn recovery_json(session: &DurableSession) -> Json {
-    session
-        .recovery_report()
-        .map_or(Json::Null, RecoveryReport::to_json)
 }
 
 /// Crude interactivity check without adding a dependency: honour an

@@ -18,13 +18,13 @@
 //!   the process died; a process crash is not a power cut);
 //! - recovery never panics, and `:stats` reports what it restored.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::io::Write;
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
 
-const HDL: &str = env!("CARGO_BIN_EXE_hdl");
+mod common;
+
+use common::{spawn_listening, NetClient, TempDir, HDL};
 
 /// One ack line per entry: program lines and `:assume`/`:retract`/`:pop`
 /// print `ok`; `:checkpoint` prints `checkpoint <epoch>`. Interleaves
@@ -71,27 +71,6 @@ const MATRIX: &[(&str, &[u64])] = &[
     ("persist::checkpoint_write", &[1, 2, 3]),
     ("persist::checkpoint_rename", &[1, 2, 3]),
 ];
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let path = std::env::temp_dir().join(format!(
-            "hdl-crash-{}-{}",
-            std::process::id(),
-            tag.replace(':', "_")
-        ));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).unwrap();
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 struct Run {
     stdout: String,
@@ -315,101 +294,12 @@ fn spawn_listen(root: &Path, crash_at: Option<&str>) -> (Child, String) {
     let mut cmd = Command::new(HDL);
     cmd.args(["serve", "--listen", "127.0.0.1:0", "--fsync", "always"])
         .args(["--persist-root", root.to_str().unwrap()])
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
         .stderr(Stdio::null());
     match crash_at {
         Some(spec) => cmd.env("HDL_CRASH_AT", spec),
         None => cmd.env_remove("HDL_CRASH_AT"),
     };
-    let mut child = cmd.spawn().expect("spawn hdl serve --listen");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let line = lines
-        .next()
-        .expect("server prints its address")
-        .expect("read address line");
-    let addr = line
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("expected `listening on ADDR`, got: {line}"))
-        .to_owned();
-    (child, addr)
-}
-
-/// A tenant connection that tolerates the server dying under it — or
-/// being dead already by the time it connects.
-struct NetClient {
-    reader: Option<BufReader<TcpStream>>,
-    alive: bool,
-    submitted: usize,
-    acked: usize,
-}
-
-impl NetClient {
-    fn open(addr: &str, tenant: &str) -> NetClient {
-        let mut c = NetClient {
-            reader: None,
-            alive: false,
-            submitted: 0,
-            acked: 0,
-        };
-        let Ok(stream) = TcpStream::connect(addr) else {
-            return c;
-        };
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .expect("read timeout");
-        c.reader = Some(BufReader::new(stream));
-        c.alive = true;
-        let open = format!("{{\"op\":\"open\",\"tenant\":\"{tenant}\"}}\n");
-        if !c.send_raw(&open) || !c.recv().is_some_and(|r| r.contains("\"ok\":true")) {
-            c.alive = false;
-        }
-        c
-    }
-
-    fn send_raw(&mut self, data: &str) -> bool {
-        match self.reader.as_mut() {
-            Some(reader) => reader.get_mut().write_all(data.as_bytes()).is_ok(),
-            None => false,
-        }
-    }
-
-    fn recv(&mut self) -> Option<String> {
-        let reader = self.reader.as_mut()?;
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => None,
-            Ok(_) => Some(line),
-        }
-    }
-
-    /// Pipelines one window of `load` mutations for facts
-    /// `f(<tenant><from>..)` and counts acks until the socket dies.
-    /// Every written line counts as submitted whether or not it arrived
-    /// — submitted is an upper bound by construction.
-    fn burst(&mut self, tenant: &str, from: usize, len: usize) {
-        let mut window = String::new();
-        for i in from..from + len {
-            window.push_str(&format!(
-                "{{\"op\":\"load\",\"program\":\"f({tenant}x{i}).\"}}\n"
-            ));
-        }
-        self.submitted += len;
-        if !self.send_raw(&window) {
-            self.alive = false;
-            return;
-        }
-        for _ in 0..len {
-            match self.recv() {
-                Some(reply) if reply.contains("\"ok\":true") => self.acked += 1,
-                _ => {
-                    self.alive = false;
-                    return;
-                }
-            }
-        }
-    }
+    spawn_listening(&mut cmd)
 }
 
 fn run_group_commit_case(site: &str, nth: u64) {

@@ -30,33 +30,13 @@
 //! query answers, and process exits — exactly what an operator has.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-const HDL: &str = env!("CARGO_BIN_EXE_hdl");
+mod common;
 
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let path = std::env::temp_dir().join(format!(
-            "hdl-rep-{}-{}",
-            std::process::id(),
-            tag.replace(':', "_")
-        ));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).unwrap();
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use common::{spawn_listening, NetClient, TempDir, HDL};
 
 /// A serve process plus its resolved listen address.
 struct Proc {
@@ -97,24 +77,12 @@ fn spawn_serve(root: &Path, listen: &str, role: &[&str], crash_at: Option<&str>)
     cmd.args(["serve", "--listen", listen, "--fsync", "always"])
         .args(["--persist-root", root.to_str().unwrap()])
         .args(role)
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
         .stderr(Stdio::null());
     match crash_at {
         Some(spec) => cmd.env("HDL_CRASH_AT", spec),
         None => cmd.env_remove("HDL_CRASH_AT"),
     };
-    let mut child = cmd.spawn().expect("spawn hdl serve");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let line = BufReader::new(stdout)
-        .lines()
-        .next()
-        .expect("server prints its address")
-        .expect("read address line");
-    let addr = line
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("expected `listening on ADDR`, got: {line}"))
-        .to_owned();
+    let (child, addr) = spawn_listening(&mut cmd);
     Proc { child, addr }
 }
 
@@ -151,85 +119,6 @@ fn spawn_quorum_primary(
     role.push("--sync-replicas");
     role.push(&sync_s);
     spawn_serve(root, "127.0.0.1:0", &role, crash_at)
-}
-
-/// A line client that tolerates the server dying under it.
-struct NetClient {
-    reader: Option<BufReader<TcpStream>>,
-    alive: bool,
-    submitted: usize,
-    acked: usize,
-}
-
-impl NetClient {
-    fn open(addr: &str, tenant: &str) -> NetClient {
-        let mut c = NetClient {
-            reader: None,
-            alive: false,
-            submitted: 0,
-            acked: 0,
-        };
-        let Ok(stream) = TcpStream::connect(addr) else {
-            return c;
-        };
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .expect("read timeout");
-        c.reader = Some(BufReader::new(stream));
-        c.alive = true;
-        let open = format!("{{\"op\":\"open\",\"tenant\":\"{tenant}\"}}\n");
-        if !c.send_raw(&open) || !c.recv().is_some_and(|r| r.contains("\"ok\":true")) {
-            c.alive = false;
-        }
-        c
-    }
-
-    fn send_raw(&mut self, data: &str) -> bool {
-        match self.reader.as_mut() {
-            Some(reader) => reader.get_mut().write_all(data.as_bytes()).is_ok(),
-            None => false,
-        }
-    }
-
-    fn recv(&mut self) -> Option<String> {
-        let reader = self.reader.as_mut()?;
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => None,
-            Ok(_) => Some(line),
-        }
-    }
-
-    /// Sends one request line and returns the reply line.
-    fn round_trip(&mut self, line: &str) -> Option<String> {
-        if !self.send_raw(&format!("{line}\n")) {
-            return None;
-        }
-        self.recv()
-    }
-
-    /// Pipelines a window of `load` ops for facts `f(x<from>..)`,
-    /// counting submissions and acks until the socket dies.
-    fn burst(&mut self, from: usize, len: usize) {
-        let mut window = String::new();
-        for i in from..from + len {
-            window.push_str(&format!("{{\"op\":\"load\",\"program\":\"f(x{i}).\"}}\n"));
-        }
-        self.submitted += len;
-        if !self.send_raw(&window) {
-            self.alive = false;
-            return;
-        }
-        for _ in 0..len {
-            match self.recv() {
-                Some(reply) if reply.contains("\"ok\":true") => self.acked += 1,
-                _ => {
-                    self.alive = false;
-                    return;
-                }
-            }
-        }
-    }
 }
 
 /// Polls `f(x<i>)` on `addr` until it answers true (bounded); returns
@@ -297,7 +186,7 @@ fn drive(addr: &str, mut victim: Option<&mut Proc>) -> NetClient {
         if done || !c.alive || round >= 200 {
             break;
         }
-        c.burst(round * WINDOW, WINDOW);
+        c.burst("", round * WINDOW, WINDOW);
         round += 1;
         // Give the async shipper a moment between bursts so crash hits
         // land across different windows, not all coalesced into one.
@@ -816,7 +705,7 @@ fn reconnect_client_replays_across_promote() {
     // them before the link client binds.
     let mut seed = NetClient::open(&primary.addr, "t");
     assert!(seed.alive, "cannot open tenant on the primary");
-    seed.burst(0, 4);
+    seed.burst("", 0, 4);
     assert_eq!(seed.acked, 4, "seed burst not fully acked");
     drop(seed);
     assert!(

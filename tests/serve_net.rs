@@ -5,96 +5,14 @@
 //! checkpoint-on-shutdown recovery.
 
 use hdl_server::Json;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
-const HDL: &str = env!("CARGO_BIN_EXE_hdl");
+mod common;
 
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let path = std::env::temp_dir().join(format!("hdl-serve-net-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).expect("create temp dir");
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// A running `hdl serve --listen 127.0.0.1:0` child plus the address it
-/// printed. Kills the child on drop so a failed assertion cannot leak a
-/// listener.
-struct ServerProc {
-    child: Child,
-    addr: String,
-}
-
-impl ServerProc {
-    fn start(extra: &[&str]) -> ServerProc {
-        let mut cmd = Command::new(HDL);
-        cmd.arg("serve")
-            .arg("--listen")
-            .arg("127.0.0.1:0")
-            .args(extra)
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .env_remove("HDL_CRASH_AT");
-        let mut child = cmd.spawn().expect("spawn hdl serve");
-        // Port 0 support: the resolved address is the first stdout line.
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut lines = BufReader::new(stdout).lines();
-        let line = lines
-            .next()
-            .expect("server prints its address")
-            .expect("read address line");
-        let addr = line
-            .strip_prefix("listening on ")
-            .unwrap_or_else(|| panic!("expected `listening on ADDR`, got: {line}"))
-            .to_owned();
-        assert!(
-            !addr.ends_with(":0"),
-            "port 0 must resolve to a real port: {addr}"
-        );
-        ServerProc { child, addr }
-    }
-
-    /// Waits for exit and returns (status ok, stderr text).
-    fn wait(mut self) -> (bool, String) {
-        let mut stderr = String::new();
-        let status = self.child.wait().expect("wait for server");
-        if let Some(mut pipe) = self.child.stderr.take() {
-            let _ = pipe.read_to_string(&mut stderr);
-        }
-        // Disarm the drop kill: the process is already gone.
-        (status.success(), stderr)
-    }
-
-    fn sigterm(&self) {
-        let pid = self.child.id().to_string();
-        let status = Command::new("kill")
-            .args(["-TERM", &pid])
-            .status()
-            .expect("send SIGTERM");
-        assert!(status.success(), "kill -TERM failed");
-    }
-}
-
-impl Drop for ServerProc {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
+use common::{ServerProc, TempDir, HDL};
 
 struct Client {
     reader: BufReader<TcpStream>,
@@ -299,6 +217,38 @@ fn garbage_lines_get_structured_errors_and_never_panic() {
         !stderr.contains("panicked"),
         "server panicked on garbage input: {stderr}"
     );
+}
+
+/// The peak resident set (`VmHWM`) of process `pid` in KiB, read from
+/// `/proc`; `None` where that is unavailable (not Linux).
+fn vm_hwm_kib(pid: u32) -> Option<u64> {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
+/// One 4 MiB request line holding a flat array draws a `parse` reply,
+/// and the server stops parsing at the value limit instead of building
+/// the array: its peak RSS rises by well under what a parsed element
+/// per two input bytes would cost (about 18 bytes per input byte).
+#[test]
+fn flat_arrays_past_the_value_limit_are_parse_errors() {
+    let server = ServerProc::start(&[]);
+    let mut c = Client::connect(&server.addr);
+    assert_ok(&c.send("{\"op\":\"hello\"}"), "hello before");
+    let before = vm_hwm_kib(server.child.id());
+    // `[0,0,…,0]`: 4 MiB and 2 Mi elements.
+    let line = format!("[{}0]", "0,".repeat(2 * 1024 * 1024 - 1));
+    let reply = c.send(&line);
+    assert!(reply.contains("\"kind\":\"parse\""), "4 MiB array: {reply}");
+    let hello = c.send("{\"op\":\"hello\"}");
+    assert!(hello.contains("\"server\":\"hdl\""), "hello after: {hello}");
+    if let (Some(before), Some(after)) = (before, vm_hwm_kib(server.child.id())) {
+        assert!(
+            after.saturating_sub(before) < 24 * 1024,
+            "VmHWM rose from {before} kB to {after} kB"
+        );
+    }
 }
 
 /// A pipeline deeper than the server's sweep window is still answered
