@@ -6,6 +6,10 @@
 //! predicate symbol, and indexed per argument so that a premise with a
 //! bound argument probes only the tuples that carry it.
 //!
+//! Retraction leaves a tombstone in the relation's row list, and the
+//! relation compacts once tombstones outnumber live rows, so a retract
+//! costs amortised O(arity) however large the relation is.
+//!
 //! Matching tests each stored tuple slice in place
 //! ([`Bindings::match_args`]) with an inline undo trail, so a match
 //! attempt allocates nothing; only storing a new fact does.
@@ -48,16 +52,19 @@ impl MatchCounters {
 /// All facts for one predicate symbol.
 #[derive(Default, Clone, Debug)]
 struct Relation {
-    /// Tuples in insertion order (for deterministic iteration).
-    tuples: Vec<Box<[Symbol]>>,
-    /// Membership index over the same tuples: tuple hash → indices into
-    /// `tuples` (almost always one). Each tuple is stored once, and a
+    /// Rows in insertion order (for deterministic iteration). A retracted
+    /// row is a tombstone (`None`) until the next compaction.
+    rows: Vec<Option<Box<[Symbol]>>>,
+    /// Rows that are not tombstones.
+    live: usize,
+    /// Membership index over the live rows: tuple hash → indices into
+    /// `rows` (almost always one). Each tuple is stored once, and a
     /// probe by slice builds no key.
     index: FxHashMap<u64, SmallVec<u32, 1>>,
-    /// Argument-level join index: `(position, constant)` → indices into
-    /// `tuples` (in insertion order). Lets a premise with a bound
-    /// argument hash-probe its candidates instead of scanning the whole
-    /// relation.
+    /// Argument-level join index: `(position, constant)` → indices of
+    /// live rows (ascending, so in insertion order). Lets a premise with
+    /// a bound argument hash-probe its candidates instead of scanning
+    /// the whole relation.
     by_arg: FxHashMap<(u32, Symbol), Vec<u32>>,
 }
 
@@ -75,97 +82,98 @@ impl Relation {
         if self.find(key, args).is_some() {
             return false;
         }
-        let row = u32::try_from(self.tuples.len()).expect("relation overflow");
+        let row = u32::try_from(self.rows.len()).expect("relation overflow");
         self.index.entry(key).or_default().push(row);
         for (pos, &c) in args.iter().enumerate() {
             self.by_arg.entry((pos as u32, c)).or_default().push(row);
         }
-        self.tuples.push(args.into());
+        self.rows.push(Some(args.into()));
+        self.live += 1;
         true
+    }
+
+    /// The tuple of a row the indexes name (always live).
+    fn row(&self, row: u32) -> &[Symbol] {
+        self.rows[row as usize]
+            .as_deref()
+            .expect("indexes name live rows only")
     }
 
     fn find(&self, key: u64, args: &[Symbol]) -> Option<u32> {
         self.index
             .get(&key)?
             .iter()
-            .find(|&row| &self.tuples[row as usize][..] == args)
+            .find(|&row| self.row(row) == args)
     }
 
     fn contains(&self, args: &[Symbol]) -> bool {
         self.find(tuple_key(args), args).is_some()
     }
 
-    /// Removes `args`, preserving insertion order of the survivors.
+    /// The live tuples in insertion order.
+    fn tuples(&self) -> impl Iterator<Item = &[Symbol]> {
+        self.rows.iter().flatten().map(|t| &t[..])
+    }
+
+    /// Removes `args` by turning its row into a tombstone and dropping
+    /// the row from its index buckets; survivors keep their insertion
+    /// order.
     ///
-    /// Deletion is rare (interactive retraction only), so this pays one
-    /// O(|relation|) compaction + index rebuild rather than complicating
-    /// the hot insert/lookup paths with tombstones.
+    /// The relation compacts once its tombstones outnumber its live rows.
+    /// Compaction renumbers the survivors in place, so its cost is paid
+    /// for by the retractions that made the tombstones: amortised
+    /// O(arity) each.
     fn remove(&mut self, args: &[Symbol]) -> bool {
         let key = tuple_key(args);
         let Some(row) = self.find(key, args) else {
             return false;
         };
-        self.tuples.remove(row as usize);
-        // Drop the row from its bucket and renumber the rows after it;
-        // no tuple is hashed again.
-        let bucket: SmallVec<u32, 1> = self.index[&key].iter().filter(|&r| r != row).collect();
-        if bucket.is_empty() {
+        let bucket = &self.index[&key];
+        if bucket.len() == 1 {
             self.index.remove(&key);
         } else {
-            self.index.insert(key, bucket);
+            let rest = bucket.iter().filter(|&r| r != row).collect();
+            self.index.insert(key, rest);
         }
-        for rows in self.index.values_mut() {
-            for r in rows.as_mut_slice() {
-                if *r > row {
-                    *r -= 1;
-                }
+        for (pos, &c) in args.iter().enumerate() {
+            let arg = (pos as u32, c);
+            let rows = self.by_arg.get_mut(&arg).expect("live row is indexed");
+            if rows.len() == 1 {
+                self.by_arg.remove(&arg);
+            } else {
+                let at = rows.binary_search(&row).expect("live row is indexed");
+                rows.remove(at);
             }
         }
-        self.index_args();
+        self.rows[row as usize] = None;
+        self.live -= 1;
+        let dead = self.rows.len() - self.live;
+        if dead > self.live {
+            self.compact();
+        }
         true
     }
 
-    /// Removes every tuple in `gone`, compacting and rebuilding the
-    /// indexes once — the batch counterpart of [`Relation::remove`] for
-    /// deletion cascades (e.g. the overdeletion phase of incremental
-    /// maintenance), where per-fact compaction would cost O(|relation|)
-    /// per removed tuple.
-    fn remove_many(&mut self, gone: &FxHashSet<&[Symbol]>) -> usize {
-        let before = self.tuples.len();
-        self.tuples.retain(|t| !gone.contains(&t[..]));
-        let removed = before - self.tuples.len();
-        if removed > 0 {
-            self.reindex();
+    /// Drops the tombstones and renumbers the rows the indexes hold; no
+    /// tuple is hashed again.
+    fn compact(&mut self) {
+        let mut renumbered = Vec::with_capacity(self.rows.len());
+        let mut next = 0u32;
+        for row in &self.rows {
+            renumbered.push(next);
+            next += u32::from(row.is_some());
         }
-        removed
-    }
-
-    /// Rebuilds both indexes from `tuples`.
-    fn reindex(&mut self) {
-        self.index.clear();
-        for (row, tuple) in self.tuples.iter().enumerate() {
-            self.index
-                .entry(tuple_key(tuple))
-                .or_default()
-                .push(row as u32);
-        }
-        self.index_args();
-    }
-
-    /// Rebuilds the argument index from `tuples`.
-    fn index_args(&mut self) {
-        self.by_arg.clear();
-        for (row, tuple) in self.tuples.iter().enumerate() {
-            for (pos, &c) in tuple.iter().enumerate() {
-                self.by_arg
-                    .entry((pos as u32, c))
-                    .or_default()
-                    .push(row as u32);
+        self.rows.retain(Option::is_some);
+        let buckets = self.index.values_mut().map(|b| b.as_mut_slice());
+        for rows in buckets.chain(self.by_arg.values_mut().map(|b| b.as_mut_slice())) {
+            for r in rows {
+                *r = renumbered[*r as usize];
             }
         }
     }
 
-    /// Tuple indices whose argument `pos` equals `c`, in insertion order.
+    /// Live row indices whose argument `pos` equals `c`, in insertion
+    /// order.
     fn rows_bound(&self, pos: u32, c: Symbol) -> &[u32] {
         self.by_arg.get(&(pos, c)).map_or(&[][..], |v| v.as_slice())
     }
@@ -231,7 +239,8 @@ impl Database {
     /// Removes `fact`; returns `true` if it was present.
     ///
     /// Survivors keep their relative insertion order, so iteration stays
-    /// deterministic after a retraction.
+    /// deterministic after a retraction. The cost is amortised O(arity),
+    /// whatever the relation's size (see `Relation::remove`).
     pub fn remove(&mut self, fact: &GroundAtom) -> bool {
         let Some(rel) = self.rels.get_mut(&fact.pred) else {
             return false;
@@ -244,24 +253,8 @@ impl Database {
     }
 
     /// Removes every fact in `facts`, returning how many were present.
-    ///
-    /// Each touched relation is compacted and reindexed once, so a
-    /// deletion cascade of `k` facts costs one rebuild per relation
-    /// instead of `k` — use this over repeated [`Database::remove`]
-    /// whenever the removal set is known up front.
     pub fn remove_all<'a>(&mut self, facts: impl IntoIterator<Item = &'a GroundAtom>) -> usize {
-        let mut by_pred: FxHashMap<Symbol, FxHashSet<&[Symbol]>> = FxHashMap::default();
-        for f in facts {
-            by_pred.entry(f.pred).or_default().insert(&f.args);
-        }
-        let mut removed = 0;
-        for (pred, gone) in &by_pred {
-            if let Some(rel) = self.rels.get_mut(pred) {
-                removed += rel.remove_many(gone);
-            }
-        }
-        self.len -= removed;
-        removed
+        facts.into_iter().filter(|f| self.remove(f)).count()
     }
 
     /// Whether `fact` is present.
@@ -288,15 +281,12 @@ impl Database {
 
     /// Number of tuples stored for `pred`.
     pub fn count(&self, pred: Symbol) -> usize {
-        self.rels.get(&pred).map_or(0, |r| r.tuples.len())
+        self.rels.get(&pred).map_or(0, |r| r.live)
     }
 
     /// Iterates over the tuples of `pred` in insertion order.
     pub fn tuples(&self, pred: Symbol) -> impl Iterator<Item = &[Symbol]> {
-        self.rels
-            .get(&pred)
-            .into_iter()
-            .flat_map(|r| r.tuples.iter().map(|t| &t[..]))
+        self.rels.get(&pred).into_iter().flat_map(Relation::tuples)
     }
 
     /// Iterates over all facts as `(pred, tuple)` pairs.
@@ -306,7 +296,7 @@ impl Database {
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &[Symbol])> {
         self.rels
             .iter()
-            .flat_map(|(&p, r)| r.tuples.iter().map(move |t| (p, &t[..])))
+            .flat_map(|(&p, r)| r.tuples().map(move |t| (p, t)))
     }
 
     /// Iterates over all facts as owned [`GroundAtom`]s.
@@ -319,7 +309,7 @@ impl Database {
     pub fn predicates(&self) -> impl Iterator<Item = Symbol> + '_ {
         self.rels
             .iter()
-            .filter(|(_, r)| !r.tuples.is_empty())
+            .filter(|(_, r)| r.live > 0)
             .map(|(&p, _)| p)
     }
 
@@ -395,14 +385,14 @@ impl Database {
         match rows {
             Some(rows) => {
                 for &row in rows {
-                    if visit(&rel.tuples[row as usize], counters, bindings) {
+                    if visit(rel.row(row), counters, bindings) {
                         return true;
                     }
                 }
                 false
             }
             None => {
-                for tuple in &rel.tuples {
+                for tuple in rel.tuples() {
                     if visit(tuple, counters, bindings) {
                         return true;
                     }
@@ -506,7 +496,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_all_batches_per_relation() {
+    fn remove_all_counts_present_facts() {
         let mut db = Database::new();
         db.insert(fact(0, &[1, 10]));
         db.insert(fact(0, &[2, 20]));
@@ -531,6 +521,51 @@ mod tests {
             false
         });
         assert_eq!(seen, vec![10]);
+    }
+
+    #[test]
+    fn tombstones_are_invisible_and_compact_away() {
+        let mut db = Database::new();
+        for i in 0..10 {
+            db.insert(fact(0, &[i, i % 2]));
+        }
+        // Five tombstones against five live rows: no compaction yet.
+        for i in [1, 2, 4, 6, 9] {
+            assert!(db.remove(&fact(0, &[i, i % 2])));
+        }
+        assert_eq!(db.rels[&s(0)].rows.len(), 10);
+        assert_eq!(db.count(s(0)), 5);
+        let live: Vec<u32> = db.tuples(s(0)).map(|t| t[0].0).collect();
+        assert_eq!(live, vec![0, 3, 5, 7, 8]);
+        // A scan skips tombstones without counting them as attempts.
+        let pattern = Atom::new(s(0), vec![Term::Var(Var(0)), Term::Const(s(1))]);
+        let scan = Atom::new(s(0), vec![Term::Var(Var(0)), Term::Var(Var(1))]);
+        let mut b = Bindings::new(2);
+        let mut counters = MatchCounters::default();
+        db.for_each_match_counted(&scan, &mut b, &mut counters, |_| false);
+        assert_eq!(counters.attempts, 5);
+        // The sixth retraction tips the balance and compacts.
+        assert!(db.remove(&fact(0, &[3, 1])));
+        assert_eq!(db.rels[&s(0)].rows.len(), 4);
+        let mut seen = Vec::new();
+        db.for_each_match(&pattern, &mut b, |bb| {
+            seen.push(bb.get(Var(0)).unwrap().0);
+            false
+        });
+        assert_eq!(seen, vec![5, 7], "renumbered argument index");
+        assert!(
+            db.contains(&fact(0, &[8, 0])),
+            "renumbered membership index"
+        );
+        assert!(db.insert(fact(0, &[3, 1])));
+        let order: Vec<u32> = db.tuples(s(0)).map(|t| t[0].0).collect();
+        assert_eq!(order, vec![0, 5, 7, 8, 3]);
+        for i in [0, 5, 7, 8, 3] {
+            assert!(db.remove(&fact(0, &[i, i % 2])));
+        }
+        assert!(db.is_empty());
+        assert_eq!(db.predicates().count(), 0);
+        assert!(db.rels[&s(0)].rows.is_empty());
     }
 
     #[test]

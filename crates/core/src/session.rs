@@ -9,6 +9,12 @@
 //! or publish a [`Session::snapshot`] and drive it through the
 //! `hdl-service` concurrent query service.
 //!
+//! On the write path, a [`Session::retract_fact`] costs amortised
+//! O(arity) however large its relation is (the row becomes a tombstone;
+//! see [`Database::remove`]), and a snapshot shares the symbol table
+//! instead of copying it. The snapshot still copies the rulebase and the
+//! database.
+//!
 //! ```
 //! use hdl_core::session::Session;
 //!
@@ -195,6 +201,10 @@ impl Session {
     /// Publishes the current program + database as an immutable,
     /// epoch-stamped [`Snapshot`] that worker threads can share. Later
     /// `load`s do not affect already-published snapshots.
+    ///
+    /// The snapshot shares the symbol table (a clone copies no name, see
+    /// [`SymbolTable`]) and copies the rulebase, the effective database
+    /// and a materialized model.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         Snapshot::with_model(
             self.symbols.clone(),

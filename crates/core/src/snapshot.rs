@@ -14,6 +14,12 @@
 //! the frozen table, which keeps every symbol the snapshot mentions
 //! stable across threads (the `Send + Sync` audit in `hdl-base`
 //! guarantees sharing is safe).
+//!
+//! What a snapshot shares and what it copies: the symbol table is a
+//! persistent value, so the snapshot and every worker extension share
+//! the session's frozen name chunks and index levels and copy no name.
+//! The rulebase and the database (and a materialized model) are still
+//! copied, in time linear in their size.
 
 use crate::ast::Rulebase;
 use hdl_base::{Database, SymbolTable};

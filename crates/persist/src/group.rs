@@ -90,6 +90,16 @@ struct Submission {
 struct QueueState {
     pending: Vec<Submission>,
     shutdown: bool,
+    /// Submissions the next batch waits for; 0 outside tests (see
+    /// `GroupCommitter::hold_next_batch`).
+    hold_for: usize,
+}
+
+impl QueueState {
+    /// Whether the committer has nothing to drain yet.
+    fn idle(&self) -> bool {
+        (self.pending.is_empty() || self.pending.len() < self.hold_for) && !self.shutdown
+    }
 }
 
 struct Inner {
@@ -152,6 +162,7 @@ impl GroupCommitter {
             queue: Mutex::new(QueueState {
                 pending: Vec::new(),
                 shutdown: false,
+                hold_for: 0,
             }),
             nonempty: Condvar::new(),
             batches: AtomicU64::new(0),
@@ -205,6 +216,15 @@ impl GroupCommitter {
         CommitTicket { rx }
     }
 
+    /// Holds the committer's next batch open until `submissions` record
+    /// groups are queued (or shutdown begins), so a test can force
+    /// concurrent commits into one fsync pass. Later batches drain as
+    /// usual.
+    #[cfg(any(test, feature = "test-hooks"))]
+    pub fn hold_next_batch(&self, submissions: usize) {
+        lock_recover(&self.inner.queue).hold_for = submissions;
+    }
+
     /// A point-in-time view of the batching counters.
     pub fn stats(&self) -> GroupCommitStats {
         GroupCommitStats {
@@ -239,7 +259,7 @@ fn committer_loop(inner: &Inner) {
     loop {
         let batch = {
             let mut q = lock_recover(&inner.queue);
-            while q.pending.is_empty() && !q.shutdown {
+            while q.idle() {
                 q = inner
                     .nonempty
                     .wait(q)
@@ -248,6 +268,7 @@ fn committer_loop(inner: &Inner) {
             if q.pending.is_empty() {
                 return; // shutdown with nothing left to drain
             }
+            q.hold_for = 0;
             std::mem::take(&mut q.pending)
         };
         commit_batch(inner, batch);

@@ -57,8 +57,7 @@ impl SessionObserver for WalObserver {
         let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(2);
         if symbols.len() > guard.synced {
             let names: Vec<&str> = symbols
-                .iter()
-                .skip(guard.synced)
+                .iter_from(guard.synced)
                 .map(|(_, name)| name)
                 .collect();
             payloads.push(encode_symbols_record(&names));

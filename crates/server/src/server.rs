@@ -26,9 +26,11 @@ use hdl_base::Json;
 use hdl_core::session::EngineKind;
 use hdl_persist::{FsyncPolicy, GroupCommitter};
 use hdl_service::QueryRequest;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -405,13 +407,6 @@ fn build_request(
 /// [`Tenant::apply_batch`] and the reply burst written back.
 const PIPELINE_WINDOW: usize = 256;
 
-/// A line reader that can *drain* without blocking: [`next_line`]
-/// (Self::next_line) blocks for the next request like `BufReader::lines`
-/// would, but [`buffered_line`](Self::buffered_line) only yields lines
-/// the client has already sent (topping the buffer up with one
-/// nonblocking read). That distinction is what turns a pipelining client
-/// into deep mutation windows: the handler blocks for the first request
-/// of a pass, then sweeps in every request already queued behind it.
 /// Hard ceiling on one request line. Replication checkpoint transfers
 /// are the biggest legitimate lines (base64 of a whole tenant image);
 /// everything else is orders of magnitude smaller. Beyond this, the
@@ -419,6 +414,22 @@ const PIPELINE_WINDOW: usize = 256;
 /// connection gets a structured `protocol` error and the boot.
 pub(crate) const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
 
+/// Read-buffer capacity a connection may keep between windows. A longer
+/// line grows the buffer past it; once that line is consumed the buffer
+/// shrinks to the bytes still pending, so one big request does not pin
+/// its size in memory for the life of the connection.
+const KEEP_BUFFER_BYTES: usize = 1024 * 1024;
+
+/// A line reader that can *drain* without blocking: [`next_line`]
+/// (Self::next_line) blocks for the next request like `BufReader::lines`
+/// would, but [`buffered_line`](Self::buffered_line) only yields lines
+/// the client has already sent (topping the buffer up with one
+/// nonblocking read). That distinction is what turns a pipelining client
+/// into deep mutation windows: the handler blocks for the first request
+/// of a pass, then sweeps in every request already queued behind it.
+///
+/// Lines are handed out as byte ranges of the read buffer and parsed in
+/// place, so a request line is never copied before it is parsed.
 struct LineReader {
     stream: TcpStream,
     buf: Vec<u8>,
@@ -440,8 +451,27 @@ impl LineReader {
         }
     }
 
+    /// Drops the lines already handed out, and the buffer capacity above
+    /// [`KEEP_BUFFER_BYTES`]. Ranges from earlier calls are invalid
+    /// afterwards, so the handler calls this between windows only.
+    fn discard_consumed(&mut self) {
+        self.buf.drain(..self.start);
+        self.scanned -= self.start;
+        self.start = 0;
+        if self.buf.capacity() > KEEP_BUFFER_BYTES {
+            self.buf.shrink_to_fit();
+        }
+    }
+
+    /// The text of a line handed out since the last
+    /// [`discard_consumed`](Self::discard_consumed): a slice of the read
+    /// buffer, copied only if it is not valid UTF-8.
+    fn line(&self, range: Range<usize>) -> Cow<'_, str> {
+        String::from_utf8_lossy(&self.buf[range])
+    }
+
     /// The next complete line, blocking for it; `None` on EOF.
-    fn next_line(&mut self) -> io::Result<Option<String>> {
+    fn next_line(&mut self) -> io::Result<Option<Range<usize>>> {
         loop {
             if let Some(line) = self.take_buffered_line() {
                 return Ok(Some(line));
@@ -455,7 +485,7 @@ impl LineReader {
     /// A complete line the client has already sent, or `None` — never
     /// blocks. One nonblocking read tops the buffer up first so a burst
     /// that landed in the socket since the last pass is included.
-    fn buffered_line(&mut self) -> Option<String> {
+    fn buffered_line(&mut self) -> Option<Range<usize>> {
         if let Some(line) = self.take_buffered_line() {
             return Some(line);
         }
@@ -463,21 +493,16 @@ impl LineReader {
         self.take_buffered_line()
     }
 
-    fn take_buffered_line(&mut self) -> Option<String> {
+    fn take_buffered_line(&mut self) -> Option<Range<usize>> {
         let from = self.scanned.max(self.start);
         let Some(off) = self.buf[from..].iter().position(|&b| b == b'\n') else {
             self.scanned = self.buf.len();
             return None;
         };
         let nl = from + off;
-        let line = String::from_utf8_lossy(&self.buf[self.start..nl]).into_owned();
+        let line = self.start..nl;
         self.start = nl + 1;
         self.scanned = self.start;
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-            self.scanned = 0;
-        }
         Some(line)
     }
 
@@ -487,11 +512,6 @@ impl LineReader {
     /// description), so it is always restored before returning and
     /// nothing writes concurrently with a fill.
     fn fill(&mut self, blocking: bool) -> io::Result<bool> {
-        if self.start > 0 && self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-            self.scanned = 0;
-        }
         // `fill` only runs when the pending bytes hold no complete line
         // (both callers drain complete lines first), so the pending
         // region is one partial line and this bound is exact.
@@ -908,6 +928,7 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> io::Result<()> {
     // Block for one request, then sweep in whatever the client has
     // already pipelined behind it (bounded by the window).
     'conn: loop {
+        reader.discard_consumed();
         let first = match reader.next_line() {
             Ok(Some(line)) => line,
             Ok(None) => break,
@@ -931,8 +952,9 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> io::Result<()> {
         }
         let parsed: Vec<Result<(Request, Option<u64>), String>> = lines
             .iter()
+            .map(|range| reader.line(range.clone()))
             .filter(|l| !l.trim().is_empty())
-            .map(|l| Request::parse(l).map_err(|m| m.to_string()))
+            .map(|l| Request::parse(&l).map_err(|m| m.to_string()))
             .collect();
         let mut replies = String::new();
         let mut close = false;

@@ -376,9 +376,10 @@ impl Tenant {
     /// op is durable under the tenant's fsync policy.
     ///
     /// This is what makes deep group-commit batches affordable on the
-    /// server: the per-mutation costs that dominate a pipelined
-    /// connection (the O(db) snapshot clone and the publish) are paid
-    /// once per window, the same way the committer amortizes the fsync.
+    /// server: the per-window costs of a pipelined connection (the
+    /// snapshot, which copies the database and rulebase and shares the
+    /// symbol table, and the publish) are paid once per window, the same
+    /// way the committer amortizes the fsync.
     pub fn apply_batch(&self, ops: &[BatchOp<'_>]) -> BatchOutcome {
         if ops.is_empty() {
             return BatchOutcome {
@@ -431,9 +432,9 @@ impl Tenant {
         match op {
             BatchOp::Load(program) => {
                 if let Some(cap) = self.quotas.max_base_facts {
-                    // Count the incoming facts against a scratch symbol
-                    // table: the real parse happens only once admission
-                    // passes.
+                    // Count the incoming facts against a scratch clone of
+                    // the symbol table (it shares the session's names):
+                    // the real parse happens only once admission passes.
                     let mut scratch = session.symbols().clone();
                     let rb = parse_program(program, &mut scratch)
                         .map_err(|e| TenantError::new("query", e.to_string()))?;
@@ -821,6 +822,10 @@ mod tests {
         };
         let registry = Registry::new(config.clone());
         let t = registry.open("t").unwrap();
+        // Each writer's first commit waits in one batch until all eight
+        // are queued, so the overlap the assertion below needs is forced
+        // rather than left to scheduling.
+        committer.hold_next_batch(8);
         std::thread::scope(|scope| {
             for c in 0..8 {
                 let t = Arc::clone(&t);

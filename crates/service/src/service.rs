@@ -462,8 +462,9 @@ fn worker_loop(shared: &Shared, widx: usize) {
         };
         // Pin this scope to the job's snapshot. Workers intern
         // query-only constants into a private extension of the frozen
-        // symbol table; the engines borrow the snapshot's rulebase, so
-        // they are declared after `snap` (dropped before it).
+        // symbol table (a clone that shares its names); the engines
+        // borrow the snapshot's rulebase, so they are declared after
+        // `snap` (dropped before it).
         let snap = Arc::clone(&first.snapshot);
         let mut symbols = snap.symbols().clone();
         let mut engines = EngineSlots::default();

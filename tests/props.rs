@@ -1570,3 +1570,199 @@ mod magic_equivalence {
         );
     }
 }
+
+/// The committed write path: a `Database` with tombstoned retraction
+/// against a plain insertion-ordered model, and `SymbolTable` clones
+/// against the prefix they were taken at.
+mod write_path {
+    use hdl_base::{Atom, Bindings, Database, MatchCounters, Symbol, SymbolTable, Term, Var};
+    use proptest::prelude::*;
+
+    /// One step against a database: `(kind, pred, args)`. Kinds 0–3
+    /// insert, 4–6 remove, 7 `contains`, 8 a counted match and 9
+    /// `tuples`. For a match, an arg below `CONSTS` is that constant and
+    /// `CONSTS + i` is variable `i`.
+    type Step = (u8, u8, Vec<u8>);
+
+    const CONSTS: u8 = 4;
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        // Two binary predicates over four constants hold at most 16
+        // tuples each, so a relation's tombstones outnumber its live
+        // rows within its first 17 successful removes: 300 steps at
+        // 3-in-10 removes cross the compaction threshold many times.
+        let step = (
+            0u8..10,
+            0u8..2,
+            proptest::collection::vec(0u8..CONSTS + 2, 2),
+        );
+        proptest::collection::vec(step, 100..=300)
+    }
+
+    fn sym(c: u8) -> Symbol {
+        Symbol(u32::from(c))
+    }
+
+    fn pred(p: u8) -> Symbol {
+        Symbol(100 + u32::from(p))
+    }
+
+    /// The model's answer to a counted match: the matches' bindings in
+    /// insertion order, and the counters the indexed scan must report.
+    /// A predicate never inserted has no relation to probe.
+    fn model_match(
+        rows: &[Vec<u8>],
+        ever_inserted: bool,
+        args: &[u8],
+    ) -> (Vec<[Option<u8>; 2]>, MatchCounters) {
+        let bound = args.iter().position(|&a| a < CONSTS);
+        if !ever_inserted {
+            return (Vec::new(), MatchCounters::default());
+        }
+        let candidates: Vec<&Vec<u8>> = rows
+            .iter()
+            .filter(|r| bound.is_none_or(|i| r[i] == args[i]))
+            .collect();
+        let counters = MatchCounters {
+            probes: u64::from(bound.is_some()),
+            hits: u64::from(bound.is_some() && !candidates.is_empty()),
+            attempts: candidates.len() as u64,
+        };
+        let mut matches = Vec::new();
+        for row in candidates {
+            let mut vars = [None; 2];
+            let fits = args.iter().zip(row).all(|(&a, &c)| {
+                if a < CONSTS {
+                    return a == c;
+                }
+                let slot = &mut vars[usize::from(a - CONSTS)];
+                *slot.get_or_insert(c) == c
+            });
+            if fits {
+                matches.push(vars);
+            }
+        }
+        (matches, counters)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn database_agrees_with_an_ordered_model(steps in steps()) {
+            let mut db = Database::new();
+            // Per predicate, the live tuples in insertion order.
+            let mut model: [Vec<Vec<u8>>; 2] = Default::default();
+            let mut ever_inserted = [false; 2];
+            for (kind, p, args) in &steps {
+                let rows = &mut model[usize::from(*p)];
+                let tuple: Vec<u8> = args.iter().map(|a| a % CONSTS).collect();
+                let syms: Vec<Symbol> = tuple.iter().map(|&c| sym(c)).collect();
+                let at = rows.iter().position(|r| *r == tuple);
+                match kind {
+                    0..=3 => {
+                        prop_assert_eq!(db.insert_tuple(pred(*p), &syms), at.is_none());
+                        if at.is_none() {
+                            rows.push(tuple);
+                        }
+                        ever_inserted[usize::from(*p)] = true;
+                    }
+                    4..=6 => {
+                        let fact = hdl_base::GroundAtom::new(pred(*p), syms);
+                        prop_assert_eq!(db.remove(&fact), at.is_some());
+                        if let Some(i) = at {
+                            rows.remove(i);
+                        }
+                    }
+                    7 => prop_assert_eq!(db.contains_tuple(pred(*p), &syms), at.is_some()),
+                    8 => {
+                        let terms = args
+                            .iter()
+                            .map(|&a| match a {
+                                a if a < CONSTS => Term::Const(sym(a)),
+                                a => Term::Var(Var(u32::from(a - CONSTS))),
+                            })
+                            .collect();
+                        let pattern = Atom::new(pred(*p), terms);
+                        let mut b = Bindings::new(2);
+                        let mut counters = MatchCounters::default();
+                        let mut seen = Vec::new();
+                        db.for_each_match_counted(&pattern, &mut b, &mut counters, |bb| {
+                            let var = |i| bb.get(Var(i)).map(|s: Symbol| s.0 as u8);
+                            seen.push([var(0), var(1)]);
+                            false
+                        });
+                        let (want, want_counters) =
+                            model_match(rows, ever_inserted[usize::from(*p)], args);
+                        prop_assert_eq!(seen, want);
+                        prop_assert_eq!(counters, want_counters);
+                    }
+                    _ => {
+                        let got: Vec<Vec<u8>> = db
+                            .tuples(pred(*p))
+                            .map(|t| t.iter().map(|s| s.0 as u8).collect())
+                            .collect();
+                        prop_assert_eq!(&got, rows);
+                    }
+                }
+                prop_assert_eq!(db.count(pred(*p)), model[usize::from(*p)].len());
+                prop_assert_eq!(db.len(), model[0].len() + model[1].len());
+            }
+            let mut live: Vec<Symbol> = db.predicates().collect();
+            live.sort();
+            let want: Vec<Symbol> = (0..2).filter(|&p| !model[usize::from(p)].is_empty()).map(pred).collect();
+            prop_assert_eq!(live, want);
+        }
+
+        #[test]
+        fn symbol_table_clones_keep_their_prefix(
+            base in proptest::collection::vec(0u16..400, 0..300),
+            more in proptest::collection::vec(0u16..400, 0..200),
+            a_only in proptest::collection::vec(0u16..100, 1..100),
+            b_only in proptest::collection::vec(0u16..100, 1..100),
+        ) {
+            let mut table = SymbolTable::new();
+            for i in &base {
+                table.intern(&format!("s{i}"));
+            }
+            let prefix: Vec<String> = table.iter().map(|(_, n)| n.to_owned()).collect();
+            let snapshot = table.clone();
+            for i in &more {
+                table.intern(&format!("s{i}"));
+            }
+            // The snapshot resolves exactly its own prefix.
+            prop_assert_eq!(snapshot.len(), prefix.len());
+            for (id, name) in prefix.iter().enumerate() {
+                prop_assert_eq!(snapshot.name(Symbol(id as u32)), name.as_str());
+                prop_assert_eq!(snapshot.lookup(name), Some(Symbol(id as u32)));
+                prop_assert_eq!(table.name(Symbol(id as u32)), name.as_str());
+            }
+            for i in &more {
+                let name = format!("s{i}");
+                let known = prefix.contains(&name);
+                prop_assert_eq!(snapshot.lookup(&name).is_some(), known);
+            }
+            // Two clones of one table intern disjoint names privately.
+            let (mut a, mut b) = (table.clone(), table.clone());
+            let n = table.len();
+            for i in &a_only {
+                a.intern(&format!("a{i}"));
+            }
+            for i in &b_only {
+                b.intern(&format!("b{i}"));
+            }
+            prop_assert_eq!(table.len(), n);
+            for (s, name) in a.iter_from(n) {
+                prop_assert!(name.starts_with('a'));
+                prop_assert_eq!(b.lookup(name), None);
+                prop_assert_eq!(a.lookup(name), Some(s));
+                prop_assert_ne!(b.iter_from(n).find(|&(t, _)| t == s).map(|(_, m)| m), Some(name));
+            }
+            for (s, name) in b.iter_from(n) {
+                prop_assert!(name.starts_with('b'));
+                prop_assert_eq!(a.lookup(name), None);
+                prop_assert_eq!(b.name(s), name);
+            }
+        }
+    }
+}

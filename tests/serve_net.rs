@@ -219,12 +219,17 @@ fn garbage_lines_get_structured_errors_and_never_panic() {
     );
 }
 
-/// The peak resident set (`VmHWM`) of process `pid` in KiB, read from
-/// `/proc`; `None` where that is unavailable (not Linux).
-fn vm_hwm_kib(pid: u32) -> Option<u64> {
+/// A memory field of process `pid` in KiB (`VmHWM:` is the peak resident
+/// set, `VmRSS:` the current one), read from `/proc`; `None` where that
+/// is unavailable (not Linux).
+fn proc_status_kib(pid: u32, field: &str) -> Option<u64> {
     let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
-    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let line = status.lines().find_map(|l| l.strip_prefix(field))?;
     line.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
+fn vm_hwm_kib(pid: u32) -> Option<u64> {
+    proc_status_kib(pid, "VmHWM:")
 }
 
 /// One 4 MiB request line holding a flat array draws a `parse` reply,
@@ -249,6 +254,44 @@ fn flat_arrays_past_the_value_limit_are_parse_errors() {
             "VmHWM rose from {before} kB to {after} kB"
         );
     }
+}
+
+/// One 16 MiB `load` line is parsed where it lies in the server's read
+/// buffer: the server's peak resident set rises by less than 1.25× the
+/// line (a copy of the line would double it). Once the line is consumed
+/// the buffer gives its memory back, while the connection stays open.
+#[test]
+fn a_long_line_is_parsed_in_place_and_its_buffer_released() {
+    let server = ServerProc::start(&[]);
+    let pid = server.child.id();
+    let mut c = Client::connect(&server.addr);
+    assert_ok(&c.send("{\"op\":\"open\",\"tenant\":\"long\"}"), "open");
+    assert_ok(
+        &c.send("{\"op\":\"load\",\"program\":\"small(x).\"}"),
+        "small load",
+    );
+    let Some(idle) = proc_status_kib(pid, "VmRSS:") else {
+        return;
+    };
+    // A legal request whose bulk is whitespace between its fields, so
+    // the line's size is all the server has to hold.
+    let pad = " ".repeat(16 * 1024 * 1024);
+    let line = format!("{{\"op\":\"load\",{pad}\"program\":\"long(x).\"}}");
+    assert_ok(&c.send(&line), "16 MiB load");
+    let hwm = vm_hwm_kib(pid).expect("VmHWM");
+    let rise = hwm.saturating_sub(idle) * 1024;
+    assert!(
+        rise < line.len() as u64 * 5 / 4,
+        "a {} B line raised VmHWM from {idle} kB (idle VmRSS) to {hwm} kB",
+        line.len()
+    );
+    let reply = c.send("{\"op\":\"query\",\"q\":\"long(x)\"}");
+    assert!(reply.contains("\"result\":\"true\""), "query: {reply}");
+    let rss = proc_status_kib(pid, "VmRSS:").expect("VmRSS");
+    assert!(
+        rss <= idle + 4 * 1024,
+        "VmRSS {rss} kB after the long line, {idle} kB idle before it"
+    );
 }
 
 /// A pipeline deeper than the server's sweep window is still answered
