@@ -35,6 +35,12 @@ pub enum Error {
     },
     /// A query or rule violated a structural requirement.
     Invalid(String),
+    /// Text given where ground facts were expected (`:assume`,
+    /// `:retract`) is not a list of ground facts; the message says why.
+    NotGroundFacts(String),
+    /// A mutation that does not fit its op: a retract of more than one
+    /// fact, or a pop with no assumption frame stacked.
+    Protocol(String),
     /// An engine hit a configured resource limit.
     LimitExceeded {
         /// Which limit (e.g. "goal expansions").
@@ -93,6 +99,7 @@ impl fmt::Display for Error {
                 write!(f, "program is not linearly stratified: {reason}")
             }
             Error::Invalid(msg) => write!(f, "invalid program: {msg}"),
+            Error::NotGroundFacts(msg) | Error::Protocol(msg) => f.write_str(msg),
             Error::LimitExceeded { what, limit } => {
                 write!(f, "evaluation limit exceeded: {what} > {limit}")
             }

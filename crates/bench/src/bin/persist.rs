@@ -27,6 +27,7 @@
 use hdl_base::GroundAtom;
 use hdl_bench::workloads::{hamiltonian_reach_program, random_digraph};
 use hdl_core::session::Session;
+use hdl_core::Op;
 use hdl_encodings::qbf::build::{n as qn, p as qp};
 use hdl_encodings::qbf::{encode_qbf, Qbf, Quant};
 use hdl_persist::{DurableSession, FsyncPolicy};
@@ -77,8 +78,16 @@ fn load_workload(
     let rules: Vec<_> = rb.iter().cloned().collect();
     let facts: Vec<GroundAtom> = db.iter_facts().collect();
     session
-        .apply_program(rules, facts)
+        .apply(Op::Program { rules, facts })
         .expect("workload applies");
+}
+
+/// The op that asserts one fact.
+fn fact_op(fact: GroundAtom) -> Op {
+    Op::Program {
+        rules: Vec::new(),
+        facts: vec![fact],
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -103,7 +112,7 @@ fn bench_wal(policy: FsyncPolicy, label: &'static str, mutations: usize) -> WalR
     for i in 0..mutations {
         let c = session.symbols_mut().intern(&format!("c{i}"));
         session
-            .assert_fact(GroundAtom::new(pred, vec![c]))
+            .apply(fact_op(GroundAtom::new(pred, vec![c])))
             .expect("assert");
     }
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -139,7 +148,10 @@ fn bench_checkpoint(depth: usize, base_facts: usize, frame_facts: usize) -> Ckpt
         .collect();
     for i in 0..base_facts {
         session
-            .assert_fact(GroundAtom::new(edge, vec![consts[i], consts[i + 1]]))
+            .apply(fact_op(GroundAtom::new(
+                edge,
+                vec![consts[i], consts[i + 1]],
+            )))
             .expect("assert");
     }
     for d in 0..depth {
@@ -147,7 +159,7 @@ fn bench_checkpoint(depth: usize, base_facts: usize, frame_facts: usize) -> Ckpt
         let frame: Vec<_> = (lo..lo + frame_facts)
             .map(|i| GroundAtom::new(edge, vec![consts[i], consts[i + 1]]))
             .collect();
-        session.assume(frame).expect("assume");
+        session.apply(Op::Assume(frame)).expect("assume");
     }
 
     let start = Instant::now();

@@ -11,6 +11,8 @@
 //!
 //! - [`ast`] — premises, rules (Definitions 1–2), rulebases;
 //! - [`parser`] — a Prolog-flavoured concrete syntax with `[add: …]`;
+//! - [`op`] — the one mutation type a [`Session`] applies and its
+//!   write-ahead log records;
 //! - [`pretty`] — printing back to that syntax;
 //! - [`analysis`] — mutual-recursion classes, Definition 8 linearity, the
 //!   Lemma 1 decision procedure and relaxation algorithm producing
@@ -38,6 +40,7 @@ pub mod analysis;
 pub mod ast;
 pub mod engine;
 pub mod maintain;
+pub mod op;
 pub mod parser;
 pub mod pretty;
 pub mod session;
@@ -51,7 +54,8 @@ pub use engine::{
     BottomUpEngine, Budget, CancelToken, MemoryLimits, NaiveEngine, ProveEngine, TopDownEngine,
 };
 pub use maintain::{MaintenanceStats, MaterializedModel};
+pub use op::{Applied, Op, OpText};
 pub use parser::{parse_ground_facts, parse_program, parse_query, split_facts};
-pub use session::{Mutation, Session, SessionObserver};
+pub use session::{Session, SessionObserver};
 pub use snapshot::Snapshot;
 pub use stack::call_with_deep_stack;

@@ -9,6 +9,13 @@
 //! or publish a [`Session::snapshot`] and drive it through the
 //! `hdl-service` concurrent query service.
 //!
+//! Every mutation is one [`Op`]: a front door parses its [`OpText`]
+//! with [`Session::parse_op`], which refuses a load that would leave the
+//! rulebase unstratified, and [`Session::apply`] checks arities, offers
+//! the op to the write-ahead [`SessionObserver`] and commits it
+//! ([`Session::apply_text`] does both). WAL replay calls `apply` on the
+//! logged op directly.
+//!
 //! On the write path, a [`Session::retract_fact`] costs amortised
 //! O(arity) however large its relation is (the row becomes a tombstone;
 //! see [`Database::remove`]), and a snapshot shares the symbol table
@@ -27,12 +34,14 @@
 //! assert!(!s.ask("?- grad(tony).").unwrap());
 //! ```
 
+use crate::analysis::stratify::global_negation_strata;
 use crate::ast::{HypRule, Premise, Rulebase};
 use crate::engine::{
     model_answers, model_holds, render_rows, Budget, Engine, EngineStats, TopDownEngine,
 };
 use crate::maintain::{MaintenanceStats, MaterializedModel};
-use crate::parser::{parse_program, parse_query, split_facts};
+use crate::op::{Applied, Op, OpText};
+use crate::parser::parse_query;
 use crate::snapshot::Snapshot;
 use crate::stack::call_with_deep_stack;
 use hdl_base::{Atom, Database, GroundAtom, Result, Symbol, SymbolTable};
@@ -41,40 +50,18 @@ use std::time::Duration;
 
 pub use crate::engine::EngineKind;
 
-/// A state change about to be committed to a [`Session`].
-///
-/// Observers see the mutation *before* it takes effect (write-ahead): if
-/// the observer errors, the session is left unchanged and the error is
-/// returned to the caller.
-#[derive(Debug)]
-pub enum Mutation<'a> {
-    /// Rules and base facts from one [`Session::load`] (or a single
-    /// [`Session::assert_fact`]), committed atomically.
-    Program {
-        /// Rules joining the rulebase.
-        rules: &'a [HypRule],
-        /// Ground facts joining the base database.
-        facts: &'a [GroundAtom],
-    },
-    /// One base fact retracted.
-    Retract(&'a GroundAtom),
-    /// A new assumption frame pushed ([`Session::assume`]).
-    Assume(&'a [GroundAtom]),
-    /// The top assumption frame popped.
-    PopAssumption,
-}
-
 /// Write-ahead hook for session mutations (implemented by the durability
 /// layer in `hdl-persist`).
 ///
-/// The observer runs after validation but before the mutation is applied,
-/// so a durable log can guarantee: anything the in-memory session holds
-/// has been offered to the log first. `symbols` is the table *after*
-/// parsing (new names are already interned — a replay that re-interns in
-/// the same order reproduces identical ids).
+/// The observer runs after validation but before the op is applied, so
+/// a durable log can guarantee: anything the in-memory session holds has
+/// been offered to the log first. If the observer errors, the session is
+/// left unchanged and [`Session::apply`] returns the error. `symbols` is
+/// the table *after* parsing (new names are already interned — a replay
+/// that re-interns in the same order reproduces identical ids).
 pub trait SessionObserver: Send {
-    /// Called once per mutation; an `Err` aborts the mutation.
-    fn on_mutation(&mut self, symbols: &SymbolTable, mutation: &Mutation<'_>) -> Result<()>;
+    /// Called once per op; an `Err` aborts it.
+    fn on_mutation(&mut self, symbols: &SymbolTable, op: &Op) -> Result<()>;
 }
 
 /// An owned program + database with a textual query interface.
@@ -86,7 +73,7 @@ pub struct Session {
     /// DES-style assumption frames: each `:assume` pushes a set of ground
     /// facts; queries run against base ∪ frames. Frames are popped LIFO.
     assumptions: Vec<Vec<GroundAtom>>,
-    /// Write-ahead observer; offered every mutation before commit.
+    /// Write-ahead observer; offered every op before commit.
     observer: Option<Box<dyn SessionObserver>>,
     engine: EngineKind,
     parallelism: usize,
@@ -95,7 +82,7 @@ pub struct Session {
     arities: hdl_base::FxHashMap<Symbol, usize>,
     /// Materialized perfect model of the effective database, built on
     /// demand by [`Session::model`] and then kept current across
-    /// [`Session::assert_fact`] / [`Session::retract_fact`] by
+    /// facts-only loads and retractions by delta continuation and
     /// delete-and-rederive instead of full recomputation. Structural
     /// mutations (rule loads, assumption frames) drop it; the next
     /// [`Session::model`] call rebuilds.
@@ -145,14 +132,6 @@ impl Session {
     /// Installs (or clears) the write-ahead mutation observer.
     pub fn set_observer(&mut self, observer: Option<Box<dyn SessionObserver>>) {
         self.observer = observer;
-    }
-
-    /// Offers a mutation to the observer; `Err` means "do not commit".
-    fn observe(&mut self, mutation: &Mutation<'_>) -> Result<()> {
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_mutation(&self.symbols, mutation)?;
-        }
-        Ok(())
     }
 
     /// Selects the evaluation engine.
@@ -214,56 +193,102 @@ impl Session {
         )
     }
 
-    /// Parses `src`; rules join the rulebase, ground facts the database.
-    ///
-    /// Arity consistency is enforced across *all* loads, facts included.
+    /// Parses `src`; rules join the rulebase, ground facts the database
+    /// (see [`Session::apply_text`]).
     pub fn load(&mut self, src: &str) -> Result<()> {
-        let parsed = parse_program(src, &mut self.symbols)?;
-        // Check new atoms against the session-wide arity registry before
-        // committing anything.
-        for atom in parsed.iter().flat_map(rule_atoms) {
-            self.check_arity(atom.pred, atom.arity())?;
-        }
-        let (rules, facts) = split_facts(parsed);
-        // Write-ahead: one atomic record for the whole load, offered
-        // before anything is committed (cross-load arity consistency was
-        // already validated above, so a replay cannot fail validation).
-        self.observe(&Mutation::Program {
-            rules: &rules.rules,
-            facts: &facts,
-        })?;
-        for r in rules.rules {
-            self.rulebase.push(r);
-        }
-        for f in facts {
-            self.database.insert(f);
-        }
-        self.materialized = None;
-        Ok(())
+        self.apply_text(OpText::Load(src)).map(drop)
     }
 
-    /// Applies a structured program mutation (rules + facts), as decoded
-    /// from a write-ahead log during recovery. Arity-checked against the
-    /// session registry and offered to the observer like [`Session::load`].
-    pub fn apply_program(&mut self, rules: Vec<HypRule>, facts: Vec<GroundAtom>) -> Result<()> {
-        for atom in rules.iter().flat_map(rule_atoms) {
-            self.check_arity(atom.pred, atom.arity())?;
+    /// Parses `text` and applies it: the text entry every front door
+    /// uses. See [`Session::parse_op`] and [`Session::apply`].
+    pub fn apply_text(&mut self, text: OpText<'_>) -> Result<Applied> {
+        let op = self.parse_op(text)?;
+        self.apply(op)
+    }
+
+    /// Parses `text` into this session's symbol space. A load that adds
+    /// rules is refused unless the rulebase it would produce is
+    /// stratified: every engine makes that check before it evaluates,
+    /// so this logs no program that no engine can evaluate.
+    pub fn parse_op(&mut self, text: OpText<'_>) -> Result<Op> {
+        let op = text.parse(&mut self.symbols)?;
+        if let Op::Program { rules, .. } = &op {
+            if !rules.is_empty() {
+                let len = self.rulebase.len();
+                self.rulebase.rules.extend(rules.iter().cloned());
+                let strata = global_negation_strata(&self.rulebase);
+                self.rulebase.rules.truncate(len);
+                strata?;
+            }
         }
-        for f in &facts {
-            self.check_arity(f.pred, f.arity())?;
+        Ok(op)
+    }
+
+    /// Applies one op: checks it against the session (arities across
+    /// every op, facts included; a frame to pop), offers it to the
+    /// observer, then commits it. A live materialized model
+    /// ([`Session::model`]) is kept current fact by fact across
+    /// facts-only loads and retractions; rules and assumption frames
+    /// drop it, and the next [`Session::model`] call rebuilds.
+    ///
+    /// WAL replay calls this directly, so it makes no stratification
+    /// check: a log that already holds such a program still opens.
+    pub fn apply(&mut self, op: Op) -> Result<Applied> {
+        let (rules, facts): (&[HypRule], &[GroundAtom]) = match &op {
+            Op::Program { rules, facts } => (rules, facts),
+            Op::Assume(facts) => (&[], facts),
+            Op::Pop if self.assumptions.is_empty() => {
+                return Err(hdl_base::Error::Protocol(
+                    "no assumption frame to pop".into(),
+                ))
+            }
+            Op::Retract(_) | Op::Pop => (&[], &[]),
+        };
+        let atoms = rules
+            .iter()
+            .flat_map(rule_atoms)
+            .map(|a| (a.pred, a.arity()));
+        for (pred, arity) in atoms.chain(facts.iter().map(|f| (f.pred, f.arity()))) {
+            self.check_arity(pred, arity)?;
         }
-        self.observe(&Mutation::Program {
-            rules: &rules,
-            facts: &facts,
-        })?;
-        for r in rules {
-            self.rulebase.push(r);
+        if let Some(obs) = self.observer.as_mut() {
+            obs.on_mutation(&self.symbols, &op)?;
         }
-        for f in facts {
-            self.database.insert(f);
-        }
-        self.materialized = None;
-        Ok(())
+        Ok(match op {
+            Op::Program { rules, facts } => {
+                if !rules.is_empty() {
+                    self.rulebase.rules.extend(rules);
+                    self.materialized = None;
+                }
+                for f in &facts {
+                    self.database.insert_tuple(f.pred, &f.args);
+                    self.maintain_model(f, true);
+                }
+                Applied::Loaded
+            }
+            Op::Assume(facts) => {
+                self.assumptions.push(facts);
+                self.materialized = None;
+                Applied::Assumed {
+                    frames: self.assumptions.len(),
+                }
+            }
+            Op::Retract(fact) => {
+                let removed = self.database.remove(&fact);
+                if removed {
+                    self.maintain_model(&fact, false);
+                }
+                Applied::Retracted { removed }
+            }
+            Op::Pop => {
+                let popped = self.assumptions.pop().map_or(0, |frame| frame.len());
+                self.materialized = None;
+                Applied::Popped {
+                    popped,
+                    frames: self.assumptions.len(),
+                }
+            }
+        })
     }
 
     /// Interns `names` in order, for write-ahead-log symbol replay.
@@ -293,62 +318,38 @@ impl Session {
         }
     }
 
-    /// Inserts one ground fact directly (arity-checked, observed).
-    ///
-    /// A materialized model ([`Session::model`]) is maintained
-    /// incrementally: the new fact extends the model by semi-naive delta
-    /// continuation rather than a full fixpoint.
-    pub fn assert_fact(&mut self, fact: GroundAtom) -> Result<()> {
-        self.check_arity(fact.pred, fact.arity())?;
-        self.observe(&Mutation::Program {
-            rules: &[],
-            facts: std::slice::from_ref(&fact),
-        })?;
-        self.database.insert(fact.clone());
-        self.maintain_model(&fact, true)
-    }
-
-    /// Retracts one base fact; returns whether it was present.
-    ///
-    /// Only the base database is affected — facts assumed via
-    /// [`Session::assume`] are retracted by popping their frame.
-    ///
-    /// A materialized model ([`Session::model`]) is maintained by
-    /// delete-and-rederive over the affected derivation cone instead of
-    /// recomputing the fixpoint from scratch.
+    /// Retracts one base fact; returns whether it was present. Only the
+    /// base database is affected — an assumed fact goes when its frame
+    /// is popped.
     pub fn retract_fact(&mut self, fact: &GroundAtom) -> Result<bool> {
-        self.observe(&Mutation::Retract(fact))?;
-        let removed = self.database.remove(fact);
-        if removed {
-            self.maintain_model(fact, false)?;
-        }
-        Ok(removed)
+        Ok(self.apply(Op::Retract(fact.clone()))? == Applied::Retracted { removed: true })
     }
 
-    /// Applies one committed single-fact mutation to the materialized
-    /// model, if one is live. On error the model is dropped (it may be
+    /// Carries one committed fact insertion or removal into the live
+    /// materialized model, if any: semi-naive delta continuation for an
+    /// insertion, delete-and-rederive over the affected cone for a
+    /// removal. If maintenance fails the model is dropped (it may be
     /// stale), so a later [`Session::model`] rebuilds from scratch.
-    fn maintain_model(&mut self, fact: &GroundAtom, inserted: bool) -> Result<()> {
+    fn maintain_model(&mut self, fact: &GroundAtom, inserted: bool) {
         let Some(mut m) = self.materialized.take() else {
-            return Ok(());
+            return;
         };
         let database = self.effective_database();
         let (rulebase, db) = (&self.rulebase, database.as_ref());
-        let m = call_with_deep_stack(move || {
+        let maintained = call_with_deep_stack(move || {
             if inserted {
                 m.assert_fact(rulebase, db, fact)?;
             } else {
                 m.retract_fact(rulebase, db, fact)?;
             }
-            Ok(m)
-        })?;
-        self.materialized = Some(m);
-        Ok(())
+            Ok::<_, hdl_base::Error>(m)
+        });
+        self.materialized = maintained.ok();
     }
 
     /// The perfect model of the rulebase over the effective database,
     /// materialized on first call and maintained incrementally across
-    /// [`Session::assert_fact`] / [`Session::retract_fact`] (see
+    /// facts-only loads and retractions (see [`Session::apply`] and
     /// `maintain`). While a model is live, plain-atom queries are
     /// answered from it directly.
     pub fn model(&mut self) -> Result<&Database> {
@@ -369,32 +370,6 @@ impl Session {
     /// Counters of the materialized model's maintenance, if one is live.
     pub fn maintenance_stats(&self) -> Option<MaintenanceStats> {
         self.materialized.as_ref().map(|m| m.stats())
-    }
-
-    /// Pushes an assumption frame: queries see base ∪ all frames until
-    /// the frame is popped (DES-style interactive hypotheses, the
-    /// session-level analogue of the paper's `[add: …]` premise).
-    pub fn assume(&mut self, facts: Vec<GroundAtom>) -> Result<()> {
-        for f in &facts {
-            self.check_arity(f.pred, f.arity())?;
-        }
-        self.observe(&Mutation::Assume(&facts))?;
-        self.assumptions.push(facts);
-        // Frames change the effective database wholesale; the next
-        // `model()` call rebuilds against the new merged view.
-        self.materialized = None;
-        Ok(())
-    }
-
-    /// Pops the most recent assumption frame, returning it (or `None` if
-    /// no assumptions are active).
-    pub fn pop_assumption(&mut self) -> Result<Option<Vec<GroundAtom>>> {
-        if self.assumptions.is_empty() {
-            return Ok(None);
-        }
-        self.observe(&Mutation::PopAssumption)?;
-        self.materialized = None;
-        Ok(self.assumptions.pop())
     }
 
     /// The active assumption frames, oldest first.
@@ -776,18 +751,21 @@ mod tests {
         s.load("grad(S) :- take(S, his101), take(S, eng201).\ntake(tony, his101).")
             .unwrap();
         assert!(!s.ask("?- grad(tony).").unwrap());
-        let take = s.symbols.intern("take");
-        let (tony, eng) = (s.symbols.intern("tony"), s.symbols.intern("eng201"));
-        s.assume(vec![GroundAtom::new(take, vec![tony, eng])])
-            .unwrap();
+        let assumed = s.apply_text(OpText::Assume("take(tony, eng201)"));
+        assert_eq!(assumed, Ok(Applied::Assumed { frames: 1 }));
         assert!(s.ask("?- grad(tony).").unwrap(), "assumed fact visible");
-        assert_eq!(s.assumptions().len(), 1);
         // Snapshots see the merged view.
         assert_eq!(s.snapshot().database().len(), 2);
-        let frame = s.pop_assumption().unwrap().expect("one frame");
-        assert_eq!(frame.len(), 1);
+        let popped = s.apply(Op::Pop);
+        assert!(matches!(
+            popped,
+            Ok(Applied::Popped {
+                popped: 1,
+                frames: 0
+            })
+        ));
         assert!(!s.ask("?- grad(tony).").unwrap(), "assumption gone");
-        assert!(s.pop_assumption().unwrap().is_none());
+        assert!(s.apply(Op::Pop).is_err(), "no frame left to pop");
     }
 
     #[test]
@@ -804,13 +782,15 @@ mod tests {
     }
 
     #[test]
-    fn assert_fact_checks_arity() {
+    fn apply_checks_arity() {
         let mut s = Session::new();
         s.load("p(a).").unwrap();
         let p = s.symbols.intern("p");
         let a = s.symbols.intern("a");
-        assert!(s.assert_fact(GroundAtom::new(p, vec![a, a])).is_err());
-        assert!(s.assert_fact(GroundAtom::new(p, vec![a])).is_ok());
+        let (rules, facts) = (Vec::new(), vec![GroundAtom::new(p, vec![a, a])]);
+        assert!(s.apply(Op::Assume(facts.clone())).is_err());
+        assert!(s.apply(Op::Program { rules, facts }).is_err());
+        assert!(s.retract_fact(&GroundAtom::new(p, vec![a])).unwrap());
     }
 
     #[test]
@@ -822,7 +802,7 @@ mod tests {
             fail: bool,
         }
         impl SessionObserver for Counting {
-            fn on_mutation(&mut self, _: &SymbolTable, _: &Mutation<'_>) -> Result<()> {
+            fn on_mutation(&mut self, _: &SymbolTable, _: &Op) -> Result<()> {
                 self.seen.fetch_add(1, Ordering::Relaxed);
                 if self.fail {
                     Err(hdl_base::Error::Invalid("log full".into()))
@@ -847,9 +827,7 @@ mod tests {
         assert!(s.load("r(c).").is_err());
         assert_eq!(s.database().len(), 1, "aborted load not committed");
         assert_eq!(s.rulebase().len(), 1);
-        let p = s.symbols.intern("p");
-        let b = s.symbols.intern("b");
-        assert!(s.assume(vec![GroundAtom::new(p, vec![b])]).is_err());
+        assert!(s.apply_text(OpText::Assume("p(b)")).is_err());
         assert!(s.assumptions().is_empty(), "aborted assume not committed");
     }
 
@@ -898,8 +876,8 @@ mod tests {
         let stats = s.maintenance_stats().unwrap();
         assert_eq!(stats.full_builds, 1, "retraction did not rebuild");
         assert_eq!(stats.incremental_retractions, 1);
-        // Assertion also maintains incrementally.
-        s.assert_fact(GroundAtom::new(edge, vec![c, a])).unwrap();
+        // A facts-only load also maintains incrementally.
+        s.load("edge(c, a).").unwrap();
         assert!(s.ask("?- tc(b, a).").unwrap());
         assert_eq!(s.maintenance_stats().unwrap().full_builds, 1);
         // Loading rules drops the model; queries fall back to engines.
@@ -914,24 +892,44 @@ mod tests {
         s.load("grad(S) :- take(S, his101), take(S, eng201).\ntake(tony, his101).")
             .unwrap();
         s.model().unwrap();
-        let take = s.symbols.intern("take");
-        let (tony, eng) = (s.symbols.intern("tony"), s.symbols.intern("eng201"));
-        s.assume(vec![GroundAtom::new(take, vec![tony, eng])])
-            .unwrap();
+        s.apply_text(OpText::Assume("take(tony, eng201)")).unwrap();
         assert!(!s.is_materialized(), "frames invalidate the model");
         s.model().unwrap();
         assert!(s.ask("?- grad(tony).").unwrap());
         // Retracting a base fact shadowed by a frame keeps it effective.
-        let his = s.symbols.intern("his101");
-        s.assume(vec![GroundAtom::new(take, vec![tony, his])])
-            .unwrap();
+        s.apply_text(OpText::Assume("take(tony, his101)")).unwrap();
+        let take = s.symbols.intern("take");
+        let (tony, his) = (s.symbols.intern("tony"), s.symbols.intern("his101"));
         s.model().unwrap();
         assert!(s
             .retract_fact(&GroundAtom::new(take, vec![tony, his]))
             .unwrap());
         assert!(s.ask("?- grad(tony).").unwrap(), "frame still supplies it");
-        s.pop_assumption().unwrap();
+        s.apply(Op::Pop).unwrap();
         assert!(!s.is_materialized());
+    }
+
+    #[test]
+    fn facts_only_loads_keep_the_model_live() {
+        let mut s = Session::new();
+        s.load(
+            "edge(a, b). edge(b, c). edge(c, d).
+             tc(X, Y) :- edge(X, Y).
+             tc(X, Z) :- edge(X, Y), tc(Y, Z).",
+        )
+        .unwrap();
+        s.model().unwrap();
+        // Known constants only: a new one would change the domain and
+        // force a full rebuild.
+        let loads = ["edge(a, c).", "edge(b, d).", "edge(d, a)."];
+        for text in loads {
+            s.load(text).unwrap();
+        }
+        assert!(s.is_materialized(), "a facts-only load keeps the model");
+        let stats = s.maintenance_stats().unwrap();
+        assert_eq!(stats.full_builds, 1);
+        assert_eq!(stats.incremental_assertions, loads.len() as u64);
+        assert!(s.ask("?- tc(d, c).").unwrap());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use hdl_base::serialize::{
 };
 use hdl_base::{crc32, Atom, DbStore, Decoder, Encoder, Error, GroundAtom, Result, SymbolTable};
 use hdl_base::{Database, Term, Var};
-use hdl_core::{HypRule, Premise, Rulebase};
+use hdl_core::{HypRule, Op, Premise, Rulebase};
 
 /// Upper bound on a decoded variable index. `num_vars` sizes per-rule
 /// binding buffers, so a corrupt huge index would turn into a huge
@@ -196,7 +196,7 @@ pub fn decode_rulebase(dec: &mut Decoder<'_>, symbols: &SymbolTable) -> Result<R
 // WAL records
 // ---------------------------------------------------------------------
 
-/// One durable session mutation, as replayed from the log.
+/// One WAL record, as replayed from the log.
 ///
 /// Records are decoded against the symbol table *as of that point in the
 /// log*: a `Symbols` record extends the table, and every later record may
@@ -206,20 +206,8 @@ pub fn decode_rulebase(dec: &mut Decoder<'_>, symbols: &SymbolTable) -> Result<R
 pub enum WalRecord {
     /// Names interned since the last record, in interning order.
     Symbols(Vec<String>),
-    /// Rules + base facts committed atomically by one program load (or a
-    /// single fact assertion).
-    Program {
-        /// Rules joining the rulebase.
-        rules: Vec<HypRule>,
-        /// Ground facts joining the base database.
-        facts: Vec<GroundAtom>,
-    },
-    /// One base fact retracted.
-    Retract(GroundAtom),
-    /// An assumption frame pushed.
-    Assume(Vec<GroundAtom>),
-    /// The top assumption frame popped.
-    PopAssumption,
+    /// One session op, replayed through [`hdl_core::Session::apply`].
+    Op(Op),
 }
 
 const TAG_SYMBOLS: u8 = 0;
@@ -239,45 +227,36 @@ pub fn encode_symbols_record(names: &[&str]) -> Vec<u8> {
     enc.finish()
 }
 
-/// Encodes a `Program` record payload from borrowed parts.
-pub fn encode_program_record(rules: &[HypRule], facts: &[GroundAtom]) -> Vec<u8> {
+/// Encodes the record payload of one op.
+pub fn encode_op(op: &Op) -> Vec<u8> {
     let mut enc = Encoder::new();
-    enc.u8(TAG_PROGRAM);
-    enc.u32(rules.len() as u32);
-    for r in rules {
-        encode_rule(&mut enc, r);
+    match op {
+        Op::Program { rules, facts } => {
+            enc.u8(TAG_PROGRAM);
+            enc.u32(rules.len() as u32);
+            for r in rules {
+                encode_rule(&mut enc, r);
+            }
+            encode_fact_list(&mut enc, facts);
+        }
+        Op::Retract(fact) => {
+            enc.u8(TAG_RETRACT);
+            encode_ground_atom(&mut enc, fact);
+        }
+        Op::Assume(facts) => {
+            enc.u8(TAG_ASSUME);
+            encode_fact_list(&mut enc, facts);
+        }
+        Op::Pop => enc.u8(TAG_POP),
     }
+    enc.finish()
+}
+
+fn encode_fact_list(enc: &mut Encoder, facts: &[GroundAtom]) {
     enc.u32(facts.len() as u32);
     for f in facts {
-        encode_ground_atom(&mut enc, f);
+        encode_ground_atom(enc, f);
     }
-    enc.finish()
-}
-
-/// Encodes a `Retract` record payload.
-pub fn encode_retract_record(fact: &GroundAtom) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.u8(TAG_RETRACT);
-    encode_ground_atom(&mut enc, fact);
-    enc.finish()
-}
-
-/// Encodes an `Assume` record payload.
-pub fn encode_assume_record(facts: &[GroundAtom]) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.u8(TAG_ASSUME);
-    enc.u32(facts.len() as u32);
-    for f in facts {
-        encode_ground_atom(&mut enc, f);
-    }
-    enc.finish()
-}
-
-/// Encodes a `PopAssumption` record payload.
-pub fn encode_pop_record() -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.u8(TAG_POP);
-    enc.finish()
 }
 
 fn decode_fact_list(dec: &mut Decoder<'_>, symbols: &SymbolTable) -> Result<Vec<GroundAtom>> {
@@ -311,11 +290,11 @@ pub fn decode_record(payload: &[u8], symbols: &SymbolTable) -> Result<WalRecord>
                 rules.push(decode_rule(&mut dec, symbols)?);
             }
             let facts = decode_fact_list(&mut dec, symbols)?;
-            WalRecord::Program { rules, facts }
+            WalRecord::Op(Op::Program { rules, facts })
         }
-        TAG_RETRACT => WalRecord::Retract(decode_ground_atom(&mut dec, symbols)?),
-        TAG_ASSUME => WalRecord::Assume(decode_fact_list(&mut dec, symbols)?),
-        TAG_POP => WalRecord::PopAssumption,
+        TAG_RETRACT => WalRecord::Op(Op::Retract(decode_ground_atom(&mut dec, symbols)?)),
+        TAG_ASSUME => WalRecord::Op(Op::Assume(decode_fact_list(&mut dec, symbols)?)),
+        TAG_POP => WalRecord::Op(Op::Pop),
         tag => return Err(Error::Invalid(format!("unknown WAL record tag {tag}"))),
     };
     if !dec.is_done() {
@@ -515,37 +494,24 @@ mod tests {
     fn wal_records_roundtrip() {
         let (symbols, rules, base, _) = sample();
         let facts: Vec<GroundAtom> = base.iter_facts().collect();
-
-        let payload = encode_program_record(&rules.rules, &facts);
-        match decode_record(&payload, &symbols).unwrap() {
-            WalRecord::Program { rules: r, facts: f } => {
-                assert_eq!(r, rules.rules);
-                assert_eq!(f, facts);
-            }
-            other => panic!("wrong record: {other:?}"),
+        for op in [
+            Op::Program {
+                rules: rules.rules.clone(),
+                facts: facts.clone(),
+            },
+            Op::Retract(facts[0].clone()),
+            Op::Assume(facts.clone()),
+            Op::Pop,
+        ] {
+            assert_eq!(
+                decode_record(&encode_op(&op), &symbols).unwrap(),
+                WalRecord::Op(op)
+            );
         }
-
         let payload = encode_symbols_record(&["alpha", "beta"]);
         assert_eq!(
             decode_record(&payload, &symbols).unwrap(),
             WalRecord::Symbols(vec!["alpha".into(), "beta".into()])
-        );
-
-        let payload = encode_retract_record(&facts[0]);
-        assert_eq!(
-            decode_record(&payload, &symbols).unwrap(),
-            WalRecord::Retract(facts[0].clone())
-        );
-
-        let payload = encode_assume_record(&facts);
-        assert_eq!(
-            decode_record(&payload, &symbols).unwrap(),
-            WalRecord::Assume(facts.clone())
-        );
-
-        assert_eq!(
-            decode_record(&encode_pop_record(), &symbols).unwrap(),
-            WalRecord::PopAssumption
         );
     }
 
@@ -553,7 +519,10 @@ mod tests {
     fn record_decode_rejects_corruption_without_panicking() {
         let (symbols, rules, base, _) = sample();
         let facts: Vec<GroundAtom> = base.iter_facts().collect();
-        let payload = encode_program_record(&rules.rules, &facts);
+        let payload = encode_op(&Op::Program {
+            rules: rules.rules,
+            facts: facts.clone(),
+        });
         // Every truncation must be an error, never a panic.
         for cut in 0..payload.len() {
             assert!(decode_record(&payload[..cut], &symbols).is_err());
@@ -561,12 +530,13 @@ mod tests {
         // Unknown tag.
         assert!(decode_record(&[99], &symbols).is_err());
         // Trailing garbage.
-        let mut long = encode_pop_record();
+        let mut long = encode_op(&Op::Pop);
         long.push(0);
         assert!(decode_record(&long, &symbols).is_err());
         // Symbol id out of range.
         let empty = SymbolTable::new();
-        assert!(decode_record(&encode_retract_record(&facts[0]), &empty).is_err());
+        let retract = encode_op(&Op::Retract(facts[0].clone()));
+        assert!(decode_record(&retract, &empty).is_err());
     }
 
     #[test]

@@ -176,10 +176,7 @@ pub(crate) fn apply(session: &mut Session, record: WalRecord) -> Result<()> {
             session.sync_symbols(&names);
             Ok(())
         }
-        WalRecord::Program { rules, facts } => session.apply_program(rules, facts),
-        WalRecord::Retract(fact) => session.retract_fact(&fact).map(|_| ()),
-        WalRecord::Assume(facts) => session.assume(facts),
-        WalRecord::PopAssumption => session.pop_assumption().map(|_| ()),
+        WalRecord::Op(op) => session.apply(op).map(drop),
     }
 }
 

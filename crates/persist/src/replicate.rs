@@ -488,17 +488,10 @@ mod tests {
     use crate::session::DurableSession;
     use crate::testutil::TempDir;
     use crate::wal::read_wal;
-    use hdl_base::GroundAtom;
 
     const PROGRAM: &str = "edge(a, b). edge(b, c).\n\
         tc(X, Y) :- edge(X, Y).\n\
         tc(X, Y) :- edge(X, Z), tc(Z, Y).\n";
-
-    fn parse_fact(session: &mut Session, text: &str) -> GroundAtom {
-        let rb = hdl_core::parse_program(text, session.symbols_mut()).unwrap();
-        let (_, mut facts) = hdl_core::split_facts(rb);
-        facts.pop().unwrap()
-    }
 
     /// Drives `replica` to the primary's current position via the tap,
     /// exactly like a shipper thread would.
@@ -530,8 +523,7 @@ mod tests {
         let mut replica = Replica::open(f_dir.path(), FsyncPolicy::Always).unwrap();
 
         primary.load(PROGRAM).unwrap();
-        let f = parse_fact(&mut primary, "edge(c, d).");
-        primary.assert_fact(f).unwrap();
+        primary.load("edge(c, d).").unwrap();
         catch_up(&tap, &mut replica);
 
         assert_eq!(replica.position(), tap.position());
@@ -557,8 +549,7 @@ mod tests {
 
         primary.load(PROGRAM).unwrap();
         assert_eq!(primary.checkpoint().unwrap(), 1);
-        let f = parse_fact(&mut primary, "edge(c, e).");
-        primary.assert_fact(f).unwrap();
+        primary.load("edge(c, e).").unwrap();
 
         // The replica is still at epoch 0: the plan must be an image.
         assert!(matches!(
@@ -571,8 +562,7 @@ mod tests {
         assert!(replica.session_mut().ask("?- tc(b, e).").unwrap());
 
         // Post-catch-up mutations flow as plain windows again.
-        let f = parse_fact(&mut primary, "edge(e, f).");
-        primary.assert_fact(f).unwrap();
+        primary.load("edge(e, f).").unwrap();
         catch_up(&tap, &mut replica);
         assert!(replica.session_mut().ask("?- tc(a, f).").unwrap());
     }
@@ -590,8 +580,7 @@ mod tests {
             catch_up(&tap, &mut replica);
         } // dropped: simulates a follower restart
 
-        let f = parse_fact(&mut primary, "edge(c, d).");
-        primary.assert_fact(f).unwrap();
+        primary.load("edge(c, d).").unwrap();
         let mut replica = Replica::open(f_dir.path(), FsyncPolicy::Always).unwrap();
         assert!(replica.recovery_report().records_replayed > 0);
         catch_up(&tap, &mut replica);
@@ -613,8 +602,7 @@ mod tests {
         let mut promoted = DurableSession::open(f_dir.path(), FsyncPolicy::Always).unwrap();
         assert!(promoted.ask("?- tc(a, c).").unwrap());
         // The promoted world accepts writes and keeps its own log.
-        let f = parse_fact(&mut promoted, "edge(c, z).");
-        promoted.assert_fact(f).unwrap();
+        promoted.load("edge(c, z).").unwrap();
         assert!(promoted.ask("?- tc(a, z).").unwrap());
     }
 
@@ -630,8 +618,7 @@ mod tests {
         // anything the primary committed.
         let mut rogue = DurableSession::open(f_dir.path(), FsyncPolicy::Always).unwrap();
         rogue.load(PROGRAM).unwrap();
-        let f = parse_fact(&mut rogue, "edge(x1, x2).");
-        rogue.assert_fact(f).unwrap();
+        rogue.load("edge(x1, x2).").unwrap();
         drop(rogue);
         let mut replica = Replica::open(f_dir.path(), FsyncPolicy::Always).unwrap();
         assert!(replica.position().offset > tap.position().offset);

@@ -13,15 +13,13 @@
 //! [`crate::recover::recover`], which this type runs on open.
 
 use crate::checkpoint::{prune_checkpoints, sync_dir, wal_path, write_checkpoint};
-use crate::codec::{
-    encode_assume_record, encode_checkpoint, encode_pop_record, encode_program_record,
-    encode_retract_record, encode_symbols_record,
-};
+use crate::codec::{encode_checkpoint, encode_op, encode_symbols_record};
 use crate::group::{CommitTicket, GroupCommitter, SharedWal};
 use crate::recover::{recover, RecoveryReport};
 use crate::wal::{FsyncPolicy, WalWriter};
 use hdl_base::{Error, Result, SymbolTable};
-use hdl_core::session::{Mutation, SessionObserver};
+use hdl_core::session::SessionObserver;
+use hdl_core::Op;
 use hdl_core::{Session, Snapshot};
 use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
@@ -52,7 +50,7 @@ struct Pipeline {
 }
 
 impl SessionObserver for WalObserver {
-    fn on_mutation(&mut self, symbols: &SymbolTable, mutation: &Mutation<'_>) -> Result<()> {
+    fn on_mutation(&mut self, symbols: &SymbolTable, op: &Op) -> Result<()> {
         let mut guard = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
         let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(2);
         if symbols.len() > guard.synced {
@@ -62,12 +60,7 @@ impl SessionObserver for WalObserver {
                 .collect();
             payloads.push(encode_symbols_record(&names));
         }
-        payloads.push(match mutation {
-            Mutation::Program { rules, facts } => encode_program_record(rules, facts),
-            Mutation::Retract(fact) => encode_retract_record(fact),
-            Mutation::Assume(facts) => encode_assume_record(facts),
-            Mutation::PopAssumption => encode_pop_record(),
-        });
+        payloads.push(encode_op(op));
         match &self.pipeline {
             None => {
                 let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
@@ -331,6 +324,7 @@ mod tests {
     use super::*;
     use crate::testutil::TempDir;
     use hdl_base::GroundAtom;
+    use hdl_core::OpText;
 
     const PROGRAM: &str = "edge(a, b). edge(b, c). edge(c, d).\n\
         tc(X, Y) :- edge(X, Y).\n\
@@ -349,8 +343,7 @@ mod tests {
         {
             let mut s = DurableSession::open(dir.path(), FsyncPolicy::Always).unwrap();
             s.load(PROGRAM).unwrap();
-            let f = parse_fact(&mut s, "edge(d, e).");
-            s.assert_fact(f).unwrap();
+            s.load("edge(d, e).").unwrap();
         }
         let mut s = DurableSession::open(dir.path(), FsyncPolicy::Always).unwrap();
         assert!(s.ask("?- tc(a, e).").unwrap());
@@ -368,8 +361,7 @@ mod tests {
             s.load(PROGRAM).unwrap();
             assert_eq!(s.checkpoint().unwrap(), 1);
             // Post-checkpoint mutations land in the next epoch's WAL.
-            let f = parse_fact(&mut s, "edge(d, e).");
-            s.assert_fact(f).unwrap();
+            s.load("edge(d, e).").unwrap();
             let g = parse_fact(&mut s, "edge(a, b).");
             assert!(s.retract_fact(&g).unwrap());
         }
@@ -389,17 +381,15 @@ mod tests {
         {
             let mut s = DurableSession::open(dir.path(), FsyncPolicy::EveryN(4)).unwrap();
             s.load(PROGRAM).unwrap();
-            let f = parse_fact(&mut s, "edge(d, a).");
-            s.assume(vec![f]).unwrap();
-            let g = parse_fact(&mut s, "edge(z, z).");
-            s.assume(vec![g]).unwrap();
-            s.pop_assumption().unwrap();
+            s.apply_text(OpText::Assume("edge(d, a)")).unwrap();
+            s.apply_text(OpText::Assume("edge(z, z)")).unwrap();
+            s.apply(Op::Pop).unwrap();
             assert_eq!(s.checkpoint().unwrap(), 1);
         }
         let mut s = DurableSession::open(dir.path(), FsyncPolicy::Always).unwrap();
         assert_eq!(s.assumptions().len(), 1);
         assert!(s.ask("?- tc(d, c).").unwrap());
-        s.pop_assumption().unwrap();
+        s.apply(Op::Pop).unwrap();
         assert!(!s.ask("?- tc(d, c).").unwrap());
     }
 
@@ -413,14 +403,13 @@ mod tests {
         let mut s = DurableSession::open(dir.path(), FsyncPolicy::Always).unwrap();
         s.load(PROGRAM).unwrap();
         failpoint::configure("persist::wal_append", FaultSpec::erroring(1).fires(1), 7);
-        let f = parse_fact(&mut s, "edge(d, e).");
-        let denied = s.assert_fact(f.clone());
+        let denied = s.load("edge(d, e).");
         failpoint::clear();
         assert!(denied.is_err());
         assert!(!s.ask("?- tc(a, e).").unwrap());
         // Retrying after the fault clears works, and the retry (not the
         // aborted attempt) is what a reopen restores.
-        s.assert_fact(f).unwrap();
+        s.load("edge(d, e).").unwrap();
         assert!(s.ask("?- tc(a, e).").unwrap());
         drop(s);
         let mut s = DurableSession::open(dir.path(), FsyncPolicy::Always).unwrap();
@@ -440,8 +429,7 @@ mod tests {
             s.load(PROGRAM).unwrap();
             // Materialize, then mutate through the incremental path.
             s.model().unwrap();
-            let f = parse_fact(&mut s, "edge(a, c).");
-            s.assert_fact(f).unwrap();
+            s.load("edge(a, c).").unwrap();
             let g = parse_fact(&mut s, "edge(b, c).");
             assert!(s.retract_fact(&g).unwrap());
             let stats = s.maintenance_stats().unwrap();
@@ -509,8 +497,7 @@ mod tests {
                     s.load(PROGRAM).unwrap();
                     durable(&mut s);
                     for j in 0..10 {
-                        let f = parse_fact(&mut s, &format!("edge(t{i}_{j}, a)."));
-                        s.assert_fact(f).unwrap();
+                        s.load(&format!("edge(t{i}_{j}, a).")).unwrap();
                         durable(&mut s);
                     }
                     let g = parse_fact(&mut s, &format!("edge(t{i}_0, a)."));
@@ -551,8 +538,7 @@ mod tests {
             // and flush as ONE submission — a window costs one ticket,
             // not eight.
             for j in 0..8 {
-                let f = parse_fact(&mut s, &format!("edge(p{j}, a)."));
-                s.assert_fact(f).unwrap();
+                s.load(&format!("edge(p{j}, a).")).unwrap();
             }
             let batch = s.take_pending_commits();
             assert_eq!(batch.len(), 1, "a whole window flushes as one submission");
@@ -560,8 +546,7 @@ mod tests {
             tickets.extend(batch);
             // Checkpoint must drain the pipeline before rotating.
             assert_eq!(s.checkpoint().unwrap(), 1);
-            let f = parse_fact(&mut s, "edge(post, a).");
-            s.assert_fact(f).unwrap();
+            s.load("edge(post, a).").unwrap();
             s.flush_commits().unwrap();
             for t in tickets {
                 t.wait().unwrap();

@@ -8,7 +8,9 @@
 
 use hdl_base::Json;
 use hdl_core::session::EngineKind;
+use hdl_core::OpText;
 use hdl_service::Outcome;
+use std::cell::RefCell;
 use std::time::Duration;
 
 /// Protocol revision advertised by `hello`.
@@ -132,47 +134,55 @@ pub enum Request {
 }
 
 impl Request {
+    /// The op text of a mutation request; `None` for everything else.
+    pub fn op_text(&self) -> Option<OpText<'_>> {
+        match self {
+            Request::Load { program } => Some(OpText::Load(program)),
+            Request::Assume { facts } => Some(OpText::Assume(facts)),
+            Request::Pop => Some(OpText::Pop),
+            Request::Retract { fact } => Some(OpText::Retract(fact)),
+            _ => None,
+        }
+    }
+
     /// Parses one protocol line. Returns the request plus the echoed id
     /// (if any). Parsing stops after
     /// [`MAX_REQUEST_VALUES`](hdl_base::json::MAX_REQUEST_VALUES) values,
     /// so a line far larger than any request costs no more than the line
     /// itself.
     pub fn parse(line: &str) -> Result<(Request, Option<u64>), String> {
-        let value = Json::parse_request(line)?;
-        let id = value.get("id").and_then(Json::as_u64);
-        let op = value
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or("missing \"op\" field")?;
-        let text = |field: &str| -> Result<String, String> {
-            value
-                .get(field)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("op `{op}` needs a string \"{field}\" field"))
+        let Json::Obj(mut map) = Json::parse_request(line)? else {
+            return Err("missing \"op\" field".into());
         };
+        let id = map.get("id").and_then(Json::as_u64);
+        let Some(Json::Str(op)) = map.remove("op") else {
+            return Err("missing \"op\" field".into());
+        };
+        // `text` moves its string out of the object, so a long program
+        // is not copied again; the other readers borrow it.
+        let map = RefCell::new(map);
+        let text = |field: &str| -> Result<String, String> {
+            match map.borrow_mut().remove(field) {
+                Some(Json::Str(s)) => Ok(s),
+                _ => Err(format!("op `{op}` needs a string \"{field}\" field")),
+            }
+        };
+        let opt_num = |field: &str| map.borrow().get(field).and_then(Json::as_u64);
         let number = |field: &str| -> Result<u64, String> {
-            value
-                .get(field)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("op `{op}` needs a numeric \"{field}\" field"))
+            opt_num(field).ok_or_else(|| format!("op `{op}` needs a numeric \"{field}\" field"))
         };
         let opts = || -> Result<QueryOpts, String> {
-            let engine = match value.get("engine").and_then(Json::as_str) {
+            let engine = match map.borrow().get("engine").and_then(Json::as_str) {
                 Some(name) => Some(name.parse::<EngineKind>().map_err(|e| e.to_string())?),
                 None => None,
             };
             Ok(QueryOpts {
                 engine,
-                deadline: value
-                    .get("deadline_ms")
-                    .and_then(Json::as_u64)
-                    .map(Duration::from_millis),
-                max_facts: value.get("max_facts").and_then(Json::as_u64),
+                deadline: opt_num("deadline_ms").map(Duration::from_millis),
+                max_facts: opt_num("max_facts"),
             })
         };
-        let opt_num = |field: &str| value.get(field).and_then(Json::as_u64);
-        let request = match op {
+        let request = match op.as_str() {
             "hello" => Request::Hello,
             "open" => Request::Open {
                 tenant: text("tenant")?,

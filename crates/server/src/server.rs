@@ -21,9 +21,10 @@ use crate::protocol::{outcome_reply, Reply, Request, PROTOCOL_VERSION};
 use crate::replication::{
     b64_decode, FenceState, FollowerState, ReplicaTenant, ReplicationHandle, Shipper, ShipperStats,
 };
-use crate::tenant::{BatchOp, BatchReply, Registry, RegistryConfig, Tenant, TenantQuotas};
+use crate::tenant::{Registry, RegistryConfig, Tenant, TenantQuotas};
 use hdl_base::Json;
 use hdl_core::session::EngineKind;
+use hdl_core::Applied;
 use hdl_persist::{FsyncPolicy, GroupCommitter};
 use hdl_service::QueryRequest;
 use std::borrow::Cow;
@@ -548,17 +549,6 @@ impl LineReader {
     }
 }
 
-/// Maps a mutation request to its batch op; `None` for everything else.
-fn mutation_op(request: &Request) -> Option<BatchOp<'_>> {
-    match request {
-        Request::Load { program } => Some(BatchOp::Load(program)),
-        Request::Assume { facts } => Some(BatchOp::Assume(facts)),
-        Request::Pop => Some(BatchOp::Pop),
-        Request::Retract { fact } => Some(BatchOp::Retract(fact)),
-        _ => None,
-    }
-}
-
 /// Renders one batch result in the same shape the single-op path uses.
 /// A window whose replication quorum wait timed out turns every applied
 /// op's ack into a structured `degraded_ack`: the mutation is durable
@@ -566,7 +556,7 @@ fn mutation_op(request: &Request) -> Option<BatchOp<'_>> {
 /// quorum contract was not met within the deadline.
 fn mutation_reply(
     tenant: &Tenant,
-    result: Result<BatchReply, crate::tenant::TenantError>,
+    result: Result<Applied, crate::tenant::TenantError>,
     degraded: Option<(usize, usize)>,
 ) -> Reply {
     if let (Ok(_), Some((replicated, required))) = (&result, degraded) {
@@ -579,14 +569,14 @@ fn mutation_reply(
         .with("required", Json::num(required as f64));
     }
     match result {
-        Ok(BatchReply::Loaded) => Reply::ok("load").with("epoch", Json::num(tenant.epoch() as f64)),
-        Ok(BatchReply::Assumed { frames }) => {
+        Ok(Applied::Loaded) => Reply::ok("load").with("epoch", Json::num(tenant.epoch() as f64)),
+        Ok(Applied::Assumed { frames }) => {
             Reply::ok("assume").with("frames", Json::num(frames as f64))
         }
-        Ok(BatchReply::Popped { popped, frames }) => Reply::ok("pop")
+        Ok(Applied::Popped { popped, frames }) => Reply::ok("pop")
             .with("popped", Json::num(popped as f64))
             .with("frames", Json::num(frames as f64)),
-        Ok(BatchReply::Retracted { removed }) => {
+        Ok(Applied::Retracted { removed }) => {
             Reply::ok("retract").with("removed", Json::Bool(removed))
         }
         Err(e) => Reply::err(e.kind, e.message),
@@ -612,7 +602,7 @@ fn handle_one(
     // The follower role, while it lasts, refuses every mutation with a
     // structured `read_only` error pointing at the primary.
     let follower = inner.follower.as_ref().filter(|f| f.is_follower());
-    let is_mutation = mutation_op(request).is_some() || matches!(request, Request::Checkpoint);
+    let is_mutation = request.op_text().is_some() || matches!(request, Request::Checkpoint);
     if let Some(f) = follower {
         if is_mutation {
             return (
@@ -738,7 +728,7 @@ fn handle_one(
                 // path in `serve_connection`, never here.
                 None => no_tenant(),
                 Some(t) => {
-                    let op = mutation_op(request).expect("mutation arm");
+                    let op = request.op_text().expect("mutation arm");
                     let mut outcome = t.apply_batch(&[op]);
                     let result = outcome.replies.pop().expect("one reply per op");
                     mutation_reply(t, result, outcome.degraded)
@@ -972,7 +962,7 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> io::Result<()> {
                     // one durability wait for the whole run. A fenced
                     // server skips batching so each mutation falls
                     // through to `handle_one`'s structured refusal.
-                    let batching = if mutation_op(request).is_some() && !inner.fence.is_fenced() {
+                    let batching = if request.op_text().is_some() && !inner.fence.is_fenced() {
                         tenant.clone()
                     } else {
                         None
@@ -981,7 +971,7 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> io::Result<()> {
                         let mut ops = Vec::new();
                         let mut ids = Vec::new();
                         while let Some(Ok((r, rid))) = parsed.get(i) {
-                            match mutation_op(r) {
+                            match r.op_text() {
                                 Some(op) => {
                                     ops.push(op);
                                     ids.push(*rid);

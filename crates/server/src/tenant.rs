@@ -22,6 +22,13 @@
 //! see an ack, and queries never see data, that could be lost to a
 //! crash.
 //!
+//! Each op of a window is a [`BatchOp`] (the [`hdl_core::OpText`] of a
+//! request) and takes the session's one mutation path: parse it with
+//! `Session::parse_op`, check the tenant's quotas, then
+//! `Session::apply`, whose [`BatchReply`] (an [`hdl_core::Applied`]) the
+//! server renders. A refused op's reply kind comes from its
+//! `hdl_base::Error` in one place (`From<Error> for TenantError`).
+//!
 //! Quotas are enforced at admission: a mutation that would exceed the
 //! tenant's base-fact or assumption-depth cap is refused *before* it
 //! touches the session or the WAL, and queries past the tenant's
@@ -29,7 +36,7 @@
 
 use crate::replication::ReplicationHandle;
 use hdl_base::Json;
-use hdl_core::{parse_ground_facts, parse_program, split_facts};
+use hdl_core::Op;
 use hdl_persist::{DurableSession, FsyncPolicy, GroupCommitter, RecoveryReport};
 use hdl_service::{Outcome, QueryRequest, QueryService, ServiceConfig};
 use std::collections::BTreeMap;
@@ -92,44 +99,25 @@ impl TenantError {
     }
 }
 
-/// One mutation in a pipeline window (see [`Tenant::apply_batch`]).
-/// Borrowed text: ops are built straight from parsed requests.
-#[derive(Clone, Copy, Debug)]
-pub enum BatchOp<'a> {
-    /// Load program text (rules and facts).
-    Load(&'a str),
-    /// Push an assumption frame of ground facts.
-    Assume(&'a str),
-    /// Pop the top assumption frame.
-    Pop,
-    /// Retract one base fact.
-    Retract(&'a str),
+/// A refused op's reply kind: `protocol` for an op that does not fit
+/// (a retract of several facts, a pop with no frame), `query` for every
+/// other parse, validation or log failure.
+impl From<hdl_base::Error> for TenantError {
+    fn from(e: hdl_base::Error) -> Self {
+        let kind = match e {
+            hdl_base::Error::Protocol(_) => "protocol",
+            _ => "query",
+        };
+        TenantError::new(kind, e.to_string())
+    }
 }
 
-/// The per-op result of a window, mirroring [`BatchOp`] variant for
-/// variant.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BatchReply {
-    /// The program loaded.
-    Loaded,
-    /// A frame was pushed; `frames` is the new stack depth.
-    Assumed {
-        /// Assumption frames now stacked.
-        frames: usize,
-    },
-    /// The top frame was popped.
-    Popped {
-        /// Facts in the popped frame.
-        popped: usize,
-        /// Frames left.
-        frames: usize,
-    },
-    /// A retraction ran.
-    Retracted {
-        /// Whether the fact existed.
-        removed: bool,
-    },
-}
+/// One mutation in a pipeline window (see [`Tenant::apply_batch`]):
+/// borrowed text, built straight from parsed requests.
+pub use hdl_core::OpText as BatchOp;
+
+/// The per-op result of a window.
+pub use hdl_core::Applied as BatchReply;
 
 /// The result of one [`Tenant::apply_batch`] window: per-op replies
 /// plus the window-level degraded-ack marker.
@@ -330,38 +318,12 @@ impl Tenant {
     /// Loads program text (rules and facts), enforcing the base-fact
     /// quota before anything reaches the session or the WAL.
     pub fn load(&self, program: &str) -> Result<(), TenantError> {
-        match self.single(BatchOp::Load(program))? {
-            BatchReply::Loaded => Ok(()),
-            other => unreachable!("load reply, got {other:?}"),
-        }
+        self.apply(BatchOp::Load(program)).map(drop)
     }
 
-    /// Pushes an assumption frame; returns the new frame count.
-    pub fn assume(&self, facts_text: &str) -> Result<usize, TenantError> {
-        match self.single(BatchOp::Assume(facts_text))? {
-            BatchReply::Assumed { frames } => Ok(frames),
-            other => unreachable!("assume reply, got {other:?}"),
-        }
-    }
-
-    /// Pops the top assumption frame; returns (popped facts, frames
-    /// left).
-    pub fn pop(&self) -> Result<(usize, usize), TenantError> {
-        match self.single(BatchOp::Pop)? {
-            BatchReply::Popped { popped, frames } => Ok((popped, frames)),
-            other => unreachable!("pop reply, got {other:?}"),
-        }
-    }
-
-    /// Retracts one base fact; returns whether it existed.
-    pub fn retract(&self, fact_text: &str) -> Result<bool, TenantError> {
-        match self.single(BatchOp::Retract(fact_text))? {
-            BatchReply::Retracted { removed } => Ok(removed),
-            other => unreachable!("retract reply, got {other:?}"),
-        }
-    }
-
-    fn single(&self, op: BatchOp<'_>) -> Result<BatchReply, TenantError> {
+    /// Applies one op as a window of its own (see
+    /// [`Tenant::apply_batch`]).
+    pub fn apply(&self, op: BatchOp<'_>) -> Result<BatchReply, TenantError> {
         self.apply_batch(&[op])
             .replies
             .pop()
@@ -397,7 +359,7 @@ impl Tenant {
         let mut replies: Vec<Result<BatchReply, TenantError>> = Vec::with_capacity(ops.len());
         let mut applied = 0u64;
         for op in ops {
-            let reply = self.apply_locked(&mut session, op);
+            let reply = self.apply_locked(&mut session, *op);
             if reply.is_ok() {
                 applied += 1;
             }
@@ -421,81 +383,39 @@ impl Tenant {
         BatchOutcome { replies, degraded }
     }
 
-    /// One op against the locked session: quota admission, parse, apply.
-    /// No snapshot, no publish, no durability wait — the batch driver
-    /// owns those.
+    /// One op against the locked session: parse, quota admission,
+    /// apply. No snapshot, no publish, no durability wait — the batch
+    /// driver owns those.
     fn apply_locked(
         &self,
         session: &mut DurableSession,
-        op: &BatchOp<'_>,
+        text: BatchOp<'_>,
     ) -> Result<BatchReply, TenantError> {
-        match op {
-            BatchOp::Load(program) => {
-                if let Some(cap) = self.quotas.max_base_facts {
-                    // Count the incoming facts against a scratch clone of
-                    // the symbol table (it shares the session's names):
-                    // the real parse happens only once admission passes.
-                    let mut scratch = session.symbols().clone();
-                    let rb = parse_program(program, &mut scratch)
-                        .map_err(|e| TenantError::new("query", e.to_string()))?;
-                    let (_, facts) = split_facts(rb);
-                    let current = session.database().len() as u64;
-                    if current + facts.len() as u64 > cap {
-                        self.quota_trips.fetch_add(1, Relaxed);
-                        return Err(TenantError::quota(format!(
-                            "base-fact quota: {current} stored + {} incoming > cap {cap}",
-                            facts.len()
-                        )));
-                    }
-                }
-                session
-                    .load(program)
-                    .map_err(|e| TenantError::new("query", e.to_string()))?;
-                Ok(BatchReply::Loaded)
-            }
-            BatchOp::Assume(facts_text) => {
-                if let Some(cap) = self.quotas.max_overlay_depth {
-                    let depth = session.assumptions().len() as u64;
-                    if depth >= cap {
-                        self.quota_trips.fetch_add(1, Relaxed);
-                        return Err(TenantError::quota(format!(
-                            "assumption-depth quota: {depth} frames stacked, cap {cap}"
-                        )));
-                    }
-                }
-                let facts = parse_ground_facts(facts_text, session.symbols_mut())
-                    .map_err(|e| TenantError::new("query", e))?;
-                session
-                    .assume(facts)
-                    .map_err(|e| TenantError::new("query", e.to_string()))?;
-                Ok(BatchReply::Assumed {
-                    frames: session.assumptions().len(),
-                })
-            }
-            BatchOp::Pop => match session.pop_assumption() {
-                Ok(Some(frame)) => Ok(BatchReply::Popped {
-                    popped: frame.len(),
-                    frames: session.assumptions().len(),
-                }),
-                Ok(None) => Err(TenantError::new("protocol", "no assumption frame to pop")),
-                Err(e) => Err(TenantError::new("query", e.to_string())),
-            },
-            BatchOp::Retract(fact_text) => {
-                let mut facts = parse_ground_facts(fact_text, session.symbols_mut())
-                    .map_err(|e| TenantError::new("query", e))?;
-                if facts.len() != 1 {
-                    return Err(TenantError::new(
-                        "protocol",
-                        "retract takes exactly one fact",
-                    ));
-                }
-                let fact = facts.pop().expect("checked length");
-                let removed = session
-                    .retract_fact(&fact)
-                    .map_err(|e| TenantError::new("query", e.to_string()))?;
-                Ok(BatchReply::Retracted { removed })
+        if let (BatchOp::Assume(_), Some(cap)) = (text, self.quotas.max_overlay_depth) {
+            let depth = session.assumptions().len() as u64;
+            if depth >= cap {
+                return Err(self.quota_trip(format!(
+                    "assumption-depth quota: {depth} frames stacked, cap {cap}"
+                )));
             }
         }
+        let op = session.parse_op(text)?;
+        if let (Op::Program { facts, .. }, Some(cap)) = (&op, self.quotas.max_base_facts) {
+            let current = session.database().len() as u64;
+            if current + facts.len() as u64 > cap {
+                return Err(self.quota_trip(format!(
+                    "base-fact quota: {current} stored + {} incoming > cap {cap}",
+                    facts.len()
+                )));
+            }
+        }
+        Ok(session.apply(op)?)
+    }
+
+    /// Counts a quota refusal and builds its error.
+    fn quota_trip(&self, message: String) -> TenantError {
+        self.quota_trips.fetch_add(1, Relaxed);
+        TenantError::quota(message)
     }
 
     /// Compacts the tenant's WAL into a checkpoint; returns the epoch.
@@ -734,7 +654,7 @@ mod tests {
         let b = registry.open("b").unwrap();
         a.load("p(x).").unwrap();
         b.load("p(y).").unwrap();
-        a.assume("q(z)").unwrap();
+        a.apply(BatchOp::Assume("q(z)")).unwrap();
         assert_eq!(a.query(QueryRequest::ask("p(x)")), Outcome::True);
         assert_eq!(b.query(QueryRequest::ask("p(x)")), Outcome::False);
         assert_eq!(a.query(QueryRequest::ask("q(z)")), Outcome::True);
@@ -766,12 +686,19 @@ mod tests {
             ..TenantQuotas::default()
         });
         let t = registry.open("t").unwrap();
-        assert_eq!(t.assume("h(a)").unwrap(), 1);
-        assert_eq!(t.assume("h(b)").unwrap(), 2);
-        assert_eq!(t.assume("h(c)").unwrap_err().kind, "quota");
+        let assume = |text| t.apply(BatchOp::Assume(text));
+        assert_eq!(assume("h(a)"), Ok(BatchReply::Assumed { frames: 1 }));
+        assert_eq!(assume("h(b)"), Ok(BatchReply::Assumed { frames: 2 }));
+        assert_eq!(assume("h(c)").unwrap_err().kind, "quota");
         // Popping frees a slot.
-        assert_eq!(t.pop().unwrap(), (1, 1));
-        assert_eq!(t.assume("h(c)").unwrap(), 2);
+        assert_eq!(
+            t.apply(BatchOp::Pop),
+            Ok(BatchReply::Popped {
+                popped: 1,
+                frames: 1
+            })
+        );
+        assert_eq!(assume("h(c)"), Ok(BatchReply::Assumed { frames: 2 }));
     }
 
     #[test]
@@ -884,14 +811,24 @@ mod tests {
     }
 
     #[test]
-    fn retract_and_pop_report_protocol_errors() {
+    fn refused_ops_carry_their_wire_kinds() {
         let registry = ephemeral_registry(TenantQuotas::default());
         let t = registry.open("t").unwrap();
-        t.load("p(a).").unwrap();
-        assert!(t.retract("p(a)").unwrap());
-        assert!(!t.retract("p(a)").unwrap());
-        assert_eq!(t.pop().unwrap_err().kind, "protocol");
-        assert_eq!(t.retract("p(a), p(b)").unwrap_err().kind, "protocol");
+        t.load("p(a). e(a). n(X) :- e(X), ~m(X).").unwrap();
+        // Unstratified: no engine could evaluate it, so it is refused
+        // before the log.
+        let err = t.load("m(X) :- e(X), n(X).").unwrap_err();
+        assert_eq!(err.kind, "query");
+        assert!(err.message.starts_with("program is not stratified"));
+        assert_eq!(t.query(QueryRequest::ask("n(a)")), Outcome::True);
+        let retract = |text| t.apply(BatchOp::Retract(text));
+        assert_eq!(retract("p(a)"), Ok(BatchReply::Retracted { removed: true }));
+        assert_eq!(
+            retract("p(a)"),
+            Ok(BatchReply::Retracted { removed: false })
+        );
+        assert_eq!(t.apply(BatchOp::Pop).unwrap_err().kind, "protocol");
+        assert_eq!(retract("p(a), p(b)").unwrap_err().kind, "protocol");
         assert_eq!(t.checkpoint().unwrap_err().kind, "protocol");
     }
 }

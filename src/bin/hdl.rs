@@ -71,6 +71,7 @@
 //! scripted clients can tell exactly which mutations are durable.
 
 use hdl_core::session::EngineKind;
+use hdl_core::{Applied, OpText};
 use hdl_server::{Json, Server, ServerConfig, TenantQuotas};
 use hdl_service::{Outcome, QueryRequest, QueryService, ServiceConfig};
 use hypothetical_datalog::prelude::*;
@@ -106,13 +107,11 @@ use Mode::{Connect, Repl, Serve};
 enum Command<'a> {
     /// `?- goal.` (the whole line).
     Query(&'a str),
-    /// Rules and facts; `connect` passes a line starting with `{`
-    /// through as a raw protocol request.
-    Program(&'a str),
+    /// A mutation: a program line (rules and facts; `connect` passes a
+    /// line starting with `{` through as a raw protocol request),
+    /// `:assume`, `:retract` or `:pop`.
+    Op(OpText<'a>),
     Answers(&'a str),
-    Assume(&'a str),
-    Retract(&'a str),
-    Pop,
     Materialize,
     Checkpoint,
     Stats {
@@ -171,12 +170,13 @@ const COMMANDS: &[Spec] = &[
     Spec { name: "lint", aliases: &[], arg: "", modes: &[Repl],
            build: |_| Command::Lint, help: "diagnostics for the loaded rules" },
     Spec { name: "assume", aliases: &[], arg: "FACTS", modes: ALL,
-           build: |arg| Command::Assume(arg), help: "push a hypothesis frame (f1, f2, ...)" },
+           build: |arg| Command::Op(OpText::Assume(arg)),
+           help: "push a hypothesis frame (f1, f2, ...)" },
     Spec { name: "retract", aliases: &[], arg: "FACT", modes: ALL,
-           build: |arg| Command::Retract(arg),
+           build: |arg| Command::Op(OpText::Retract(arg)),
            help: "remove a base fact (incremental once materialized)" },
     Spec { name: "pop", aliases: &[], arg: "", modes: ALL,
-           build: |_| Command::Pop, help: "pop the top hypothesis frame" },
+           build: |_| Command::Op(OpText::Pop), help: "pop the top hypothesis frame" },
     Spec { name: "materialize", aliases: &[], arg: "", modes: &[Repl, Serve],
            build: |_| Command::Materialize,
            help: "build the model; later asserts/retracts maintain it" },
@@ -205,7 +205,7 @@ impl<'a> Command<'a> {
             return Command::Query(line);
         }
         let Some(rest) = line.strip_prefix(':') else {
-            return Command::Program(line);
+            return Command::Op(OpText::Load(line));
         };
         let (name, arg) = rest
             .split_once(char::is_whitespace)
@@ -843,15 +843,15 @@ fn connect_main(args: &[String]) -> i32 {
 /// line starting with `{` is a raw request and passes through unchanged.
 fn protocol_request(cmd: Command, line: &str) -> Result<String, String> {
     let (op, field) = match cmd {
-        Command::Program(raw) if raw.starts_with('{') => return Ok(raw.to_owned()),
-        Command::Program(program) => ("load", Some(("program", program))),
+        Command::Op(OpText::Load(raw)) if raw.starts_with('{') => return Ok(raw.to_owned()),
+        Command::Op(OpText::Load(program)) => ("load", Some(("program", program))),
         Command::Query(query) => ("query", Some(("q", query))),
         Command::Answers(pattern) => ("answers", Some(("pattern", pattern))),
-        Command::Assume(facts) => ("assume", Some(("facts", facts))),
-        Command::Retract(fact) => ("retract", Some(("fact", fact))),
+        Command::Op(OpText::Assume(facts)) => ("assume", Some(("facts", facts))),
+        Command::Op(OpText::Retract(fact)) => ("retract", Some(("fact", fact))),
         Command::Open("") => return Err(format!("{line} needs a tenant name")),
         Command::Open(tenant) => ("open", Some(("tenant", tenant))),
-        Command::Pop => ("pop", None),
+        Command::Op(OpText::Pop) => ("pop", None),
         Command::Checkpoint => ("checkpoint", None),
         Command::Stats { .. } => ("stats", None),
         Command::Promote => ("promote", None),
@@ -995,31 +995,9 @@ impl<'o> Shell<'o> {
     /// own executor.
     fn execute(&mut self, cmd: Command, line: &str) {
         match cmd {
-            Command::Program(text) => self.mutate(|s| {
-                s.load(text)?;
-                Ok(String::new())
-            }),
-            Command::Assume(text) => self.mutate(|s| {
-                let facts = hdl_core::parse_ground_facts(text, s.symbols_mut())?;
-                s.assume(facts)?;
-                Ok(format!("({} assumption frames)", s.assumptions().len()))
-            }),
-            Command::Retract(text) => self.mutate(|s| {
-                let facts = hdl_core::parse_ground_facts(text, s.symbols_mut())?;
-                let [fact] = facts.as_slice() else {
-                    return Err("retract takes exactly one fact".into());
-                };
-                let removed = s.retract_fact(fact)?;
-                Ok(if removed { "retracted" } else { "no such fact" }.to_owned())
-            }),
-            Command::Pop => self.mutate(|s| match s.pop_assumption()? {
-                Some(frame) => Ok(format!(
-                    "popped {} facts ({} frames left)",
-                    frame.len(),
-                    s.assumptions().len()
-                )),
-                None => Err("no assumption frame to pop".into()),
-            }),
+            Command::Op(text) => {
+                self.mutate(text);
+            }
             Command::Materialize => match self.session.model() {
                 Ok(model) => {
                     println!("materialized {} facts", model.len());
@@ -1037,26 +1015,34 @@ impl<'o> Shell<'o> {
         }
     }
 
-    /// Applies one mutation. On success it prints the `ok` ack (when
-    /// durable), then the REPL prints `apply`'s narration and `serve
-    /// --stdin` publishes a fresh snapshot.
-    fn mutate(
-        &mut self,
-        apply: impl FnOnce(&mut DurableSession) -> Result<String, Box<dyn std::error::Error>>,
-    ) {
-        match apply(&mut self.session) {
-            Ok(narration) => {
-                if self.session.is_durable() {
-                    println!("ok");
-                }
-                if self.service.is_some() {
-                    self.publish();
-                } else if !narration.is_empty() {
-                    println!("{narration}");
-                }
+    /// Applies one mutation; returns whether it applied. On success it
+    /// prints the `ok` ack (when durable), then the REPL narrates what
+    /// was applied and `serve --stdin` publishes a fresh snapshot.
+    fn mutate(&mut self, text: OpText) -> bool {
+        let applied = match self.session.apply_text(text) {
+            Ok(applied) => applied,
+            Err(e) => {
+                self.fail(format!("error: {e}"));
+                return false;
             }
-            Err(e) => self.fail(format!("error: {e}")),
+        };
+        if self.session.is_durable() {
+            println!("ok");
         }
+        if self.service.is_some() {
+            self.publish();
+            return true;
+        }
+        match applied {
+            Applied::Loaded => {}
+            Applied::Assumed { frames } => println!("({frames} assumption frames)"),
+            Applied::Retracted { removed: true } => println!("retracted"),
+            Applied::Retracted { removed: false } => println!("no such fact"),
+            Applied::Popped { popped, frames } => {
+                println!("popped {popped} facts ({frames} frames left)")
+            }
+        }
+        true
     }
 
     /// Hands the session's current state to the worker pool, if any.
@@ -1152,10 +1138,11 @@ impl<'o> Shell<'o> {
                 Err(e) => self.fail(format!("error: {e}")),
             },
             Command::Load(path) => match std::fs::read_to_string(path) {
-                Ok(src) => self.mutate(|s| {
-                    s.load(&src)?;
-                    Ok(format!("loaded {path}"))
-                }),
+                Ok(src) => {
+                    if self.mutate(OpText::Load(&src)) {
+                        println!("loaded {path}");
+                    }
+                }
                 Err(e) => self.fail(format!("cannot read {path}: {e}")),
             },
             Command::Save(path) => match std::fs::write(path, session.dump()) {

@@ -1015,7 +1015,9 @@ mod overlay_views {
 mod persistence {
     use super::*;
     use hdl_core::session::Session;
+    use hdl_core::OpText;
     use hdl_persist::{decode_checkpoint, encode_checkpoint, DurableSession, FsyncPolicy};
+    use proptest::test_runner::TestCaseError;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1047,59 +1049,49 @@ mod persistence {
         super::facts_strategy()
     }
 
-    /// A mutation applied identically to both sessions under test.
-    #[derive(Clone, Debug)]
-    enum Op {
-        Load(Vec<(usize, Vec<u8>)>),
-        Assume(Vec<(usize, Vec<u8>)>),
-        Retract(usize, Vec<u8>),
-        Pop,
+    /// Ground facts rendered as `q0(c1)<sep>q1(c0, c2)<sep>…`.
+    fn facts_text(sep: &'static str) -> impl Strategy<Value = String> {
+        ground_batch_strategy().prop_map(move |batch| {
+            let facts: Vec<String> = batch.iter().map(|(p, a)| render_fact(*p, a)).collect();
+            facts.join(sep)
+        })
     }
 
-    fn op_strategy() -> impl Strategy<Value = Op> {
+    /// One mutation line, `load|assume|retract TEXT` or `pop`. Texts
+    /// the op refuses (an empty frame, a retract of several facts, a
+    /// pop with no frame) are generated too: both sessions must refuse
+    /// them alike.
+    fn op_strategy() -> impl Strategy<Value = String> {
         prop_oneof![
-            3 => ground_batch_strategy().prop_map(Op::Load),
-            3 => ground_batch_strategy().prop_map(Op::Assume),
+            3 => facts_text(". ").prop_map(|t| format!("load {t}.")),
+            3 => facts_text(", ").prop_map(|t| format!("assume {t}")),
             2 => (0..NUM_PREDS).prop_flat_map(|p| {
                 proptest::collection::vec(100u8..(100 + NUM_CONSTS as u8), arity(p))
-                    .prop_map(move |a| Op::Retract(p, a))
+                    .prop_map(move |a| format!("retract {}", render_fact(p, &a)))
             }),
-            2 => Just(Op::Pop),
+            1 => facts_text(", ").prop_map(|t| format!("retract {t}")),
+            2 => Just("pop".to_owned()),
         ]
     }
 
-    /// Parses one ground fact into `session`'s symbol space.
-    fn fact_in(session: &mut Session, p: usize, args: &[u8]) -> GroundAtom {
-        let src = format!("{}.", render_fact(p, args));
-        let program = parse_program(&src, session.symbols_mut()).unwrap();
-        let (_, mut facts) = hdl_core::parser::split_facts(program);
-        facts.pop().unwrap()
+    /// The op text of a generated line.
+    fn op_text(line: &str) -> OpText<'_> {
+        match line.split_once(' ').unwrap_or((line, "")) {
+            ("load", text) => OpText::Load(text),
+            ("assume", text) => OpText::Assume(text),
+            ("retract", text) => OpText::Retract(text),
+            _ => OpText::Pop,
+        }
     }
 
-    fn apply(session: &mut Session, op: &Op) {
-        match op {
-            Op::Load(batch) => {
-                if batch.is_empty() {
-                    return;
-                }
-                let src: String = batch
-                    .iter()
-                    .map(|(p, a)| format!("{}.\n", render_fact(*p, a)))
-                    .collect();
-                session.load(&src).unwrap();
-            }
-            Op::Assume(batch) => {
-                let facts: Vec<_> = batch.iter().map(|(p, a)| fact_in(session, *p, a)).collect();
-                session.assume(facts).unwrap();
-            }
-            Op::Retract(p, a) => {
-                let fact = fact_in(session, *p, a);
-                session.retract_fact(&fact).unwrap();
-            }
-            Op::Pop => {
-                session.pop_assumption().unwrap();
-            }
+    /// Applies every line to both sessions through the text entry the
+    /// shell and the tenant use; they must agree on each result.
+    fn apply_both(a: &mut Session, b: &mut Session, lines: &[String]) -> Result<(), TestCaseError> {
+        for line in lines {
+            let text = op_text(line);
+            prop_assert_eq!(a.apply_text(text), b.apply_text(text), "on `{}`", line);
         }
+        Ok(())
     }
 
     /// Every ground query, rendered textually so each session resolves
@@ -1204,10 +1196,7 @@ mod persistence {
             let src = render_program(&rules);
             durable.load(&src).unwrap();
             direct.load(&src).unwrap();
-            for op in &ops {
-                apply(&mut durable, op);
-                apply(&mut direct, op);
-            }
+            apply_both(&mut durable, &mut direct, &ops)?;
 
             drop(durable); // no checkpoint: recovery must replay the WAL
             let mut recovered =
@@ -1247,10 +1236,7 @@ mod persistence {
             let src = render_program(&rules);
             durable.load(&src).unwrap();
             direct.load(&src).unwrap();
-            for op in &ops {
-                apply(&mut durable, op);
-                apply(&mut direct, op);
-            }
+            apply_both(&mut durable, &mut direct, &ops)?;
             durable.checkpoint().unwrap();
             drop(durable);
 
