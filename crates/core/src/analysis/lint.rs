@@ -7,7 +7,7 @@
 //! surfaces them via `:lint`.
 
 use crate::ast::{Premise, Rulebase};
-use hdl_base::{FxHashSet, Symbol, SymbolTable, Var};
+use hdl_base::{Database, FxHashSet, Symbol, SymbolTable, Var};
 
 /// One diagnostic.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -21,9 +21,9 @@ pub enum Lint {
         var: Var,
     },
     /// A predicate that is read (positively or hypothetically) but has no
-    /// rules and is never hypothetically inserted — it can only come from
-    /// the extensional database. Often intentional; flagged when the name
-    /// resembles a typo of a defined predicate (edit distance 1).
+    /// rules, no facts and is never hypothetically inserted. Often
+    /// intentional (facts may come later); flagged when the name resembles
+    /// a typo of a defined predicate (edit distance 1).
     ProbableTypo {
         /// The undefined predicate.
         used: Symbol,
@@ -46,13 +46,14 @@ pub enum Lint {
     },
 }
 
-/// Runs all lints over `rb`.
-pub fn lint(rb: &Rulebase, syms: &SymbolTable) -> Vec<Lint> {
+/// Runs all lints over `rb`, whose base facts are `db`.
+pub fn lint(rb: &Rulebase, db: &Database, syms: &SymbolTable) -> Vec<Lint> {
     let mut out = Vec::new();
     unbound_head_variables(rb, &mut out);
     let defined: FxHashSet<Symbol> = rb.iter().map(|r| r.head.pred).collect();
     let mut read: FxHashSet<Symbol> = FxHashSet::default();
-    let mut added: FxHashSet<Symbol> = FxHashSet::default();
+    // Predicates with facts count as inserted.
+    let mut added: FxHashSet<Symbol> = db.predicates().collect();
     for rule in rb.iter() {
         for p in &rule.premises {
             read.insert(p.goal().pred);
@@ -196,8 +197,8 @@ pub fn render_lint(l: &Lint, syms: &SymbolTable) -> String {
             var.0
         ),
         Lint::ProbableTypo { used, similar } => format!(
-            "predicate `{}` has no rules and is never inserted; did you \
-             mean `{}`?",
+            "predicate `{}` has no rules and no facts and is never \
+             inserted; did you mean `{}`?",
             syms.name(*used),
             syms.name(*similar)
         ),
@@ -220,7 +221,7 @@ mod tests {
     fn run(src: &str) -> (Vec<Lint>, SymbolTable) {
         let mut syms = SymbolTable::new();
         let rb = parse_program(src, &mut syms).unwrap();
-        let lints = lint(&rb, &syms);
+        let lints = lint(&rb, &Database::new(), &syms);
         (lints, syms)
     }
 
@@ -249,6 +250,26 @@ mod tests {
             typo,
             Some(("reachible".to_string(), "reachable".to_string()))
         );
+    }
+
+    #[test]
+    fn predicates_with_facts_are_not_typos() {
+        let mut syms = SymbolTable::new();
+        let rb = parse_program("p(X) :- e(X), ~q(X).", &mut syms).unwrap();
+        let mut db = Database::new();
+        for fact in crate::parser::parse_ground_facts("e(a).", &mut syms).unwrap() {
+            db.insert(fact);
+        }
+        let typos = |db: &Database| -> Vec<String> {
+            let lints = lint(&rb, db, &syms);
+            let typos = lints.into_iter().filter_map(|l| match l {
+                Lint::ProbableTypo { used, .. } => Some(syms.name(used).to_owned()),
+                _ => None,
+            });
+            typos.collect()
+        };
+        assert_eq!(typos(&Database::new()), ["e", "q"]);
+        assert_eq!(typos(&db), ["q"], "e(a) is a base fact");
     }
 
     #[test]

@@ -27,6 +27,20 @@ pub enum HypEdge {
     Hypothetical,
 }
 
+/// One dependency of rule `rule`'s head `from` on a premise predicate
+/// `to`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DepEdge {
+    /// The head predicate.
+    pub from: Symbol,
+    /// The premise predicate.
+    pub to: Symbol,
+    /// The occurrence kind.
+    pub kind: HypEdge,
+    /// Index of the rule in the rulebase.
+    pub rule: usize,
+}
+
 /// Mutual-recursion analysis of a rulebase.
 #[derive(Debug, Clone)]
 pub struct RecursionAnalysis {
@@ -39,8 +53,8 @@ pub struct RecursionAnalysis {
     /// Whether each class is genuinely recursive (a cycle exists through
     /// it: size > 1 or a self-edge).
     pub class_recursive: Vec<bool>,
-    /// All labelled edges `(from, to, kind)`.
-    pub edges: Vec<(Symbol, Symbol, HypEdge)>,
+    /// All labelled edges, in rule order.
+    pub edges: Vec<DepEdge>,
 }
 
 impl RecursionAnalysis {
@@ -48,31 +62,35 @@ impl RecursionAnalysis {
     pub fn new(rb: &Rulebase) -> Self {
         let mut graph = DepGraph::new();
         let mut edges = Vec::new();
-        for rule in rb.iter() {
-            graph.add_node(rule.head.pred);
-            for q in rule.positive_preds() {
-                graph.add_edge(rule.head.pred, q, EdgeKind::Positive);
-                edges.push((rule.head.pred, q, HypEdge::Positive));
-            }
-            for q in rule.negative_preds() {
-                graph.add_edge(rule.head.pred, q, EdgeKind::Negative);
-                edges.push((rule.head.pred, q, HypEdge::Negative));
-            }
+        for (i, rule) in rb.iter().enumerate() {
+            let (from, start) = (rule.head.pred, edges.len());
+            let mut edge = |to, kind| {
+                edges.push(DepEdge {
+                    from,
+                    to,
+                    kind,
+                    rule: i,
+                })
+            };
+            rule.positive_preds()
+                .for_each(|q| edge(q, HypEdge::Positive));
+            rule.negative_preds()
+                .for_each(|q| edge(q, HypEdge::Negative));
             for premise in rule.premises.iter().filter(|p| p.is_hypothetical()) {
-                let q = premise.goal().pred;
-                // Hypothetical goals participate in cycles like positive
-                // occurrences; the label distinction matters only for the
-                // stratification conditions, not for SCCs.
-                graph.add_edge(rule.head.pred, q, EdgeKind::Positive);
-                edges.push((rule.head.pred, q, HypEdge::Hypothetical));
+                edge(premise.goal().pred, HypEdge::Hypothetical);
                 // A `del:` list makes the goal occurrence negation-like:
                 // the premise's truth depends on facts of `q`'s database
                 // being *absent*, so recursion through it is as unsafe as
                 // recursion through `~q` and must cross a stratum.
                 if !premise.dels().is_empty() {
-                    graph.add_edge(rule.head.pred, q, EdgeKind::Negative);
-                    edges.push((rule.head.pred, q, HypEdge::Negative));
+                    edge(premise.goal().pred, HypEdge::Negative);
                 }
+            }
+            graph.add_node(from);
+            // Every kind of edge joins cycles alike; the labels matter only
+            // for the stratification conditions, not for SCCs.
+            for e in &edges[start..] {
+                graph.add_edge(from, e.to, EdgeKind::Positive);
             }
             // Predicates that only appear inside add-lists or as premises
             // still need nodes so class lookups succeed.
@@ -81,21 +99,13 @@ impl RecursionAnalysis {
             }
         }
         let (comp, num_classes) = graph.sccs();
-        let mut class_of = FxHashMap::default();
-        let mut class_size = vec![0usize; num_classes];
-        let mut preds = Vec::with_capacity(graph.len());
-        for i in 0..graph.len() {
-            let p = graph.pred(i);
-            preds.push(p);
-            class_of.insert(p, comp[i]);
-            class_size[comp[i]] += 1;
-        }
-        let mut class_recursive: Vec<bool> = class_size.iter().map(|&s| s > 1).collect();
-        for i in 0..graph.len() {
-            for &(j, _) in graph.edges_of(i) {
-                if i == j {
-                    class_recursive[comp[i]] = true;
-                }
+        let preds: Vec<Symbol> = (0..graph.len()).map(|i| graph.pred(i)).collect();
+        let class_of: FxHashMap<Symbol, usize> = preds.iter().copied().zip(comp).collect();
+        // An edge inside a class lies on a cycle through it.
+        let mut class_recursive = vec![false; num_classes];
+        for e in &edges {
+            if class_of[&e.from] == class_of[&e.to] {
+                class_recursive[class_of[&e.from]] = true;
             }
         }
         RecursionAnalysis {
@@ -123,15 +133,6 @@ impl RecursionAnalysis {
         }
     }
 
-    /// Whether any class contains a negative edge — recursion through
-    /// negation, which makes the rulebase non-stratifiable.
-    pub fn negation_in_cycle(&self) -> Option<(Symbol, Symbol)> {
-        self.edges
-            .iter()
-            .find(|&&(f, t, k)| k == HypEdge::Negative && self.mutually_recursive(f, t))
-            .map(|&(f, t, _)| (f, t))
-    }
-
     /// The number of mutual-recursion equivalence classes among the
     /// predicates in `preds` (the constant `kᵢ` of Theorem 3 when applied
     /// to a segment's predicates).
@@ -146,6 +147,7 @@ impl RecursionAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::stratify::solve;
     use crate::parser::parse_program;
     use hdl_base::SymbolTable;
 
@@ -153,6 +155,11 @@ mod tests {
         let mut syms = SymbolTable::new();
         let rb = parse_program(src, &mut syms).unwrap();
         (RecursionAnalysis::new(&rb), syms)
+    }
+
+    /// Whether some cycle passes through a negative edge.
+    fn negation_in_cycle(ra: &RecursionAnalysis) -> bool {
+        solve(ra, &ra.edges, |e| e.kind == HypEdge::Negative).is_err()
     }
 
     #[test]
@@ -174,7 +181,7 @@ mod tests {
             !ra.mutually_recursive(select, select),
             "select is not on a cycle"
         );
-        assert!(ra.negation_in_cycle().is_none());
+        assert!(!negation_in_cycle(&ra));
     }
 
     #[test]
@@ -190,7 +197,7 @@ mod tests {
     fn negation_in_cycle_detected_through_hypothetical_edges() {
         // p :- q[add: c].   q :- ~p.   — the cycle passes a negative edge.
         let (ra, _) = analyze("p :- q[add: c].\nq :- ~p.");
-        assert!(ra.negation_in_cycle().is_some());
+        assert!(negation_in_cycle(&ra));
     }
 
     #[test]
@@ -204,7 +211,7 @@ mod tests {
         let p = syms.lookup("p").unwrap();
         let r = syms.lookup("r").unwrap();
         assert!(!ra.mutually_recursive(p, r));
-        assert!(ra.negation_in_cycle().is_none());
+        assert!(!negation_in_cycle(&ra));
     }
 
     #[test]
@@ -212,16 +219,16 @@ mod tests {
         // Recursion through a del-carrying hypothetical goal is recursion
         // through negation.
         let (ra, _) = analyze("p :- p[del: c].");
-        assert!(ra.negation_in_cycle().is_some());
+        assert!(negation_in_cycle(&ra));
         // Non-recursive del: use is fine.
         let (ra, _) = analyze("p :- q[del: c].\nq :- r.");
-        assert!(ra.negation_in_cycle().is_none());
+        assert!(!negation_in_cycle(&ra));
         // del-list *atoms* are still not occurrences.
         let (ra, syms) = analyze("p :- q[del: r].\nr :- p.");
         let p = syms.lookup("p").unwrap();
         let r = syms.lookup("r").unwrap();
         assert!(!ra.mutually_recursive(p, r));
-        assert!(ra.negation_in_cycle().is_none());
+        assert!(!negation_in_cycle(&ra));
     }
 
     #[test]

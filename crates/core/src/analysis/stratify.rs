@@ -1,17 +1,16 @@
-//! Linear stratification (Definitions 6–9) and the Lemma 1 algorithms.
+//! Stratification: one stratum solver, and linear stratification
+//! (Definitions 6–9) with the Lemma 1 algorithms.
 //!
-//! Two related computations live here:
-//!
-//! 1. [`global_negation_strata`] — the coarse stratification the
-//!    *evaluation engines* need: every predicate gets a stratum such that
-//!    positive and hypothetical dependencies stay within or below it and
-//!    negative dependencies go strictly below. This exists iff no cycle of
-//!    the dependency graph passes through negation, and covers every
-//!    well-defined rulebase (a superset of the linearly stratified ones).
+//! 1. `solve` — the least stratum map of a dependency edge list in
+//!    which *strict* edges must climb a stratum, or the strict edge on a
+//!    cycle that rules one out. Callers choose the strict edges: negation
+//!    ([`global_strata`], checked on every load and by every engine), also
+//!    hypothetical edges across recursion classes (the bottom-up engine's
+//!    order), or negation inside one Δ segment (the `PROVE_Δᵢ` sub-strata).
 //!
 //! 2. [`linear_stratification`] — the paper's finer `(Δᵢ, Σᵢ)` structure:
-//!    - *decision* (Lemma 1): compute mutual-recursion classes; fail if a
-//!      class has recursion through negation; fail if a class has both
+//!    - *decision* (Lemma 1): fail if the global strata do not exist
+//!      (recursion through negation); fail if a class has both
 //!      hypothetical recursion and non-linear recursion;
 //!    - *construction*: the relaxation algorithm — every predicate starts
 //!      in partition 1 and partition numbers are incremented until the
@@ -22,128 +21,125 @@
 //!      negated predicates must be defined strictly below).
 
 use crate::analysis::linearity::{rule_recursion, RuleRecursion};
-use crate::analysis::recursion::RecursionAnalysis;
+use crate::analysis::recursion::{DepEdge, HypEdge, RecursionAnalysis};
 use crate::ast::{HypRule, Premise, Rulebase};
-use hdl_base::{Error, FxHashMap, Result, Symbol};
+use crate::pretty;
+use hdl_base::{Error, FxHashMap, Result, Symbol, SymbolTable};
+use std::collections::{hash_map::Entry, VecDeque};
 
-/// Global negation-stratification for the evaluation engines.
+/// A least stratum map.
 #[derive(Debug, Clone)]
-pub struct NegationStrata {
-    /// Stratum per predicate occurring in the rulebase.
+pub struct Strata {
+    /// Stratum per predicate of the rulebase.
     pub stratum_of: FxHashMap<Symbol, usize>,
     /// Number of strata (0 for an empty rulebase).
     pub num_strata: usize,
 }
 
-impl NegationStrata {
-    /// Stratum of `p` (0 for predicates with no rules — EDB predicates).
+impl Strata {
+    /// Stratum of `p` (0 for predicates no rule mentions).
     pub fn stratum(&self, p: Symbol) -> usize {
         self.stratum_of.get(&p).copied().unwrap_or(0)
     }
 }
 
-/// Computes [`NegationStrata`], or fails if some cycle passes through
-/// negation (the rulebase is then not well-defined, §3.1).
-pub fn global_negation_strata(rb: &Rulebase) -> Result<NegationStrata> {
-    let ra = RecursionAnalysis::new(rb);
-    if let Some((f, t)) = ra.negation_in_cycle() {
-        return Err(Error::NotStratified {
-            cycle: format!("predicate #{} negates #{} inside a cycle", f.0, t.0),
-        });
-    }
-    // Iterate to the least fixpoint of:
-    //   stratum(p) ≥ stratum(q)      for positive/hypothetical deps p → q
-    //   stratum(p) ≥ stratum(q) + 1  for negative deps p → q
-    // Termination: strata are bounded by the number of predicates because
-    // there is no negative cycle.
-    let mut stratum: FxHashMap<Symbol, usize> = ra.preds.iter().map(|&p| (p, 0usize)).collect();
-    let bound = ra.preds.len() + 1;
-    loop {
-        let mut changed = false;
-        for &(from, to, kind) in &ra.edges {
-            let need = stratum.get(&to).copied().unwrap_or(0)
-                + usize::from(kind == crate::analysis::recursion::HypEdge::Negative);
-            let cur = stratum.get_mut(&from).expect("node registered");
-            if *cur < need {
-                *cur = need;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-        // Defensive: cannot loop forever without a negative cycle.
-        if stratum.values().any(|&s| s > bound) {
-            return Err(Error::NotStratified {
-                cycle: "internal: stratum bound exceeded".into(),
-            });
-        }
-    }
-    let num_strata = if ra.preds.is_empty() {
-        0
-    } else {
-        stratum.values().copied().max().unwrap_or(0) + 1
+/// The error an unstratified program is refused with, for a `cycle` as
+/// [`solve`] reports it. It names predicates and quotes rules by `syms`;
+/// without one (engines hold none) it gives predicate ids and rule
+/// indices.
+pub(crate) fn unstratified(cycle: &[DepEdge], rb: &Rulebase, syms: Option<&SymbolTable>) -> Error {
+    let rule = |i: usize| match syms {
+        Some(syms) => format!("`{}`", pretty::rule(&rb.rules[i], syms)),
+        None => format!("rule {i}"),
     };
-    Ok(NegationStrata {
-        stratum_of: stratum,
-        num_strata,
+    let steps: Vec<String> = cycle
+        .iter()
+        .enumerate()
+        .map(|(k, e)| {
+            let verb = if k == 0 { "negates" } else { "depends on" };
+            let (from, to) = (name(e.from, syms), name(e.to, syms));
+            format!("{from} {verb} {to} in {}", rule(e.rule))
+        })
+        .collect();
+    Error::NotStratified {
+        cycle: steps.join("; "),
+    }
+}
+
+/// `p`'s name in `syms`, or `#id` without a table.
+fn name(p: Symbol, syms: Option<&SymbolTable>) -> String {
+    syms.map_or_else(|| format!("#{}", p.0), |syms| syms.name(p).to_owned())
+}
+
+/// The one stratum solver: the least map with `stratum(from) ≥
+/// stratum(to)` for every edge of `edges` (a subset of `ra.edges`), `+ 1`
+/// where `strict` holds; or, when the first strict edge that lies on a
+/// cycle rules it out, that cycle: the strict edge, then the edges that
+/// lead from its target back to its source (their `from`s are the
+/// cycle's predicate path).
+///
+/// One pass over the condensation, whose components are `ra`'s classes:
+/// a strict edge inside a class has no solution, and each class takes
+/// the largest need of its edges into classes already settled. A cycle
+/// of `ra` through an edge of a proper subset must stay in that subset.
+pub(crate) fn solve(
+    ra: &RecursionAnalysis,
+    edges: &[DepEdge],
+    strict: impl Fn(&DepEdge) -> bool,
+) -> std::result::Result<Strata, Vec<DepEdge>> {
+    let class = |p: Symbol| ra.class_of[&p];
+    let on_cycle = |e: &&DepEdge| strict(e) && class(e.from) == class(e.to);
+    if let Some(&e) = edges.iter().find(on_cycle) {
+        return Err(cycle_through(e, edges));
+    }
+    // Class ids are in reverse topological order: an edge between two
+    // classes points to the smaller id, so ascending order settles every
+    // class after all it depends on.
+    let mut by_class: Vec<&DepEdge> = edges.iter().collect();
+    by_class.sort_by_key(|e| class(e.from));
+    let mut level = vec![0usize; ra.num_classes];
+    for e in by_class {
+        let need = level[class(e.to)] + usize::from(strict(e));
+        level[class(e.from)] = level[class(e.from)].max(need);
+    }
+    Ok(Strata {
+        stratum_of: ra.preds.iter().map(|&p| (p, level[class(p)])).collect(),
+        num_strata: level.iter().max().map_or(0, |m| m + 1),
     })
 }
 
-/// Computes the *evaluation strata* used by the bottom-up engine: like
-/// [`global_negation_strata`] but hypothetical dependencies between
-/// *different* recursion classes are also strict.
-///
-/// Any assignment with positive edges non-strict and negative edges strict
-/// is a sound evaluation order; tightening cross-class hypothetical edges
-/// keeps rules *above* a hypothetical goal out of the fixpoints of
-/// augmented databases — so `bridge(X,Y) ← reach(a,d)[add: edge(X,Y)]`
-/// never re-fires itself inside the databases it creates. Hypothetical
-/// recursion *within* one class (Example 6's EVEN/ODD) stays in one
-/// stratum, as it must.
-pub fn evaluation_strata(rb: &Rulebase) -> Result<NegationStrata> {
-    let ra = RecursionAnalysis::new(rb);
-    if let Some((f, t)) = ra.negation_in_cycle() {
-        return Err(Error::NotStratified {
-            cycle: format!("predicate #{} negates #{} inside a cycle", f.0, t.0),
-        });
-    }
-    use crate::analysis::recursion::HypEdge;
-    let mut stratum: FxHashMap<Symbol, usize> = ra.preds.iter().map(|&p| (p, 0usize)).collect();
-    let bound = 2 * ra.preds.len() + 2;
-    loop {
-        let mut changed = false;
-        for &(from, to, kind) in &ra.edges {
-            let strict = match kind {
-                HypEdge::Positive => false,
-                HypEdge::Negative => true,
-                HypEdge::Hypothetical => !ra.mutually_recursive(from, to),
-            };
-            let need = stratum.get(&to).copied().unwrap_or(0) + usize::from(strict);
-            let cur = stratum.get_mut(&from).expect("node registered");
-            if *cur < need {
-                *cur = need;
-                changed = true;
+/// A shortest cycle through `strict`: the edge itself, then a
+/// breadth-first path from its target back to its source (every node of
+/// such a path lies in their class).
+fn cycle_through(strict: DepEdge, edges: &[DepEdge]) -> Vec<DepEdge> {
+    let mut reached_by: FxHashMap<Symbol, DepEdge> = FxHashMap::default();
+    let mut queue = VecDeque::from([strict.to]);
+    while let Some(p) = queue.pop_front() {
+        for e in edges.iter().filter(|e| e.from == p && e.to != strict.to) {
+            if let Entry::Vacant(slot) = reached_by.entry(e.to) {
+                slot.insert(*e);
+                queue.push_back(e.to);
             }
         }
-        if !changed {
-            break;
-        }
-        if stratum.values().any(|&s| s > bound) {
-            return Err(Error::NotStratified {
-                cycle: "internal: evaluation stratum bound exceeded".into(),
-            });
-        }
     }
-    let num_strata = if ra.preds.is_empty() {
-        0
-    } else {
-        stratum.values().copied().max().unwrap_or(0) + 1
-    };
-    Ok(NegationStrata {
-        stratum_of: stratum,
-        num_strata,
-    })
+    let mut cycle = vec![strict];
+    let mut p = strict.from;
+    while p != strict.to {
+        let e = reached_by[&p];
+        cycle.insert(1, e);
+        p = e.from;
+    }
+    cycle
+}
+
+/// The global strata: every negative edge strict. Every load is checked
+/// against them, and an engine refuses a rulebase that has none.
+pub fn global_strata(
+    rb: &Rulebase,
+    ra: &RecursionAnalysis,
+    syms: Option<&SymbolTable>,
+) -> Result<Strata> {
+    solve(ra, &ra.edges, |e| e.kind == HypEdge::Negative).map_err(|c| unstratified(&c, rb, syms))
 }
 
 /// One stratum `Δᵢ ∪ Σᵢ` (Definition 7), holding rule indices into the
@@ -234,53 +230,45 @@ fn required_part(rules: &[&HypRule], part_of: &FxHashMap<Symbol, usize>, part: u
 }
 
 /// Decides linear stratifiability and constructs a stratification
-/// (Lemma 1).
+/// (Lemma 1). Errors name predicates by id; see
+/// [`linear_stratification_with`].
 pub fn linear_stratification(rb: &Rulebase) -> Result<LinearStratification> {
+    linear_stratification_with(rb, None)
+}
+
+/// [`linear_stratification`], naming predicates and quoting rules in its
+/// errors by `syms`.
+pub fn linear_stratification_with(
+    rb: &Rulebase,
+    syms: Option<&SymbolTable>,
+) -> Result<LinearStratification> {
     let ra = RecursionAnalysis::new(rb);
 
     // Decision test 1: no equivalence class may have recursion through
     // negation.
-    if let Some((f, t)) = ra.negation_in_cycle() {
-        return Err(Error::NotStratified {
-            cycle: format!("predicate #{} negates #{} inside a cycle", f.0, t.0),
-        });
-    }
+    global_strata(rb, &ra, syms)?;
 
     // Decision test 2: no class may have both hypothetical recursion and
     // non-linear recursion.
-    let mut class_hyp_recursive = vec![false; ra.num_classes];
-    let mut class_nonlinear = vec![false; ra.num_classes];
-    for rule in rb.iter() {
-        let Some(head_class) = ra.class(rule.head.pred) else {
-            continue;
-        };
-        for premise in &rule.premises {
-            if let Premise::Hyp { goal, .. } = premise {
-                if ra.mutually_recursive(rule.head.pred, goal.pred) {
-                    class_hyp_recursive[head_class] = true;
-                }
-            }
-        }
-        if let RuleRecursion::NonLinear(_) = rule_recursion(rule, &ra) {
-            class_nonlinear[head_class] = true;
-        }
-    }
-    for c in 0..ra.num_classes {
-        if class_hyp_recursive[c] && class_nonlinear[c] {
-            let member = ra
-                .preds
-                .iter()
-                .find(|&&p| ra.class(p) == Some(c))
-                .copied()
-                .map(|p| p.0)
-                .unwrap_or(0);
-            return Err(Error::NotLinearlyStratified {
-                reason: format!(
-                    "the recursion class of predicate #{member} mixes hypothetical \
-                     recursion with non-linear recursion (Definition 9)"
-                ),
-            });
-        }
+    let hyp_recursive = |p| {
+        ra.edges.iter().any(|e| {
+            e.kind == HypEdge::Hypothetical
+                && ra.class(e.from) == ra.class(p)
+                && ra.mutually_recursive(e.from, e.to)
+        })
+    };
+    let nonlinear = |r: &HypRule| matches!(rule_recursion(r, &ra), RuleRecursion::NonLinear(_));
+    if let Some(rule) = rb
+        .iter()
+        .find(|r| nonlinear(r) && hyp_recursive(r.head.pred))
+    {
+        return Err(Error::NotLinearlyStratified {
+            reason: format!(
+                "the recursion class of predicate {} mixes hypothetical \
+                 recursion with non-linear recursion (Definition 9)",
+                name(rule.head.pred, syms)
+            ),
+        });
     }
 
     // Construction: the Definition 6 relaxation, shared with
@@ -619,13 +607,13 @@ mod tests {
                 &mut syms2,
             )
             .unwrap();
-            global_negation_strata(&rb).unwrap()
+            global_strata(&rb, &RecursionAnalysis::new(&rb), None).unwrap()
         };
         assert_eq!(ns.num_strata, 2, "global strata are strict across del:");
     }
 
     #[test]
-    fn global_negation_strata_orders_negation() {
+    fn global_strata_order_negation() {
         let mut syms = SymbolTable::new();
         let rb = parse_program(
             "p :- ~q.
@@ -634,7 +622,7 @@ mod tests {
             &mut syms,
         )
         .unwrap();
-        let ns = global_negation_strata(&rb).unwrap();
+        let ns = global_strata(&rb, &RecursionAnalysis::new(&rb), None).unwrap();
         let p = syms.lookup("p").unwrap();
         let q = syms.lookup("q").unwrap();
         let r = syms.lookup("r").unwrap();
@@ -647,7 +635,52 @@ mod tests {
     fn global_strata_reject_negative_cycles() {
         let mut syms = SymbolTable::new();
         let rb = parse_program("a :- b[add: c].\nb :- ~a.", &mut syms).unwrap();
-        assert!(global_negation_strata(&rb).is_err());
+        assert!(global_strata(&rb, &RecursionAnalysis::new(&rb), None).is_err());
+    }
+
+    /// The global strata of `src`, or the cycle that prevents them as
+    /// `(predicate path, rule of the strict edge)` by name.
+    fn solved(src: &str) -> std::result::Result<Strata, (Vec<String>, usize)> {
+        let mut syms = SymbolTable::new();
+        let rb = parse_program(src, &mut syms).unwrap();
+        let ra = RecursionAnalysis::new(&rb);
+        solve(&ra, &ra.edges, |e| e.kind == HypEdge::Negative).map_err(|c| {
+            let path = c.iter().map(|e| syms.name(e.from).to_owned());
+            (path.collect(), c[0].rule)
+        })
+    }
+
+    #[test]
+    fn solver_accepts_a_positive_cycle() {
+        let strata = solved("p(X) :- q(X).\nq(X) :- p(X).").unwrap();
+        assert_eq!(strata.num_strata, 1);
+    }
+
+    #[test]
+    fn solver_rejects_a_negative_cycle_with_its_path() {
+        let src = "p(X) :- seed(X), ~q(X).\nq(X) :- seed(X), p(X).";
+        assert_eq!(solved(src).unwrap_err(), (vec!["p".into(), "q".into()], 0));
+    }
+
+    #[test]
+    fn solver_rejects_self_negation_with_a_one_predicate_path() {
+        let src = "p(X) :- seed(X), ~p(X).";
+        assert_eq!(solved(src).unwrap_err(), (vec!["p".into()], 0));
+    }
+
+    #[test]
+    fn refusals_name_the_cycle_and_its_rules() {
+        let mut syms = SymbolTable::new();
+        let rb = parse_program("p :- ~q.\nq :- r.\nr :- p.", &mut syms).unwrap();
+        let ra = RecursionAnalysis::new(&rb);
+        let named = global_strata(&rb, &ra, Some(&syms)).unwrap_err();
+        assert_eq!(
+            named.to_string(),
+            "program is not stratified: recursion through negation (p negates q in \
+             `p :- ~q.`; q depends on r in `q :- r.`; r depends on p in `r :- p.`)"
+        );
+        let by_id = global_strata(&rb, &ra, None).unwrap_err().to_string();
+        assert!(by_id.contains("#0 negates #1 in rule 0; #1 depends on #2 in rule 1"));
     }
 
     #[test]

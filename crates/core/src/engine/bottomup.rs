@@ -39,7 +39,8 @@
 //! serves as ground truth for the top-down engine and the `PROVE`
 //! procedures.
 
-use crate::analysis::stratify::{evaluation_strata, NegationStrata};
+use crate::analysis::recursion::{HypEdge, RecursionAnalysis};
+use crate::analysis::stratify::{solve, unstratified, Strata};
 use crate::ast::{Premise, Rulebase};
 use crate::engine::budget::Budget;
 use crate::engine::context::Context;
@@ -57,9 +58,14 @@ pub struct BottomUpEngine<'rb> {
     /// Partial perfect models per database; a model's closed groups are
     /// its closed evaluation strata.
     models: FxHashMap<DbId, Model>,
-    /// Evaluation strata (hypothetical edges across recursion classes are
-    /// strict — see [`evaluation_strata`]).
-    eval_strata: NegationStrata,
+    /// Evaluation strata: negation is strict, and so are hypothetical
+    /// edges across recursion classes (which lie on no cycle). Rules
+    /// above a hypothetical goal then stay out of the fixpoints of the
+    /// databases it creates, so `bridge(X,Y) ← reach(a,d)[add:
+    /// edge(X,Y)]` never re-fires itself inside them; hypothetical
+    /// recursion *within* one class (Example 6's EVEN/ODD) stays in one
+    /// stratum, as it must.
+    eval_strata: Strata,
     /// The kernel's share: one rule group per evaluation stratum.
     fx: Fixpoint,
     stats: EngineStats,
@@ -76,8 +82,14 @@ impl<'rb> BottomUpEngine<'rb> {
     /// which runs reduced rulebases that must ground negation and
     /// hypothetical premises over the full program's `dom(R, DB)`.
     pub fn new_with_constants(rb: &'rb Rulebase, db: &Database, extra: &[Symbol]) -> Result<Self> {
-        let ctx = Context::new_with_constants(rb, db, extra)?;
-        let eval_strata = evaluation_strata(rb)?;
+        let ra = RecursionAnalysis::new(rb);
+        let eval_strata = solve(&ra, &ra.edges, |e| match e.kind {
+            HypEdge::Positive => false,
+            HypEdge::Negative => true,
+            HypEdge::Hypothetical => !ra.mutually_recursive(e.from, e.to),
+        })
+        .map_err(|c| unstratified(&c, rb, None))?;
+        let ctx = Context::stratified(rb, db, extra);
         let n = eval_strata.num_strata.max(1);
         let mut grouped: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, rule) in rb.iter().enumerate() {

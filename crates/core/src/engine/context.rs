@@ -1,7 +1,8 @@
-//! Shared engine context: stratification, domain, database lattice, and
-//! per-rule evaluation plans.
+//! Shared engine context: domain, database lattice, and per-rule
+//! evaluation plans.
 
-use crate::analysis::stratify::{global_negation_strata, NegationStrata};
+use crate::analysis::recursion::RecursionAnalysis;
+use crate::analysis::stratify::global_strata;
 use crate::ast::{Premise, Rulebase};
 use hdl_base::{
     Atom, Bindings, Database, DbId, DbStore, FactId, FxHashMap, GroundAtom, Result, SmallVec,
@@ -25,15 +26,12 @@ pub struct RulePlan {
 /// Evaluation context for one `(rulebase, database)` pair.
 ///
 /// The context owns the [`DbStore`] — the lattice of databases reached by
-/// hypothetical insertions — and the global negation-stratification. Both
-/// engines (top-down and bottom-up) borrow their behaviour from here so
-/// their answers are comparable structure-for-structure.
+/// hypothetical insertions. Both engines (top-down and bottom-up) borrow
+/// their behaviour from here so their answers are comparable
+/// structure-for-structure.
 pub struct Context<'rb> {
     /// The rulebase under evaluation.
     pub rb: &'rb Rulebase,
-    /// Global stratification (positive/hypothetical within, negation
-    /// strictly below).
-    pub strata: NegationStrata,
     /// `dom(R, DB)`: all constants in the rulebase and the base database,
     /// fixed for the lifetime of the context (Definition 3).
     pub domain: Vec<Symbol>,
@@ -62,7 +60,13 @@ impl<'rb> Context<'rb> {
     /// program's domain; this is how the dropped rules' constants get
     /// back in.
     pub fn new_with_constants(rb: &'rb Rulebase, db: &Database, extra: &[Symbol]) -> Result<Self> {
-        let strata = global_negation_strata(rb)?;
+        global_strata(rb, &RecursionAnalysis::new(rb), None)?;
+        Ok(Self::stratified(rb, db, extra))
+    }
+
+    /// [`Context::new_with_constants`] without the stratification check,
+    /// for the engines that stratify `rb` their own way.
+    pub(crate) fn stratified(rb: &'rb Rulebase, db: &Database, extra: &[Symbol]) -> Self {
         let mut domain: Vec<Symbol> = db.constants().into_iter().collect();
         domain.extend(rb.constants());
         domain.extend_from_slice(extra);
@@ -84,16 +88,15 @@ impl<'rb> Context<'rb> {
         let plans = rb.iter().map(plan_rule).collect();
         let domain_set = domain.iter().copied().collect();
 
-        Ok(Context {
+        Context {
             rb,
-            strata,
             domain,
             domain_set,
             dbs,
             base_db,
             defs,
             plans,
-        })
+        }
     }
 
     /// Whether `p` has any defining rules (otherwise it is pure EDB).

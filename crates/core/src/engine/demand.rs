@@ -37,7 +37,8 @@
 //! rewrite failure (including the `magic::rewrite` failpoint) degrades
 //! the whole query to plain semi-naive evaluation: slower, never wrong.
 
-use crate::analysis::stratify::global_negation_strata;
+use crate::analysis::recursion::RecursionAnalysis;
+use crate::analysis::stratify::global_strata;
 use crate::ast::{HypRule, Premise, Rulebase};
 use crate::engine::bottomup::BottomUpEngine;
 use crate::engine::budget::Budget;
@@ -358,7 +359,7 @@ fn rewrite(
             continue;
         }
         let rb2: Rulebase = attempt.rules.iter().cloned().collect();
-        match global_negation_strata(&rb2) {
+        match global_strata(&rb2, &RecursionAnalysis::new(&rb2), None) {
             Ok(strata) => {
                 return Ok(RewriteOutput {
                     rb: rb2,

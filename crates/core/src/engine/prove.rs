@@ -28,7 +28,8 @@
 //! `Σ` top-down, odd → `Δ` model lookup, zero (no rules) → database
 //! membership.
 
-use crate::analysis::stratify::{linear_stratification, LinearStratification};
+use crate::analysis::recursion::HypEdge;
+use crate::analysis::stratify::{linear_stratification, solve, unstratified, LinearStratification};
 use crate::ast::{Premise, Rulebase};
 use crate::engine::budget::Budget;
 use crate::engine::context::Context;
@@ -88,15 +89,31 @@ pub struct ProveEngine<'rb> {
 impl<'rb> ProveEngine<'rb> {
     /// Builds the engine; fails unless `rb` is linearly stratified.
     pub fn new(rb: &'rb Rulebase, db: &Database) -> Result<Self> {
-        let ctx = Context::new(rb, db)?;
         let ls = linear_stratification(rb)?;
+        let ctx = Context::stratified(rb, db, &[]);
+        // §5.2.2's sub-strata `Δᵢ₁,…,Δᵢₘ`: a rule that negates a predicate
+        // of its own Δ segment sits in a strictly later sub-stratum, so
+        // the negated predicate is saturated before the negation is tested.
+        let inner: Vec<_> = ls
+            .recursion
+            .edges
+            .iter()
+            .filter(|e| ls.part(e.from) % 2 == 1 && ls.part(e.to) == ls.part(e.from))
+            .copied()
+            .collect();
+        let sub = solve(&ls.recursion, &inner, |e| e.kind == HypEdge::Negative)
+            .map_err(|c| unstratified(&c, rb, None))?;
         let k = ls.num_strata();
         let mut groups: Vec<Arc<[usize]>> = Vec::new();
         let mut segments = vec![0];
         let mut classes = vec![RuleClass::default(); rb.rules.len()];
         for (i, stratum) in ls.strata.iter().enumerate() {
             let delta_part = 2 * (i + 1) - 1;
-            for group in substrata(rb, &ls, &stratum.delta) {
+            let mut by_sub: Vec<Vec<usize>> = vec![Vec::new(); sub.num_strata.max(1)];
+            for &r in &stratum.delta {
+                by_sub[sub.stratum(rb.rules[r].head.pred)].push(r);
+            }
+            for group in by_sub.into_iter().filter(|g| !g.is_empty()) {
                 // Within a Δ sub-stratum the growing predicates are the
                 // group's own heads; the segment's other predicates are
                 // closed and EDB atoms fixed, while premises defined below
@@ -293,61 +310,4 @@ impl<'rb> Prover<'rb> for ProveEngine<'rb> {
     fn forget(&mut self) {
         self.delta_models.clear();
     }
-}
-
-/// Groups Δ-segment rules by internal negation sub-strata (§5.2.2's
-/// `Δᵢ₁,…,Δᵢₘ`): a rule whose body negates a predicate defined in the same
-/// segment must belong to a strictly later sub-stratum, so that the
-/// negated predicate is saturated before the negation is tested.
-fn substrata(rb: &Rulebase, ls: &LinearStratification, delta: &[usize]) -> Vec<Vec<usize>> {
-    // Assign each Δ-defined predicate a sub-stratum: lfp of
-    //   sub(p) ≥ sub(q)       for positive edges within the segment,
-    //   sub(p) ≥ sub(q) + 1   for negative edges within the segment.
-    let mut sub: FxHashMap<Symbol, usize> = FxHashMap::default();
-    for &i in delta {
-        sub.insert(rb.rules[i].head.pred, 0);
-    }
-    let mut changed = true;
-    let mut guard = 0usize;
-    while changed && guard <= 2 * delta.len() + 2 {
-        changed = false;
-        guard += 1;
-        for &i in delta {
-            let rule = &rb.rules[i];
-            let head = rule.head.pred;
-            let mut need = sub[&head];
-            for premise in &rule.premises {
-                match premise {
-                    Premise::Atom(a) => {
-                        if let Some(&s) = sub.get(&a.pred) {
-                            need = need.max(s);
-                        }
-                    }
-                    Premise::Neg(a) => {
-                        if let Some(&s) = sub.get(&a.pred) {
-                            if ls.part(a.pred) == ls.part(head) {
-                                need = need.max(s + 1);
-                            }
-                        }
-                    }
-                    Premise::Hyp { .. } => {}
-                }
-            }
-            if need > sub[&head] {
-                sub.insert(head, need);
-                changed = true;
-            }
-        }
-    }
-    let max_sub = delta
-        .iter()
-        .map(|&i| sub[&rb.rules[i].head.pred])
-        .max()
-        .unwrap_or(0);
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); max_sub + 1];
-    for &i in delta {
-        groups[sub[&rb.rules[i].head.pred]].push(i);
-    }
-    groups.retain(|g| !g.is_empty());
-    groups
 }

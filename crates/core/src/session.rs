@@ -34,7 +34,8 @@
 //! assert!(!s.ask("?- grad(tony).").unwrap());
 //! ```
 
-use crate::analysis::stratify::global_negation_strata;
+use crate::analysis::recursion::RecursionAnalysis;
+use crate::analysis::stratify::global_strata;
 use crate::ast::{HypRule, Premise, Rulebase};
 use crate::engine::{
     model_answers, model_holds, render_rows, Budget, Engine, EngineStats, TopDownEngine,
@@ -216,7 +217,8 @@ impl Session {
             if !rules.is_empty() {
                 let len = self.rulebase.len();
                 self.rulebase.rules.extend(rules.iter().cloned());
-                let strata = global_negation_strata(&self.rulebase);
+                let ra = RecursionAnalysis::new(&self.rulebase);
+                let strata = global_strata(&self.rulebase, &ra, Some(&self.symbols));
                 self.rulebase.rules.truncate(len);
                 strata?;
             }

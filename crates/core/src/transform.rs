@@ -12,7 +12,8 @@
 //!   evaluates identically to the original — a fourth, independent
 //!   evaluation path used as a cross-check oracle in the test suite.
 
-use crate::analysis::stratify::global_negation_strata;
+use crate::analysis::recursion::RecursionAnalysis;
+use crate::analysis::stratify::global_strata;
 use crate::ast::{HypRule, Premise, Rulebase};
 use hdl_base::{Atom, Bindings, Database, Error, Result, Symbol, SymbolTable, Term, Var};
 
@@ -163,7 +164,7 @@ pub fn ground_program(rb: &Rulebase, db: &Database, max_instances: u64) -> Resul
     }
     // The grounded program must still stratify (it does iff the original
     // did); check now so engines don't have to.
-    global_negation_strata(&out)?;
+    global_strata(&out, &RecursionAnalysis::new(&out), None)?;
     Ok(out)
 }
 

@@ -80,7 +80,7 @@ impl Default for TenantQuotas {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TenantError {
     /// Machine-readable reply kind (`quota`, `query`, `protocol`,
-    /// `internal`, `bad-tenant-name`).
+    /// `unstratified`, `internal`, `bad-tenant-name`).
     pub kind: &'static str,
     /// Human-readable detail.
     pub message: String,
@@ -100,12 +100,14 @@ impl TenantError {
 }
 
 /// A refused op's reply kind: `protocol` for an op that does not fit
-/// (a retract of several facts, a pop with no frame), `query` for every
-/// other parse, validation or log failure.
+/// (a retract of several facts, a pop with no frame), `unstratified` for
+/// a load that would leave the rulebase with recursion through negation,
+/// `query` for every other parse, validation or log failure.
 impl From<hdl_base::Error> for TenantError {
     fn from(e: hdl_base::Error) -> Self {
         let kind = match e {
             hdl_base::Error::Protocol(_) => "protocol",
+            hdl_base::Error::NotStratified { .. } => "unstratified",
             _ => "query",
         };
         TenantError::new(kind, e.to_string())
@@ -818,7 +820,7 @@ mod tests {
         // Unstratified: no engine could evaluate it, so it is refused
         // before the log.
         let err = t.load("m(X) :- e(X), n(X).").unwrap_err();
-        assert_eq!(err.kind, "query");
+        assert_eq!(err.kind, "unstratified");
         assert!(err.message.starts_with("program is not stratified"));
         assert_eq!(t.query(QueryRequest::ask("n(a)")), Outcome::True);
         let retract = |text| t.apply(BatchOp::Retract(text));

@@ -7,7 +7,8 @@
 //! published snapshot carries a globally unique epoch, a publish
 //! invalidates the whole cache by construction — old keys can never
 //! collide with new ones — and [`AnswerCache::retain_epoch`] merely
-//! reclaims the memory eagerly.
+//! reclaims the memory eagerly. An answer of an older snapshot that a
+//! worker finishes after the publish is not stored: no one can reach it.
 //!
 //! Only definitive outcomes ([`Outcome::is_definitive`]) are stored:
 //! `Cancelled` / `DeadlineExceeded` / `Error` depend on the budget, not
@@ -52,6 +53,8 @@ pub const CAPACITY: usize = 1 << 14;
 #[derive(Debug, Default)]
 pub struct AnswerCache {
     map: Mutex<FxHashMap<CacheKey, Outcome>>,
+    /// Epoch of the latest publish; written and read under the map lock.
+    epoch: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -89,6 +92,9 @@ impl AnswerCache {
         hdl_base::failpoint_fire!("cache::put");
         if outcome.is_definitive() {
             let mut map = self.map();
+            if key.epoch < self.epoch.load(Ordering::Relaxed) {
+                return;
+            }
             if map.len() >= CAPACITY && !map.contains_key(&key) {
                 map.clear();
             }
@@ -100,7 +106,9 @@ impl AnswerCache {
     /// superseded snapshots' answers free their memory immediately.
     pub fn retain_epoch(&self, epoch: u64) {
         hdl_base::failpoint_fire!("cache::purge");
-        self.map().retain(|k, _| k.epoch == epoch);
+        let mut map = self.map();
+        self.epoch.fetch_max(epoch, Ordering::Relaxed);
+        map.retain(|k, _| k.epoch == epoch);
     }
 
     /// Number of cached answers.
@@ -197,5 +205,8 @@ mod tests {
         cache.retain_epoch(2);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.get(&key(2, "ask p")), Some(Outcome::False));
+        // An epoch-1 answer finished after the publish stays out.
+        cache.put(key(1, "ask q"), Outcome::True);
+        assert_eq!(cache.len(), 1);
     }
 }

@@ -53,9 +53,6 @@ pub struct QueryRequest {
     /// Optional per-query fact budget overriding the service default;
     /// past it the query resolves to [`Outcome::MemoryExceeded`].
     pub max_facts: Option<u64>,
-    /// Optional per-query retry budget for transient failures (panics
-    /// caught mid-query), overriding [`ServiceConfig::retries`].
-    pub retries: Option<u32>,
 }
 
 impl QueryRequest {
@@ -66,7 +63,6 @@ impl QueryRequest {
             engine: EngineKind::default(),
             deadline: None,
             max_facts: None,
-            retries: None,
         }
     }
 
@@ -77,7 +73,6 @@ impl QueryRequest {
             engine: EngineKind::default(),
             deadline: None,
             max_facts: None,
-            retries: None,
         }
     }
 
@@ -96,12 +91,6 @@ impl QueryRequest {
     /// Caps the number of new facts this query may intern.
     pub fn with_max_facts(mut self, n: u64) -> Self {
         self.max_facts = Some(n);
-        self
-    }
-
-    /// Overrides the service-wide retry budget for this query.
-    pub fn with_retries(mut self, n: u32) -> Self {
-        self.retries = Some(n);
         self
     }
 }
@@ -521,7 +510,7 @@ fn run_job<'rb>(
     job: &Job,
 ) -> Outcome {
     use std::sync::atomic::Ordering::Relaxed;
-    let retry_budget = job.request.retries.unwrap_or(shared.config.retries);
+    let retry_budget = shared.config.retries;
     let mut backoff = Duration::from_millis(1);
     let mut attempt = 0u32;
     loop {

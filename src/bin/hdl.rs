@@ -70,12 +70,13 @@
 //! `ok` line on stdout (and `:checkpoint` with `checkpoint <epoch>`), so
 //! scripted clients can tell exactly which mutations are durable.
 
+use hdl_core::analysis::stratify::linear_stratification_with;
 use hdl_core::session::EngineKind;
 use hdl_core::{Applied, OpText};
 use hdl_server::{Json, Server, ServerConfig, TenantQuotas};
 use hdl_service::{Outcome, QueryRequest, QueryService, ServiceConfig};
 use hypothetical_datalog::prelude::*;
-use std::io::{self, BufRead, BufReader, Read as _, Write};
+use std::io::{self, BufRead, BufReader, IsTerminal as _, Read as _, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -898,7 +899,7 @@ fn repl_main(args: &[String]) -> i32 {
     // In the REPL, --workers drives intra-round parallel rule firing of
     // the bottom-up engine (batch/serve give it to the service pool).
     shell.session.set_parallelism(opts.workers);
-    let interactive = atty_guess();
+    let interactive = io::stdin().is_terminal();
     if interactive {
         println!("hypothetical Datalog shell — :help for commands");
     }
@@ -1155,7 +1156,11 @@ impl<'o> Shell<'o> {
                 hdl_core::pretty::database(session.database(), session.symbols())
             ),
             Command::Lint => {
-                let lints = hdl_core::analysis::lint::lint(session.rulebase(), session.symbols());
+                let lints = hdl_core::analysis::lint::lint(
+                    session.rulebase(),
+                    session.database(),
+                    session.symbols(),
+                );
                 if lints.is_empty() {
                     println!("no lints");
                 }
@@ -1166,27 +1171,29 @@ impl<'o> Shell<'o> {
                     );
                 }
             }
-            Command::Strata => match linear_stratification(session.rulebase()) {
-                Ok(ls) => {
-                    println!("linearly stratified: {} strata", ls.num_strata());
-                    let mut parts: Vec<(String, usize, bool)> = ls
-                        .part_of
-                        .iter()
-                        .map(|(&p, &part)| {
-                            (session.symbols().name(p).to_owned(), part, ls.in_sigma(p))
-                        })
-                        .collect();
-                    parts.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
-                    for (name, part, sigma) in parts {
-                        let seg = if sigma { "Σ" } else { "Δ" };
-                        println!(
-                            "  {name:<24} partition {part:<3} ({seg}{})",
-                            part.div_ceil(2)
-                        );
+            Command::Strata => {
+                match linear_stratification_with(session.rulebase(), Some(session.symbols())) {
+                    Ok(ls) => {
+                        println!("linearly stratified: {} strata", ls.num_strata());
+                        let mut parts: Vec<(String, usize, bool)> = ls
+                            .part_of
+                            .iter()
+                            .map(|(&p, &part)| {
+                                (session.symbols().name(p).to_owned(), part, ls.in_sigma(p))
+                            })
+                            .collect();
+                        parts.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
+                        for (name, part, sigma) in parts {
+                            let seg = if sigma { "Σ" } else { "Δ" };
+                            println!(
+                                "  {name:<24} partition {part:<3} ({seg}{})",
+                                part.div_ceil(2)
+                            );
+                        }
                     }
+                    Err(e) => println!("not linearly stratified: {e}"),
                 }
-                Err(e) => println!("not linearly stratified: {e}"),
-            },
+            }
             Command::Help => print!("{}", help()),
             _ => self.fail(unknown(Repl, line)),
         }
@@ -1284,12 +1291,4 @@ fn render_stats(s: &hdl_core::engine::EngineStats) -> String {
         s.overlay.nodes, s.overlay.delta_facts, s.overlay.materialized_facts
     );
     out
-}
-
-/// Crude interactivity check without adding a dependency: honour an
-/// explicit override, otherwise assume piped input is non-interactive
-/// only when stdin read fails to be a terminal — which std cannot tell
-/// us portably, so default to printing prompts unless HDL_NO_PROMPT=1.
-fn atty_guess() -> bool {
-    std::env::var_os("HDL_NO_PROMPT").is_none()
 }

@@ -1,7 +1,7 @@
 //! Golden transcripts of the `hdl` line dialect in every mode.
 //!
 //! One script, covering every command any mode knows, is piped through
-//! the REPL (`HDL_NO_PROMPT=1`), `serve --stdin`, `batch` and `connect`
+//! the REPL (stdin a pipe), `serve --stdin`, `batch` and `connect`
 //! (against a port-0 `serve --listen`). Each mode's merged stdout and
 //! stderr, plus its exit status, must equal `tests/golden/<mode>.txt`.
 //! Timings, the server address and the group-commit batch counts are
@@ -40,6 +40,10 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 :checkpoint
 :stats
 :stats --json
+e(a).
+p(X) :- e(X), ~q(X).
+q(X) :- e(X), p(X).
+?- e(a).
 :rules
 :facts
 :explain ?- tc(a, c)[add: edge(a, c)].
@@ -77,7 +81,6 @@ fn transcript(dir: &TempDir, args: &[&str], input: &str) -> String {
     let (mut reader, writer) = std::io::pipe().expect("pipe");
     let mut cmd = Command::new(HDL);
     cmd.args(args)
-        .env("HDL_NO_PROMPT", "1")
         .env_remove("HDL_CRASH_AT")
         .stdin(Stdio::piped())
         .stdout(writer.try_clone().expect("clone pipe"))

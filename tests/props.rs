@@ -6,11 +6,13 @@
 //!   base system is monotonic — negation is what breaks it);
 //! - parse ∘ pretty is the identity on rulebases;
 //! - the independent naive Datalog evaluator and the semi-naive kernel
-//!   produce identical models on hypothesis-free programs;
+//!   produce identical models on hypothesis-free programs, and the
+//!   independent stratifier and core's stratum solver identical strata;
 //! - the §5.1 encoding agrees with the machine simulator on random
 //!   nondeterministic machines.
 
 use hdl_base::{Database, GroundAtom, SymbolTable};
+use hdl_core::analysis::{global_strata, RecursionAnalysis};
 use hdl_core::ast::{HypRule, Premise, Rulebase};
 use hdl_core::engine::{BottomUpEngine, Limits, ProveEngine, TopDownEngine};
 use hdl_core::parser::{parse_program, parse_query};
@@ -559,6 +561,43 @@ mod fresh_constant_overlays {
 // Independent oracle: hdl-datalog's naive evaluator ≡ core's kernel.
 // ---------------------------------------------------------------------
 
+/// `src` with every hypothetical premise replaced by its goal atom (an
+/// arbitrary but deterministic datalog-ification), as a core rulebase
+/// and as `hdl-datalog` rules.
+fn hypothesis_free(src: &str, syms: &mut SymbolTable) -> (Rulebase, Vec<hdl_datalog::Rule>) {
+    let rb = parse_program(src, syms).unwrap();
+    let projected: Rulebase = rb
+        .iter()
+        .map(|r| {
+            let premises = r
+                .premises
+                .iter()
+                .map(|p| match p {
+                    Premise::Hyp { goal, .. } => Premise::Atom(goal.clone()),
+                    p => p.clone(),
+                })
+                .collect();
+            HypRule::new(r.head.clone(), premises)
+        })
+        .collect();
+    let dl_rules = projected
+        .iter()
+        .map(|r| {
+            let body = r
+                .premises
+                .iter()
+                .map(|p| match p {
+                    Premise::Atom(a) => hdl_datalog::Literal::Pos(a.clone()),
+                    Premise::Neg(a) => hdl_datalog::Literal::Neg(a.clone()),
+                    Premise::Hyp { .. } => unreachable!("projected away"),
+                })
+                .collect();
+            hdl_datalog::Rule::new(r.head.clone(), body)
+        })
+        .collect();
+    (projected, dl_rules)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -570,41 +609,9 @@ proptest! {
         rules in program_strategy(true),
         facts in facts_strategy(),
     ) {
-        // Reuse the generator but strip hypothetical premises: replace
-        // them with their goal atom (an arbitrary but deterministic
-        // datalog-ification).
         let src = render_program(&rules);
         let mut syms = SymbolTable::new();
-        let rb = parse_program(&src, &mut syms).unwrap();
-        let projected: Rulebase = rb
-            .iter()
-            .map(|r| {
-                let premises = r
-                    .premises
-                    .iter()
-                    .map(|p| match p {
-                        Premise::Hyp { goal, .. } => Premise::Atom(goal.clone()),
-                        p => p.clone(),
-                    })
-                    .collect();
-                HypRule::new(r.head.clone(), premises)
-            })
-            .collect();
-        let dl_rules: Vec<hdl_datalog::Rule> = projected
-            .iter()
-            .map(|r| {
-                let body = r
-                    .premises
-                    .iter()
-                    .map(|p| match p {
-                        Premise::Atom(a) => hdl_datalog::Literal::Pos(a.clone()),
-                        Premise::Neg(a) => hdl_datalog::Literal::Neg(a.clone()),
-                        Premise::Hyp { .. } => unreachable!("projected away"),
-                    })
-                    .collect();
-                hdl_datalog::Rule::new(r.head.clone(), body)
-            })
-            .collect();
+        let (projected, dl_rules) = hypothesis_free(&src, &mut syms);
         // The hyp→pos rewrite can create new negative cycles; skip those.
         if hdl_datalog::stratify(&dl_rules).is_err() {
             return Ok(());
@@ -632,6 +639,31 @@ proptest! {
                 return Ok(()); // resource-limited case: skip
             };
             prop_assert_eq!(&oracle, &model, "workers={}\n{}", workers, src);
+        }
+    }
+
+    /// On hypothesis-free programs, core's stratum solver and
+    /// `hdl_datalog::stratify` agree: the same least global strata, and
+    /// a refusal exactly when the oracle refuses.
+    #[test]
+    fn stratum_solver_equals_the_oracle(rules in program_strategy(true)) {
+        let src = render_program(&rules);
+        let mut syms = SymbolTable::new();
+        let (projected, dl_rules) = hypothesis_free(&src, &mut syms);
+        let ra = RecursionAnalysis::new(&projected);
+        match (global_strata(&projected, &ra, None), hdl_datalog::stratify(&dl_rules)) {
+            (Ok(ours), Ok(oracle)) => {
+                prop_assert_eq!(&ours.stratum_of, &oracle.stratum_of, "{}", src);
+                prop_assert_eq!(ours.num_strata, oracle.num_strata, "{}", src);
+            }
+            (Err(_), Err(_)) => {}
+            (ours, oracle) => prop_assert!(
+                false,
+                "solver {:?} but oracle {:?}\n{}",
+                ours.map(|s| s.num_strata),
+                oracle.map(|s| s.num_strata),
+                src
+            ),
         }
     }
 }

@@ -550,7 +550,6 @@ const SERVICE_KEYS: &[&str] = &[
 fn run_hdl(args: &[&str], input: &str) -> String {
     let mut child = Command::new(HDL)
         .args(args)
-        .env("HDL_NO_PROMPT", "1")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())

@@ -6,8 +6,8 @@
 //! rules and facts, a retract, two assumes and a pop. The process was
 //! killed after its last ack, before the checkpoint a clean exit takes,
 //! so the log is all there is. `dump.txt` is what that binary printed
-//! for [`DUMP`] after reopening a copy of the log. Both runs set
-//! `HDL_NO_PROMPT`, so the shell prints no banner and no prompts.
+//! for [`DUMP`] after reopening a copy of the log. Both runs pipe
+//! stdin, so the shell prints no banner and no prompts.
 
 use hdl_base::Error;
 use hdl_core::OpText;
@@ -38,7 +38,6 @@ fn the_fixture_log_replays_to_its_dump() {
     let mut child = Command::new(HDL)
         .arg("--persist-dir")
         .arg(&dir.0)
-        .env("HDL_NO_PROMPT", "1")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -64,7 +63,6 @@ fn the_script_writes_the_fixture_log_byte_for_byte() {
     let mut child = Command::new(HDL)
         .arg("--persist-dir")
         .arg(&dir.0)
-        .env("HDL_NO_PROMPT", "1")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -129,7 +127,11 @@ fn a_logged_unstratified_program_still_reopens() {
             .unwrap();
         s.apply(op).unwrap();
     }
-    let s = DurableSession::open(&dir.0, FsyncPolicy::Always).unwrap();
+    let mut s = DurableSession::open(&dir.0, FsyncPolicy::Always).unwrap();
     assert_eq!(s.rulebase().len(), 2);
     assert_eq!(s.database().len(), 1);
+    // No engine evaluates it; engines hold no symbol table, so the
+    // refusal names predicates by id.
+    let err = s.ask("?- e(a).").unwrap_err();
+    assert!(err.to_string().contains(" negates #"), "{err}");
 }
