@@ -29,8 +29,9 @@
 //! transitive-closure workload, the naive/semi attempts ratio falls
 //! below 3×, fewer than two point-query workloads show a ≥ 10× semi/
 //! magic attempts ratio, or a workload whose deltas all fell below the
-//! spawn threshold still shows a parallel speedup under 0.95× (the
-//! spawn gate must make skipped parallelism free).
+//! spawn threshold still shows a parallel speedup under 0.95×, the
+//! median over fifteen back-to-back w1/w4 run pairs (the spawn gate must
+//! make skipped parallelism free).
 
 use hdl_base::Database;
 use hdl_bench::workloads::{
@@ -89,9 +90,12 @@ enum Task {
     Holds(Premise),
 }
 
-/// Deterministic work counters plus the best wall time over repeats.
+/// Deterministic work counters plus the wall times of the repeats.
 struct RunMetrics {
+    /// The best of `walls`.
     wall_ms: f64,
+    /// Every run's wall time, in run order.
+    walls: Vec<f64>,
     attempts: u64,
     rounds: u64,
     index_probes: u64,
@@ -106,6 +110,7 @@ impl RunMetrics {
     fn from_stats(wall_ms: f64, s: &hdl_core::engine::EngineStats) -> Self {
         RunMetrics {
             wall_ms,
+            walls: vec![wall_ms],
             attempts: s.goal_expansions,
             rounds: s.rounds,
             index_probes: s.index_probes,
@@ -213,6 +218,16 @@ impl WorkloadResult {
         )
     }
 
+    /// The median over w1/w4 run pairs of the w1-over-w4 wall-time
+    /// ratio. The runs alternate, so each pair ran back to back, and a
+    /// burst of host noise spoils a pair or two rather than the median.
+    fn median_parallel_speedup(&self) -> f64 {
+        let w1 = &self.metrics("semi_naive_w1").walls;
+        let w4 = &self.metrics(&format!("semi_naive_w{PAR_WORKERS}")).walls;
+        let ratios: Vec<f64> = w1.iter().zip(w4).map(|(&a, &b)| ratio(a, b)).collect();
+        median(&ratios)
+    }
+
     /// Semi-naive over magic attempts — how much work the demand
     /// rewrite saved. `None` on workloads that did not run `magic`.
     fn magic_attempts_ratio(&self) -> Option<f64> {
@@ -221,6 +236,35 @@ impl WorkloadResult {
             self.metrics("semi_naive_w1").attempts as f64,
             magic.1.attempts as f64,
         ))
+    }
+}
+
+/// Whether the parallel-speedup gate applies: the w4 run spawned
+/// nothing, so it must cost what w1 does, and w1 ran long enough for
+/// the timer to tell.
+fn spawn_free(w1: &RunMetrics, w4: &RunMetrics) -> bool {
+    w4.parallel_rounds == 0 && w1.wall_ms >= 5.0
+}
+
+/// How many times each configuration of a workload runs.
+#[derive(Clone, Copy)]
+struct Repeats {
+    /// Every configuration, interleaved.
+    all: usize,
+    /// w1 and w4 of a [`spawn_free`] workload, alternating: the run
+    /// pairs the speedup gate takes its median over (with the `all`
+    /// runs).
+    speedup: usize,
+}
+
+fn median(xs: &[f64]) -> f64 {
+    let mut xs = xs.to_vec();
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
     }
 }
 
@@ -239,7 +283,7 @@ fn run_workload(
     db: &Database,
     task: &Task,
     configs: &[Config],
-    repeats: usize,
+    repeats: Repeats,
 ) -> WorkloadResult {
     let mut runs: Vec<(String, RunMetrics)> = Vec::new();
     let mut reference: Option<Answer> = None;
@@ -255,14 +299,31 @@ fn run_workload(
         }
         runs.push((config.label(), metrics));
     }
-    // Wall time is the minimum over `repeats` runs; counters are
+    // Wall time is the minimum over all runs; counters are
     // deterministic across repeats. Repeats are interleaved across
     // configurations so a scheduler hiccup lands on all of them
-    // rather than skewing one configuration's burst.
-    for _ in 1..repeats {
-        for (i, &config) in configs.iter().enumerate() {
-            let (wall, _, _) = run_once(rb, db, task, config);
-            runs[i].1.wall_ms = runs[i].1.wall_ms.min(wall);
+    // rather than skewing one configuration's burst. A spawn-free
+    // workload then runs w1 and w4 alternately up to `speedup` each.
+    let rerun = |runs: &mut Vec<(String, RunMetrics)>, i: usize| {
+        let (wall, _, _) = run_once(rb, db, task, configs[i]);
+        runs[i].1.wall_ms = runs[i].1.wall_ms.min(wall);
+        runs[i].1.walls.push(wall);
+    };
+    for _ in 1..repeats.all {
+        for i in 0..configs.len() {
+            rerun(&mut runs, i);
+        }
+    }
+    let semi = |workers| configs.iter().position(|&c| c == Config::Semi { workers });
+    if let (Some(w1), Some(w4)) = (semi(1), semi(PAR_WORKERS)) {
+        if spawn_free(&runs[w1].1, &runs[w4].1) {
+            // Every other pair runs w4 first, so a drift within a pair
+            // does not always count against the same configuration.
+            for k in repeats.all..repeats.speedup {
+                let pair = if k % 2 == 0 { [w1, w4] } else { [w4, w1] };
+                rerun(&mut runs, pair[0]);
+                rerun(&mut runs, pair[1]);
+            }
         }
     }
     for (label, metrics) in &runs {
@@ -371,8 +432,17 @@ fn main() {
         .unwrap_or_else(|| "BENCH_fixpoint.json".into());
     // Quick mode gates wall-clock ratios in CI, so it takes more
     // repeats: the min over five runs is stable against scheduler
-    // noise that a min over two is not.
-    let repeats = if quick { 5 } else { 3 };
+    // noise that a min over two is not. The speedup gate takes the
+    // median over w1/w4 run pairs, which needs more samples: fifteen
+    // pairs, on the spawn-free workloads only.
+    let repeats = if quick {
+        Repeats {
+            all: 5,
+            speedup: 15,
+        }
+    } else {
+        Repeats { all: 3, speedup: 3 }
+    };
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!(
         "fixpoint benchmark — mode {}, {} host threads",
@@ -610,18 +680,23 @@ fn main() {
         }
         // Spawn-gate regression guard: when every round's delta falls
         // below `PARALLEL_MIN_DELTA` the w4 run spawns nothing, so it
-        // must cost nothing — speedup ≥ 0.95× of single-threaded.
+        // must cost nothing — speedup ≥ 0.95× of single-threaded, as
+        // the median over back-to-back run pairs (the two do the same
+        // work, so one pair of timings is a coin toss at 0.95).
         // Workloads that do spawn are excluded (a low-core host pays
         // thread overhead it cannot recoup), as are runs under 5 ms
         // where timer noise dominates the ratio.
         for w in &results {
             let w4 = w.metrics(&format!("semi_naive_w{PAR_WORKERS}"));
-            let gated = w4.parallel_rounds == 0 && w.metrics("semi_naive_w1").wall_ms >= 5.0;
-            if gated && w.parallel_speedup() < 0.95 {
+            if !spawn_free(w.metrics("semi_naive_w1"), w4) {
+                continue;
+            }
+            let speedup = w.median_parallel_speedup();
+            eprintln!("gates: {} median parallel speedup {speedup:.2}x", w.name);
+            if speedup < 0.95 {
                 eprintln!(
-                    "GATE FAILED: {} skipped all parallel rounds yet speedup {:.2} < 0.95",
-                    w.name,
-                    w.parallel_speedup()
+                    "GATE FAILED: {} skipped all parallel rounds yet speedup {speedup:.2} < 0.95",
+                    w.name
                 );
                 failed = true;
             }

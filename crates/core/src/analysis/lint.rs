@@ -113,7 +113,7 @@ fn probable_typos(
             // EDB-looking predicate: compare against defined names.
             let name = syms.name(pred);
             for &d in defined {
-                if edit_distance_is_one(name, syms.name(d)) {
+                if is_probable_typo(name, syms.name(d)) {
                     out.push(Lint::ProbableTypo {
                         used: pred,
                         similar: d,
@@ -160,6 +160,18 @@ fn defined_unused(
             out.push(Lint::DefinedButUnused { pred });
         }
     }
+}
+
+/// Names shorter than this are never called typos of each other: any
+/// two one-letter names are one edit apart, and short names are chosen
+/// deliberately (`p`, `q`, `tc`).
+const MIN_TYPO_LEN: usize = 3;
+
+/// Whether `used` reads like a misspelling of `defined`: one edit apart,
+/// the shorter of the two at least [`MIN_TYPO_LEN`] characters long.
+fn is_probable_typo(used: &str, defined: &str) -> bool {
+    used.chars().count().min(defined.chars().count()) >= MIN_TYPO_LEN
+        && edit_distance_is_one(used, defined)
 }
 
 /// Whether `a` and `b` differ by exactly one edit (insert/delete/replace).
@@ -253,11 +265,35 @@ mod tests {
     }
 
     #[test]
+    fn short_names_are_not_typos() {
+        // `q` and `p`, `ab` and `abc` are one edit apart, but the shorter
+        // name is under three characters; `abc` and `abd` are not.
+        let typos = |src: &str| {
+            let (lints, syms) = run(src);
+            lints
+                .iter()
+                .filter_map(|l| match l {
+                    Lint::ProbableTypo { used, similar } => {
+                        Some((syms.name(*used).to_owned(), syms.name(*similar).to_owned()))
+                    }
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        assert!(typos("p(X) :- e(X), ~q(X).").is_empty());
+        assert!(typos("abc(X) :- ab(X).\nout(X) :- abc(X).").is_empty());
+        assert_eq!(
+            typos("abc(X) :- e(X).\nout(X) :- abd(X), abc(X)."),
+            [("abd".to_owned(), "abc".to_owned())]
+        );
+    }
+
+    #[test]
     fn predicates_with_facts_are_not_typos() {
         let mut syms = SymbolTable::new();
-        let rb = parse_program("p(X) :- e(X), ~q(X).", &mut syms).unwrap();
+        let rb = parse_program("node(X) :- nodes(X), ~note(X).", &mut syms).unwrap();
         let mut db = Database::new();
-        for fact in crate::parser::parse_ground_facts("e(a).", &mut syms).unwrap() {
+        for fact in crate::parser::parse_ground_facts("nodes(a).", &mut syms).unwrap() {
             db.insert(fact);
         }
         let typos = |db: &Database| -> Vec<String> {
@@ -268,8 +304,8 @@ mod tests {
             });
             typos.collect()
         };
-        assert_eq!(typos(&Database::new()), ["e", "q"]);
-        assert_eq!(typos(&db), ["q"], "e(a) is a base fact");
+        assert_eq!(typos(&Database::new()), ["nodes", "note"]);
+        assert_eq!(typos(&db), ["note"], "nodes(a) is a base fact");
     }
 
     #[test]

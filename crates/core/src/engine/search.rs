@@ -60,7 +60,7 @@ pub(crate) const NO_CUT: u64 = u64::MAX;
 /// stack and the store sizes the memory caps are measured from.
 #[derive(Default)]
 pub(crate) struct Tables {
-    memo: FxHashMap<(FactId, DbId), bool>,
+    memo: Memo,
     in_progress: FxHashMap<(FactId, DbId), u64>,
     /// EDB premise candidates of every walk on the current branch, each
     /// walk's above the one that called it (see [`walk`]).
@@ -75,13 +75,46 @@ impl Tables {
     /// Makes the current store sizes the baseline of the memory caps.
     pub fn rebase(&mut self, ctx: &Context<'_>) {
         self.facts_baseline = ctx.fact_footprint();
-        self.goals_baseline = (self.memo.len() + self.in_progress.len()) as u64;
+        self.goals_baseline = (self.memo.len + self.in_progress.len()) as u64;
     }
 
     /// The goal tables' growth since the budget was set, plus `extra`.
     pub fn working_set(&self, extra: usize) -> u64 {
-        ((self.memo.len() + self.in_progress.len() + extra) as u64)
+        ((self.memo.len + self.in_progress.len() + extra) as u64)
             .saturating_sub(self.goals_baseline)
+    }
+}
+
+/// The memoized verdicts, one table per database of the lattice indexed
+/// by [`DbId::index`] (ids are dense). A kept engine's memo grows with
+/// every query, but a query probes only the tables of the databases on
+/// its own goal paths, so that hot set stays the size of one query's
+/// databases however much earlier queries left behind.
+#[derive(Default)]
+struct Memo {
+    by_db: Vec<FxHashMap<FactId, bool>>,
+    /// Entries over all tables (what the goal-set cap counts).
+    len: usize,
+}
+
+impl Memo {
+    fn get(&self, fact: FactId, db: DbId) -> Option<bool> {
+        self.by_db.get(db.index())?.get(&fact).copied()
+    }
+
+    fn insert(&mut self, fact: FactId, db: DbId, verdict: bool) {
+        let i = db.index();
+        if i >= self.by_db.len() {
+            self.by_db.resize_with(i + 1, FxHashMap::default);
+        }
+        if self.by_db[i].insert(fact, verdict).is_none() {
+            self.len += 1;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.by_db.clear();
+        self.len = 0;
     }
 }
 
@@ -140,17 +173,17 @@ pub(crate) fn goal<'rb, R: Prover<'rb>>(
     hdl_base::failpoint!(R::SITE);
     stats.calls += 1;
     stats.max_depth = stats.max_depth.max(depth);
-    let key = (fact, db);
-    if let Some(&verdict) = t.memo.get(&key) {
+    if let Some(verdict) = t.memo.get(fact, db) {
         stats.memo_hits += 1;
         return Ok(verdict);
     }
     // Inference rule 1: database membership.
     if ctx.db_contains(db, fact) {
-        t.memo.insert(key, true);
+        t.memo.insert(fact, db, true);
         r.proved(fact, db, None);
         return Ok(true);
     }
+    let key = (fact, db);
     if let Some(&d0) = t.in_progress.get(&key) {
         *cut = (*cut).min(d0);
         return Ok(false);
@@ -173,7 +206,7 @@ pub(crate) fn goal<'rb, R: Prover<'rb>>(
     if proved || my_cut >= depth {
         // A failure whose cycles were all internal to this goal's search
         // is definitive.
-        t.memo.insert(key, proved);
+        t.memo.insert(fact, db, proved);
     } else {
         *cut = (*cut).min(my_cut);
     }

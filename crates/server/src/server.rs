@@ -30,7 +30,7 @@ use hdl_service::QueryRequest;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
@@ -160,7 +160,6 @@ impl Server {
         }
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let committer =
             (config.group_commit && config.persist_root.is_some()).then(GroupCommitter::new);
         let fence = Arc::new(FenceState::load(config.persist_root.as_deref()));
@@ -261,7 +260,12 @@ impl Server {
     pub fn drain(mut self) {
         self.request_shutdown();
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
+            // The accept thread blocks in `accept`; one connection of our
+            // own wakes it to see the flag. Should that connect fail, the
+            // thread is left behind rather than joined forever.
+            if wake_accept(self.inner.addr).is_ok() {
+                let _ = h.join();
+            }
         }
         {
             let conns = self
@@ -310,12 +314,29 @@ impl Server {
     }
 }
 
+/// Connects to the listener at `addr` (through loopback when it is
+/// bound to every interface), so a blocked `accept` returns.
+fn wake_accept(addr: SocketAddr) -> io::Result<()> {
+    let mut target = addr;
+    if addr.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    TcpStream::connect_timeout(&target, Duration::from_secs(1)).map(drop)
+}
+
+/// Accepts connections until a drain is requested. `accept` blocks; the
+/// drain wakes it with [`wake_accept`], whose connection is dropped here
+/// unserved.
 fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
     loop {
+        let accepted = listener.accept();
         if inner.shutdown.load(SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
                 if inner.live.load(SeqCst) >= inner.config.max_connections as u64 {
@@ -353,15 +374,8 @@ fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
                     .unwrap_or_else(PoisonError::into_inner)
                     .push(handler);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => {
-                if inner.shutdown.load(SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // Out of descriptors, say: back off instead of spinning.
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }

@@ -458,9 +458,9 @@ impl Tenant {
     /// already contains these mutations).
     ///
     /// On a replicating primary the shipper is kicked the moment the
-    /// lock drops (the committed WAL bytes are already visible through
-    /// the tap), and a `sync` tenant then blocks on the follower-ack
-    /// quorum — bounded by the replication-wait deadline, degrading to
+    /// lock drops, and a `sync` tenant, once its window is durable,
+    /// blocks on a follower-ack quorum covering it — bounded by the
+    /// replication-wait deadline, degrading to
     /// `Ok(Some((replicated, required)))` rather than hanging the
     /// window.
     fn committed(
@@ -472,8 +472,11 @@ impl Tenant {
         let snapshot = session.snapshot();
         let seq = self.publish_seq.fetch_add(1, Relaxed) + 1;
         let need = self.sync_replicas.load(Relaxed);
-        let sync_at = match (&self.replication, need) {
-            (Some(_), n) if n > 0 => session.wal_tap().map(|tap| tap.position()),
+        // The quorum must cover this window's records. With a pipelined
+        // session the committer appends them only after the hand-off
+        // above, so the log position is read once the tickets are done.
+        let tap = match (&self.replication, need) {
+            (Some(_), n) if n > 0 => session.wal_tap(),
             _ => None,
         };
         drop(session);
@@ -500,6 +503,7 @@ impl Tenant {
             }
         }
         self.mutations.fetch_add(applied, Relaxed);
+        let sync_at = tap.map(|tap| tap.position());
         let degraded = match (&self.replication, sync_at) {
             (Some(rep), Some(at)) => {
                 let need = need.min(rep.targets());
@@ -781,6 +785,45 @@ mod tests {
         let registry = Registry::new(config);
         let t = registry.open("t").unwrap();
         assert_eq!(t.query(QueryRequest::ask("p(c3_5)")), Outcome::True);
+        committer.shutdown();
+    }
+
+    /// A sync ack waits for a quorum covering the window's own records.
+    /// In a pipelined session the committer appends them after the
+    /// session lock drops; here it holds the batch until a second
+    /// tenant's commit arrives, and the one follower stays at the
+    /// position before the window, so the ack must degrade. A position
+    /// read at the hand-off predates the window and would pass.
+    #[test]
+    fn sync_ack_waits_for_the_windows_own_records() {
+        let dir = TempDir::new("sync-own-records");
+        let committer = GroupCommitter::new();
+        let replication = ReplicationHandle::new(1);
+        let registry = Registry::new(RegistryConfig {
+            root: Some(dir.0.clone()),
+            policy: FsyncPolicy::Always,
+            committer: Some(Arc::clone(&committer)),
+            replication: Some(Arc::clone(&replication)),
+            sync_replicas: 1,
+            ..RegistryConfig::default()
+        });
+        let t = registry.open("t").unwrap();
+        let other = registry.open("u").unwrap();
+        other.set_sync_replicas(0);
+        let before = t.wal_tap().expect("durable tenant").position();
+        replication.tracker().record("t", 0, before);
+        committer.hold_next_batch(2);
+        std::thread::scope(|scope| {
+            let sync = scope.spawn(|| t.apply_batch(&[BatchOp::Load("p(a).")]));
+            // The outcome holds however the two commits interleave; the
+            // pause only makes `t` hand its window over first, which is
+            // when a position read at the hand-off goes wrong.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            other.load("q(b).").unwrap();
+            let outcome = sync.join().expect("sync writer");
+            assert_eq!(outcome.replies, [Ok(BatchReply::Loaded)]);
+            assert_eq!(outcome.degraded, Some((0, 1)));
+        });
         committer.shutdown();
     }
 

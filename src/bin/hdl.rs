@@ -1191,7 +1191,7 @@ impl<'o> Shell<'o> {
                             );
                         }
                     }
-                    Err(e) => println!("not linearly stratified: {e}"),
+                    Err(e) => println!("{e}"),
                 }
             }
             Command::Help => print!("{}", help()),

@@ -175,6 +175,9 @@ fn repl_transcript() {
     // session.
     let failing = ":pop\n:checkpoint\n:retract p(a), p(b)\n:load $DIR/missing.hdl\n";
     text += &transcript(dir, &["--workers", "1"], failing);
+    // `:strata` on a stratified program that is not linearly stratified.
+    let nonlinear = "a :- b, d1, d2.\nd1 :- a[add: c1].\nd2 :- a[add: c2].\n:strata\n";
+    text += &transcript(dir, &["--workers", "1"], nonlinear);
     check("repl", &text);
 }
 

@@ -2,6 +2,8 @@
 //!
 //! Core invariants:
 //! - the three hypothetical engines agree on every query;
+//! - a kept top-down or PROVE engine answers a query sequence as a fresh
+//!   engine per query does, through limit trips and domain growth;
 //! - negation-free inference is monotone in the database (§3.1 notes the
 //!   base system is monotonic — negation is what breaks it);
 //! - parse ∘ pretty is the identity on rulebases;
@@ -403,6 +405,7 @@ proptest! {
 
 mod fresh_constant_overlays {
     use super::*;
+    use hdl_core::engine::EngineStats;
     use hdl_core::parser::parse_query;
 
     /// `c…` are program constants, `z…` are fresh to the whole world.
@@ -449,22 +452,24 @@ mod fresh_constant_overlays {
             })
     }
 
+    /// A ground atom over program (`c…`) and fresh (`z…`) constants.
+    fn render_ground(p: usize, args: &[u8]) -> String {
+        let rendered: Vec<String> = args.iter().map(|&a| render_const(a)).collect();
+        format!("q{p}({})", rendered.join(", "))
+    }
+
     fn render_query(q: &HypQuery) -> String {
-        let atom = |p: usize, args: &[u8]| {
-            let rendered: Vec<String> = args.iter().map(|&a| render_const(a)).collect();
-            format!("q{p}({})", rendered.join(", "))
-        };
         match &q.del {
             Some((dp, da)) => format!(
                 "?- {}[add: {}, del: {}].",
-                atom(q.goal.0, &q.goal.1),
-                atom(q.add.0, &q.add.1),
-                atom(*dp, da)
+                render_ground(q.goal.0, &q.goal.1),
+                render_ground(q.add.0, &q.add.1),
+                render_ground(*dp, da)
             ),
             None => format!(
                 "?- {}[add: {}].",
-                atom(q.goal.0, &q.goal.1),
-                atom(q.add.0, &q.add.1)
+                render_ground(q.goal.0, &q.goal.1),
+                render_ground(q.add.0, &q.add.1)
             ),
         }
     }
@@ -554,6 +559,216 @@ mod fresh_constant_overlays {
             pe2.holds(&q2).unwrap(),
         );
         assert!(a && b && c, "td={a} bu={b} prove={c}");
+    }
+
+    /// The two engines built on the tabled search, as
+    /// [`kept_matches_fresh`] drives them.
+    trait Tabled: Sized {
+        fn ask(&mut self, q: &Premise) -> hdl_base::Result<bool>;
+        fn counters(&self) -> &EngineStats;
+        fn limited(self, limits: Limits) -> Self;
+    }
+
+    impl Tabled for TopDownEngine<'_> {
+        fn ask(&mut self, q: &Premise) -> hdl_base::Result<bool> {
+            self.holds(q)
+        }
+        fn counters(&self) -> &EngineStats {
+            self.stats()
+        }
+        fn limited(self, limits: Limits) -> Self {
+            self.with_limits(limits)
+        }
+    }
+
+    impl Tabled for ProveEngine<'_> {
+        fn ask(&mut self, q: &Premise) -> hdl_base::Result<bool> {
+            self.holds(q)
+        }
+        fn counters(&self) -> &EngineStats {
+            self.stats()
+        }
+        fn limited(self, limits: Limits) -> Self {
+            self.with_limits(limits)
+        }
+    }
+
+    /// Asks `queries` of one kept engine and of a fresh engine per
+    /// query. Query `grow` grows the domain; past it, the fresh engine
+    /// first asks that query too, so both range over the same domain.
+    /// The kept engine's counters accumulate, so each query gets the
+    /// limits of [`small_limits`] past them — except query `trip.0`,
+    /// which may expand only `trip.1` more goals. Every query the kept
+    /// engine answers must get the fresh engine's verdict, and up to
+    /// `grow` its expansions summed over those queries must not exceed
+    /// the fresh engines'. A case a fresh engine cannot finish is
+    /// skipped.
+    fn kept_matches_fresh<E: Tabled>(
+        make: impl Fn() -> E,
+        queries: &[(String, Premise)],
+        grow: usize,
+        trip: (usize, u64),
+        program: &str,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let mut kept = make();
+        let (mut kept_sum, mut fresh_sum) = (0, 0);
+        for (i, (text, q)) in queries.iter().enumerate() {
+            let mut fresh = make();
+            if i > grow && fresh.ask(&queries[grow].1).is_err() {
+                return Ok(());
+            }
+            let Ok(want) = fresh.ask(q) else {
+                return Ok(());
+            };
+            let (expanded, created) = {
+                let c = kept.counters();
+                (c.goal_expansions, c.databases_created)
+            };
+            let cap = if i == trip.0 {
+                trip.1
+            } else {
+                small_limits().max_expansions
+            };
+            kept = kept.limited(Limits {
+                max_expansions: expanded + cap,
+                max_databases: created + small_limits().max_databases,
+            });
+            match kept.ask(q) {
+                Ok(got) => {
+                    prop_assert_eq!(got, want, "kept vs fresh engine on {}\n{}", text, program);
+                    if i <= grow {
+                        kept_sum += kept.counters().goal_expansions - expanded;
+                        fresh_sum += fresh.counters().goal_expansions;
+                    }
+                }
+                Err(hdl_base::Error::LimitExceeded { .. }) if i == trip.0 => {}
+                Err(e) => prop_assert!(false, "kept engine failed on {}: {}\n{}", text, e, program),
+            }
+        }
+        prop_assert!(
+            kept_sum <= fresh_sum,
+            "kept engine expanded {} goals, fresh engines {}\n{}",
+            kept_sum,
+            fresh_sum,
+            program
+        );
+        Ok(())
+    }
+
+    /// Pinned: a verdict memoized before the domain grew must not
+    /// survive the growth. `p` holds once the domain has a constant
+    /// without `q0`, and only the second query's `add:` brings one in;
+    /// random programs seldom build this shape.
+    #[test]
+    fn kept_engines_drop_verdicts_of_a_smaller_domain() {
+        let src = "q0(c0).\nr(X) :- ~q0(X).\np :- r(X).\n";
+        let mut syms = SymbolTable::new();
+        let program = parse_program(src, &mut syms).unwrap();
+        let (rb, facts) = hdl_core::parser::split_facts(program);
+        let db: Database = facts.into_iter().collect();
+        let queries: Vec<(String, Premise)> = ["?- p.", "?- s[add: t(z0)].", "?- p."]
+            .into_iter()
+            .map(|t| (t.to_owned(), parse_query(t, &mut syms).unwrap()))
+            .collect();
+        let no_trip = (usize::MAX, 0);
+        let make = || TopDownEngine::new(&rb, &db).unwrap();
+        kept_matches_fresh(make, &queries, 1, no_trip, src).unwrap();
+        let make = || ProveEngine::new(&rb, &db).unwrap();
+        kept_matches_fresh(make, &queries, 1, no_trip, src).unwrap();
+    }
+
+    /// A ground atom over the program's own constants.
+    fn known_atom() -> impl Strategy<Value = String> {
+        (0..NUM_PREDS).prop_flat_map(|p| {
+            proptest::collection::vec(100u8..(100 + NUM_CONSTS as u8), arity(p))
+                .prop_map(move |a| render_atom(p, &a))
+        })
+    }
+
+    /// A query over the program's own constants: a ground atom, or one
+    /// under an `add:` and maybe a `del:`.
+    fn known_query() -> impl Strategy<Value = String> {
+        prop_oneof![
+            known_atom().prop_map(|g| format!("?- {g}.")),
+            (known_atom(), known_atom()).prop_map(|(g, a)| format!("?- {g}[add: {a}].")),
+            (known_atom(), known_atom(), known_atom())
+                .prop_map(|(g, a, d)| format!("?- {g}[add: {a}, del: {d}].")),
+        ]
+    }
+
+    /// A hypothetical query whose `add:` atom brings in a fresh
+    /// constant, so it grows the domain and the engines drop their
+    /// tables.
+    fn fresh_query() -> impl Strategy<Value = String> {
+        (0..NUM_PREDS, 0..NUM_PREDS).prop_flat_map(|(g, ad)| {
+            (
+                ground_args(arity(g)),
+                proptest::collection::vec(200u8..202, arity(ad)),
+            )
+                .prop_map(move |(ga, aa)| {
+                    format!(
+                        "?- {}[add: {}].",
+                        render_ground(g, &ga),
+                        render_ground(ad, &aa)
+                    )
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// One kept `TopDownEngine` and one kept `ProveEngine` answer a
+        /// query sequence exactly as a fresh engine per query does, with
+        /// no more goal expansions: through a query that trips the
+        /// expansion limit mid-search and is then asked again (unwinding
+        /// must leave no stale verdict in the goal tables), a query
+        /// whose `add:` grows the domain, and the first queries asked
+        /// again under the grown domain (verdicts memoized under the
+        /// smaller one must be gone).
+        #[test]
+        fn kept_engines_answer_like_fresh_engines(
+            rules in program_strategy(true),
+            facts in facts_strategy(),
+            known in proptest::collection::vec(known_query(), 1..=6),
+            last in fresh_query(),
+            trip_at in 0usize..6,
+            trip_after in 0u64..8,
+        ) {
+            let (rb, mut db, mut syms) = build(&rules, &facts);
+            // Every program constant in the domain, so only `last` grows it.
+            let known_pred = syms.intern("known");
+            for c in 0..NUM_CONSTS {
+                db.insert(GroundAtom::new(known_pred, vec![syms.intern(&format!("c{c}"))]));
+            }
+            let program = render_program(&rules);
+            // The tripped query is asked again: a stale verdict left by
+            // its unwinding would show there first.
+            let mut known = known;
+            if trip_at < known.len() {
+                known.insert(trip_at + 1, known[trip_at].clone());
+            }
+            let grow = known.len();
+            let queries: Vec<(String, Premise)> = known
+                .clone()
+                .into_iter()
+                .chain([last])
+                .chain(known)
+                .map(|t| {
+                    let q = parse_query(&t, &mut syms).expect("query parses");
+                    (t, q)
+                })
+                .collect();
+            let trip = (trip_at, trip_after);
+            if TopDownEngine::new(&rb, &db).is_ok() {
+                let make = || TopDownEngine::new(&rb, &db).unwrap().with_limits(small_limits());
+                kept_matches_fresh(make, &queries, grow, trip, &program)?;
+            }
+            if ProveEngine::new(&rb, &db).is_ok() {
+                let make = || ProveEngine::new(&rb, &db).unwrap().with_limits(small_limits());
+                kept_matches_fresh(make, &queries, grow, trip, &program)?;
+            }
+        }
     }
 }
 

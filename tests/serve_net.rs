@@ -430,6 +430,37 @@ fn admission_control_refuses_past_max_connections() {
     assert!(ok, "clean exit after shutdown");
 }
 
+/// An idle server accepts at once: the accept thread blocks in
+/// `accept` instead of polling, so 50 sequential connect + one-request
+/// round trips take well under the 10 ms a poll could add to each.
+/// The server then drains and exits.
+#[test]
+fn sequential_connections_to_an_idle_server_are_accepted_at_once() {
+    let server = ServerProc::start(&[]);
+    // One untimed round trip first, so the timing starts from a server
+    // that has served a connection.
+    assert_ok(
+        &Client::connect(&server.addr).send("{\"op\":\"hello\"}"),
+        "warm-up",
+    );
+    let started = std::time::Instant::now();
+    for i in 0..50 {
+        assert_ok(
+            &Client::connect(&server.addr).send("{\"op\":\"hello\"}"),
+            &format!("round trip {i}"),
+        );
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "50 connect + hello round trips took {elapsed:?}"
+    );
+    Client::connect(&server.addr).send("{\"op\":\"shutdown\"}");
+    let (ok, stderr) = server.wait();
+    assert!(ok, "clean exit after shutdown; stderr: {stderr}");
+    assert!(stderr.contains("server drained"), "drained: {stderr}");
+}
+
 /// SIGTERM drains: in-flight state is checkpointed and a restarted
 /// server recovers every acked mutation at the bumped epoch.
 #[test]
