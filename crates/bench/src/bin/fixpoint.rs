@@ -10,7 +10,8 @@
 //!   firing on 4 workers,
 //! - `magic`: the demand rewrite ([`MagicEngine`]) in front of a fresh
 //!   semi-naive run — only on the `*_point` workloads, where the query
-//!   has bound arguments for the rewrite to exploit,
+//!   has bound arguments for the rewrite to exploit (`whatif_point` asks
+//!   a sequence of hypothetical point queries of one kept engine),
 //!
 //! — checks that all configurations agree on the answer, and emits wall
 //! time, rounds, premise-match attempts, index probe/hit counts, and
@@ -28,18 +29,23 @@
 //! `--check` exits non-zero if semi-naive is slower than naive on a
 //! transitive-closure workload, the naive/semi attempts ratio falls
 //! below 3×, fewer than two point-query workloads show a ≥ 10× semi/
-//! magic attempts ratio, or a workload whose deltas all fell below the
+//! magic attempts ratio, `whatif_point` shows a semi/magic attempts
+//! ratio under 5× (the premise walk's order: the written order makes
+//! about 2×), or a workload whose deltas all fell below the
 //! spawn threshold still shows a parallel speedup under 0.95×, the
 //! median over fifteen back-to-back w1/w4 run pairs (the spawn gate must
 //! make skipped parallelism free).
 
 use hdl_base::Database;
 use hdl_bench::workloads::{
-    hamiltonian_reach_program, random_digraph, same_generation_program, tc_program, Digraph,
+    clustered_digraph, hamiltonian_reach_program, random_digraph, reach_program,
+    same_generation_program, tc_program, Digraph,
 };
 use hdl_core::ast::{Premise, Rulebase};
 use hdl_core::engine::{BottomUpEngine, MagicEngine, NaiveEngine};
 use hdl_core::parser::parse_query;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -88,6 +94,8 @@ enum Task {
     Model,
     /// Evaluate one ground query (hypothetical / negation workloads).
     Holds(Premise),
+    /// Evaluate ground queries in turn on one kept engine.
+    Queries(Vec<Premise>),
 }
 
 /// Deterministic work counters plus the wall times of the repeats.
@@ -128,6 +136,7 @@ impl RunMetrics {
 enum Answer {
     Model(Database),
     Verdict(bool),
+    Verdicts(Vec<bool>),
 }
 
 impl Answer {
@@ -135,6 +144,10 @@ impl Answer {
         match self {
             Answer::Model(m) => format!("{} facts", m.len()),
             Answer::Verdict(v) => format!("verdict {v}"),
+            Answer::Verdicts(vs) => {
+                let yes = vs.iter().filter(|&&v| v).count();
+                format!("{yes} of {} verdicts true", vs.len())
+            }
         }
     }
 }
@@ -153,6 +166,11 @@ fn run_once(
             let answer = match task {
                 Task::Model => Answer::Model(naive.model().expect("naive model")),
                 Task::Holds(q) => Answer::Verdict(naive.holds(q).expect("naive holds")),
+                Task::Queries(qs) => Answer::Verdicts(
+                    qs.iter()
+                        .map(|q| naive.holds(q).expect("naive holds"))
+                        .collect(),
+                ),
             };
             let wall = start.elapsed().as_secs_f64() * 1e3;
             return (wall, RunMetrics::from_stats(wall, naive.stats()), answer);
@@ -162,6 +180,11 @@ fn run_once(
             let answer = match task {
                 Task::Model => unreachable!("magic runs only on point-query workloads"),
                 Task::Holds(q) => Answer::Verdict(magic.holds(q).expect("magic holds")),
+                Task::Queries(qs) => Answer::Verdicts(
+                    qs.iter()
+                        .map(|q| magic.holds(q).expect("magic holds"))
+                        .collect(),
+                ),
             };
             let wall = start.elapsed().as_secs_f64() * 1e3;
             return (wall, RunMetrics::from_stats(wall, magic.stats()), answer);
@@ -173,6 +196,11 @@ fn run_once(
             match task {
                 Task::Model => Answer::Model(eng.model().expect("semi-naive model")),
                 Task::Holds(q) => Answer::Verdict(eng.holds(q).expect("semi-naive holds")),
+                Task::Queries(qs) => Answer::Verdicts(
+                    qs.iter()
+                        .map(|q| eng.holds(q).expect("semi-naive holds"))
+                        .collect(),
+                ),
             }
         }
     };
@@ -274,6 +302,26 @@ fn ratio(a: f64, b: f64) -> f64 {
     } else {
         a / b
     }
+}
+
+/// `n` what-if queries over `g`, drawn from `seed`: `reach(a, b)` as
+/// is, under `add:` of an edge, and under `del:` of an edge of `g`, in
+/// turn.
+fn whatif_queries(g: &Digraph, n: usize, seed: u64) -> Vec<String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            let (a, b) = (rng.gen_range(0..g.n), rng.gen_range(0..g.n));
+            let goal = format!("reach(v{a}, v{b})");
+            let (x, y) = match i % 3 {
+                0 => return format!("?- {goal}."),
+                1 => (rng.gen_range(0..g.n), rng.gen_range(0..g.n)),
+                _ => g.edges[rng.gen_range(0..g.edges.len())],
+            };
+            let op = if i % 3 == 1 { "add" } else { "del" };
+            format!("?- {goal}[{op}: edge(v{x}, v{y})].")
+        })
+        .collect()
 }
 
 fn run_workload(
@@ -543,6 +591,32 @@ fn main() {
         repeats,
     ));
 
+    // What-if reachability: point `reach/2` queries, plain and under an
+    // `add:` or `del:` of one edge, over a chain of clustered digraphs,
+    // asked in turn of one kept engine. Every magic fact of a query
+    // carries its target, so the premise walk's order decides how many
+    // of them each derived fact is tested against.
+    let (clusters, n) = if quick { (4, 18) } else { (10, 36) };
+    let g = clustered_digraph(clusters, 10, 2, 2, 1);
+    let (rb, db, mut syms) = reach_program(&g);
+    let queries = whatif_queries(&g, n, 1)
+        .iter()
+        .map(|t| parse_query(t, &mut syms).expect("query parses"))
+        .collect();
+    results.push(run_workload(
+        "whatif_point",
+        format!(
+            "{clusters} clusters of 10 nodes, out-degree 2, 2 bridges, seed 1 ({} edges), \
+             {n} queries",
+            g.edges.len()
+        ),
+        &rb,
+        &db,
+        &Task::Queries(queries),
+        &POINT_CONFIGS,
+        repeats,
+    ));
+
     // Hamiltonian path (Example 7) with the unvisited-reachability
     // pruning relation: negation + hypothetical branching, and a
     // genuinely recursive fixpoint recomputed inside every augmented
@@ -676,6 +750,16 @@ fn main() {
             eprintln!(
                 "GATE FAILED: only {strong} point workloads reached a 10x demand ratio (need 2)"
             );
+            failed = true;
+        }
+        // Walk-order gate: on `whatif_point` every magic fact of a query
+        // carries its target, so a walk that probes the magic guard by
+        // the target alone tests all of them for each derived fact. The
+        // cost-ordered walk cuts magic attempts ≥ 5× below semi-naive;
+        // the written order made about 2× (deterministic counters).
+        let whatif = find("whatif_point").magic_attempts_ratio().unwrap_or(0.0);
+        if whatif < 5.0 {
+            eprintln!("GATE FAILED: whatif_point semi/magic attempts ratio {whatif:.2} < 5");
             failed = true;
         }
         // Spawn-gate regression guard: when every round's delta falls

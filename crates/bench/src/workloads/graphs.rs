@@ -1,4 +1,5 @@
-//! Random directed graphs for the Hamiltonian-path experiments (E4).
+//! Random directed graphs for the Hamiltonian-path experiments (E4) and
+//! the reachability workloads of the fixpoint benchmark.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -83,9 +84,80 @@ pub fn random_digraph(n: usize, density: f64, seed: u64) -> Digraph {
     Digraph { n, edges }
 }
 
+/// A chain of `clusters` strongly connected clusters of `size` nodes
+/// each, deterministically from `seed`. Inside a cluster every node has
+/// a ring edge to its successor plus random chords up to `out_degree`
+/// out-edges; each cluster is joined to the next by `bridges` random
+/// edges. A node reaches its own cluster and every later one, so
+/// reachability closures range from one cluster to the whole graph.
+pub fn clustered_digraph(
+    clusters: usize,
+    size: usize,
+    out_degree: usize,
+    bridges: usize,
+    seed: u64,
+) -> Digraph {
+    assert!(size > out_degree, "a cluster must fit its out-degree");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut edges = Vec::new();
+    for a in 0..clusters * size {
+        let base = a / size * size;
+        let mut out = vec![base + (a + 1 - base) % size];
+        while out.len() < out_degree {
+            let b = base + rng.gen_range(0..size);
+            if b != a && !out.contains(&b) {
+                out.push(b);
+            }
+        }
+        edges.extend(out.into_iter().map(|b| (a, b)));
+    }
+    for c in 1..clusters {
+        let mut joined = 0;
+        while joined < bridges {
+            let a = (c - 1) * size + rng.gen_range(0..size);
+            let b = c * size + rng.gen_range(0..size);
+            if !edges.contains(&(a, b)) {
+                edges.push((a, b));
+                joined += 1;
+            }
+        }
+    }
+    Digraph {
+        n: clusters * size,
+        edges,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clustered_digraphs_chain_their_clusters() {
+        let g = clustered_digraph(3, 5, 2, 2, 1);
+        assert_eq!(
+            g,
+            clustered_digraph(3, 5, 2, 2, 1),
+            "deterministic per seed"
+        );
+        assert_eq!(g.n, 15);
+        assert_eq!(g.edges.len(), 15 * 2 + 2 * 2);
+        for i in 0..15 {
+            let ring = i / 5 * 5 + (i + 1) % 5;
+            assert!(g.has_edge(i, ring), "ring edge out of {i}");
+        }
+        let across = |from: usize| {
+            g.edges
+                .iter()
+                .filter(|e| e.0 / 5 == from && e.1 / 5 == from + 1)
+                .count()
+        };
+        assert_eq!((across(0), across(1)), (2, 2));
+        assert!(g
+            .edges
+            .iter()
+            .all(|&(a, b)| b / 5 == a / 5 || b / 5 == a / 5 + 1));
+    }
 
     #[test]
     fn chain_is_hamiltonian_star_is_not() {

@@ -172,6 +172,21 @@ pub fn tc_program(g: &Digraph) -> (Rulebase, Database, SymbolTable) {
     build(&src)
 }
 
+/// Right-linear reachability over `g`: `reach(X, Y)` holds when a path
+/// of one or more edges leads from `X` to `Y`. Under the demand rewrite
+/// every magic fact of a point query carries the query's target, so a
+/// rule instance that probes them by target alone tests all of them.
+pub fn reach_program(g: &Digraph) -> (Rulebase, Database, SymbolTable) {
+    let mut src = String::from(
+        "reach(X, Y) :- edge(X, Y).
+         reach(X, Y) :- edge(X, Z), reach(Z, Y).\n",
+    );
+    for &(a, b) in &g.edges {
+        let _ = writeln!(src, "edge(v{a}, v{b}).");
+    }
+    build(&src)
+}
+
 /// Same-generation over a complete binary tree with `depth` levels.
 ///
 /// Nodes are heap-indexed (`n1` is the root; `n_i` has children

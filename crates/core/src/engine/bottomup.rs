@@ -46,7 +46,7 @@ use crate::engine::budget::Budget;
 use crate::engine::context::Context;
 use crate::engine::fixpoint::{self, classify, Fixpoint, Model, Resolver};
 use crate::engine::matching::{collect_free, empty_layer, ModelLayers, Part};
-use crate::engine::stats::{EngineStats, Limits};
+use crate::engine::stats::{EngineStats, Limits, QueryStart};
 use hdl_base::{
     Atom, Bindings, Database, DbId, Error, FxHashMap, MatchCounters, Result, Symbol, Var,
 };
@@ -186,6 +186,7 @@ impl<'rb> BottomUpEngine<'rb> {
 
     /// A snapshot of the full perfect model of the base database.
     pub fn model(&mut self) -> Result<Database> {
+        self.fx.start = QueryStart::of(&self.stats);
         let base = self.ctx.base_db;
         let all = self.num_strata();
         self.ensure_model(base, all)?;
@@ -198,6 +199,7 @@ impl<'rb> BottomUpEngine<'rb> {
     /// Evaluates a query premise against the base database (same free-
     /// variable conventions as the top-down engine).
     pub fn holds(&mut self, query: &Premise) -> Result<bool> {
+        self.fx.start = QueryStart::of(&self.stats);
         let base = self.ctx.base_db;
         let num_vars = query.vars().map(|v| v.index() + 1).max().unwrap_or(0);
         let mut bindings = Bindings::new(num_vars);
@@ -257,6 +259,7 @@ impl<'rb> BottomUpEngine<'rb> {
     /// (stratified fixpoints only ever add true facts) but not complete
     /// when the error is `Some`.
     pub fn answers_partial(&mut self, pattern: &Atom) -> (Vec<Vec<Symbol>>, Option<Error>) {
+        self.fx.start = QueryStart::of(&self.stats);
         let base = self.ctx.base_db;
         let trip = self.ensure_for_pred(base, pattern.pred).err();
         let empty = Database::new();
@@ -307,7 +310,7 @@ impl<'rb> BottomUpEngine<'rb> {
             Some(e) => e,
             None => {
                 self.stats.calls += 1;
-                if self.models.len() as u64 >= self.fx.limits.max_databases {
+                if self.fx.start.calls(&self.stats) > self.fx.limits.max_databases {
                     return Err(Error::LimitExceeded {
                         what: "databases".into(),
                         limit: self.fx.limits.max_databases,

@@ -119,6 +119,22 @@ impl<'a> ModelLayers<'a> {
         n
     }
 
+    /// How many candidates a match of `atom` in the selected `part` would
+    /// test under `bindings`: the index buckets each layer would probe
+    /// (see [`Database::estimate`] and [`DbView::estimate`]). The premise
+    /// walk of the fixpoint kernel orders a rule's atoms by it.
+    pub fn estimate(&self, part: Part, atom: &Atom, bindings: &Bindings) -> usize {
+        match part {
+            Part::Full => {
+                self.view.estimate(atom, bindings)
+                    + self.older.estimate(atom, bindings)
+                    + self.delta.estimate(atom, bindings)
+            }
+            Part::Old => self.view.estimate(atom, bindings) + self.older.estimate(atom, bindings),
+            Part::Delta => self.delta.estimate(atom, bindings),
+        }
+    }
+
     /// Whether `atom` matches anywhere in the selected `part`.
     pub fn exists(
         &self,
@@ -198,6 +214,13 @@ mod tests {
         assert_eq!(collect(Part::Old, &mut b, &mut c), vec![1, 2]);
         assert_eq!(collect(Part::Delta, &mut b, &mut c), vec![3]);
         assert_eq!(c.attempts, 6, "each layer candidate tested once");
+        assert_eq!(layers.estimate(Part::Full, &pattern, &b), 3);
+        assert_eq!(layers.estimate(Part::Old, &pattern, &b), 2);
+        assert_eq!(layers.estimate(Part::Delta, &pattern, &b), 1);
+        b.set(Var(0), Symbol(2));
+        assert_eq!(layers.estimate(Part::Full, &pattern, &b), 1, "one bucket");
+        assert_eq!(layers.estimate(Part::Delta, &pattern, &b), 0);
+        b.unset(Var(0));
 
         let bound = Atom::new(Symbol(0), vec![Term::Const(Symbol(3))]);
         assert!(layers.exists(Part::Delta, &bound, &mut b, &mut c));

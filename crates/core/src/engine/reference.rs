@@ -20,9 +20,13 @@
 //! ([`crate::engine::fixpoint`]) and share its premise walk — the
 //! *scheduling* (which rules re-fire each round, and against which model
 //! slice) is what differs, and that is the part the semi-naive rewrite
-//! changed. Independent-implementation coverage of the walk itself comes
-//! from the top-down engine, which the cross-engine tests compare
-//! against, and from `hdl_datalog::naive` on hypothesis-free programs.
+//! changed. Both therefore also walk premises in the same cost order,
+//! not in written order, so this engine cannot check the walk.
+//! Independent-implementation coverage of the walk itself comes from
+//! the top-down engine, which the cross-engine tests compare against,
+//! and from `hdl_datalog::naive` on hypothesis-free programs; the
+//! property suite also permutes each rule's premises and requires the
+//! same models and answers.
 
 use crate::ast::{Premise, Rulebase};
 use crate::engine::bottomup::BottomUpEngine;

@@ -145,9 +145,11 @@ impl EngineStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Limits {
     /// Maximum goal expansions (top-down) / premise-match attempts
-    /// (bottom-up) per query.
+    /// (bottom-up) per query: a kept engine measures them from the
+    /// counters at the query's start.
     pub max_expansions: u64,
-    /// Maximum distinct databases in the lattice per query.
+    /// Maximum distinct databases in the lattice created per query
+    /// (bottom-up: models started per query).
     pub max_databases: u64,
 }
 
@@ -157,6 +159,42 @@ impl Default for Limits {
             max_expansions: 50_000_000,
             max_databases: 1_000_000,
         }
+    }
+}
+
+/// An engine's counters when its current query began. [`Limits`] bound
+/// their growth since then, so a kept engine allows every query the
+/// same work however many it has answered.
+#[derive(Default, Clone, Copy, Debug)]
+pub(crate) struct QueryStart {
+    expansions: u64,
+    databases: u64,
+    calls: u64,
+}
+
+impl QueryStart {
+    /// Starts a query at `stats`.
+    pub fn of(stats: &EngineStats) -> Self {
+        QueryStart {
+            expansions: stats.goal_expansions,
+            databases: stats.databases_created,
+            calls: stats.calls,
+        }
+    }
+
+    /// Goal expansions (match attempts) since the query began.
+    pub fn expansions(&self, stats: &EngineStats) -> u64 {
+        stats.goal_expansions.saturating_sub(self.expansions)
+    }
+
+    /// Databases created since the query began.
+    pub fn databases(&self, stats: &EngineStats) -> u64 {
+        stats.databases_created.saturating_sub(self.databases)
+    }
+
+    /// Proof calls (bottom-up: models started) since the query began.
+    pub fn calls(&self, stats: &EngineStats) -> u64 {
+        stats.calls.saturating_sub(self.calls)
     }
 }
 
