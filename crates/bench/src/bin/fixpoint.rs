@@ -1,13 +1,10 @@
 //! `fixpoint` — the tracked fixpoint benchmark behind `BENCH_fixpoint.json`.
 //!
-//! Runs each workload under up to four engine configurations —
+//! Runs each workload under up to three engine configurations —
 //!
 //! - `naive`: the retained [`NaiveEngine`] reference (full re-fire of
 //!   every rule, every round),
-//! - `semi_naive_w1`: the semi-naive delta-rotating closure, single
-//!   threaded,
-//! - `semi_naive_w4`: the same closure with intra-round parallel rule
-//!   firing on 4 workers,
+//! - `semi_naive_w1`: the semi-naive delta-rotating closure,
 //! - `magic`: the demand rewrite ([`MagicEngine`]) in front of a fresh
 //!   semi-naive run — only on the `*_point` workloads, where the query
 //!   has bound arguments for the rewrite to exploit (`whatif_point` asks
@@ -31,10 +28,7 @@
 //! below 3×, fewer than two point-query workloads show a ≥ 10× semi/
 //! magic attempts ratio, `whatif_point` shows a semi/magic attempts
 //! ratio under 5× (the premise walk's order: the written order makes
-//! about 2×), or a workload whose deltas all fell below the
-//! spawn threshold still shows a parallel speedup under 0.95×, the
-//! median over fifteen back-to-back w1/w4 run pairs (the spawn gate must
-//! make skipped parallelism free).
+//! about 2×).
 
 use hdl_base::Database;
 use hdl_bench::workloads::{
@@ -49,44 +43,31 @@ use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Worker count for the parallel configuration.
-const PAR_WORKERS: usize = 4;
-
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Config {
     Naive,
-    Semi { workers: usize },
+    Semi,
     Magic,
 }
 
 impl Config {
-    fn label(self) -> String {
+    /// The configuration's name in the JSON. `semi_naive_w1` keeps the
+    /// name it had beside a multi-worker row, so the trajectory of
+    /// earlier files stays comparable.
+    fn label(self) -> &'static str {
         match self {
-            Config::Naive => "naive".into(),
-            Config::Semi { workers } => format!("semi_naive_w{workers}"),
-            Config::Magic => "magic".into(),
+            Config::Naive => "naive",
+            Config::Semi => "semi_naive_w1",
+            Config::Magic => "magic",
         }
     }
 }
 
-/// Every workload runs the naive reference and both semi-naive widths.
-const MODEL_CONFIGS: [Config; 3] = [
-    Config::Naive,
-    Config::Semi { workers: 1 },
-    Config::Semi {
-        workers: PAR_WORKERS,
-    },
-];
+/// Every workload runs the naive reference and the semi-naive closure.
+const MODEL_CONFIGS: [Config; 2] = [Config::Naive, Config::Semi];
 
 /// Point-query workloads additionally run the demand rewrite.
-const POINT_CONFIGS: [Config; 4] = [
-    Config::Naive,
-    Config::Semi { workers: 1 },
-    Config::Semi {
-        workers: PAR_WORKERS,
-    },
-    Config::Magic,
-];
+const POINT_CONFIGS: [Config; 3] = [Config::Naive, Config::Semi, Config::Magic];
 
 /// What the workload asks of the engine.
 enum Task {
@@ -98,17 +79,13 @@ enum Task {
     Queries(Vec<Premise>),
 }
 
-/// Deterministic work counters plus the wall times of the repeats.
+/// Deterministic work counters plus the best wall time of the repeats.
 struct RunMetrics {
-    /// The best of `walls`.
     wall_ms: f64,
-    /// Every run's wall time, in run order.
-    walls: Vec<f64>,
     attempts: u64,
     rounds: u64,
     index_probes: u64,
     index_hits: u64,
-    parallel_rounds: u64,
     magic_rules: u64,
     demand_facts: u64,
     delta: Vec<u64>,
@@ -118,12 +95,10 @@ impl RunMetrics {
     fn from_stats(wall_ms: f64, s: &hdl_core::engine::EngineStats) -> Self {
         RunMetrics {
             wall_ms,
-            walls: vec![wall_ms],
             attempts: s.goal_expansions,
             rounds: s.rounds,
             index_probes: s.index_probes,
             index_hits: s.index_hits,
-            parallel_rounds: s.parallel_rounds,
             magic_rules: s.magic_rules,
             demand_facts: s.demand_facts,
             delta: s.delta_facts_per_round.clone(),
@@ -189,10 +164,8 @@ fn run_once(
             let wall = start.elapsed().as_secs_f64() * 1e3;
             return (wall, RunMetrics::from_stats(wall, magic.stats()), answer);
         }
-        Config::Semi { workers } => {
-            eng = BottomUpEngine::new(rb, db)
-                .expect("workload stratifies")
-                .with_parallelism(workers);
+        Config::Semi => {
+            eng = BottomUpEngine::new(rb, db).expect("workload stratifies");
             match task {
                 Task::Model => Answer::Model(eng.model().expect("semi-naive model")),
                 Task::Holds(q) => Answer::Verdict(eng.holds(q).expect("semi-naive holds")),
@@ -212,7 +185,7 @@ struct WorkloadResult {
     name: &'static str,
     params: String,
     answer: String,
-    runs: Vec<(String, RunMetrics)>,
+    runs: Vec<(&'static str, RunMetrics)>,
 }
 
 impl WorkloadResult {
@@ -220,7 +193,7 @@ impl WorkloadResult {
         &self
             .runs
             .iter()
-            .find(|(l, _)| l == label)
+            .find(|(l, _)| *l == label)
             .unwrap_or_else(|| panic!("no config {label}"))
             .1
     }
@@ -239,60 +212,14 @@ impl WorkloadResult {
         )
     }
 
-    fn parallel_speedup(&self) -> f64 {
-        ratio(
-            self.metrics("semi_naive_w1").wall_ms,
-            self.metrics(&format!("semi_naive_w{PAR_WORKERS}")).wall_ms,
-        )
-    }
-
-    /// The median over w1/w4 run pairs of the w1-over-w4 wall-time
-    /// ratio. The runs alternate, so each pair ran back to back, and a
-    /// burst of host noise spoils a pair or two rather than the median.
-    fn median_parallel_speedup(&self) -> f64 {
-        let w1 = &self.metrics("semi_naive_w1").walls;
-        let w4 = &self.metrics(&format!("semi_naive_w{PAR_WORKERS}")).walls;
-        let ratios: Vec<f64> = w1.iter().zip(w4).map(|(&a, &b)| ratio(a, b)).collect();
-        median(&ratios)
-    }
-
     /// Semi-naive over magic attempts — how much work the demand
     /// rewrite saved. `None` on workloads that did not run `magic`.
     fn magic_attempts_ratio(&self) -> Option<f64> {
-        let magic = self.runs.iter().find(|(l, _)| l == "magic")?;
+        let magic = self.runs.iter().find(|(l, _)| *l == "magic")?;
         Some(ratio(
             self.metrics("semi_naive_w1").attempts as f64,
             magic.1.attempts as f64,
         ))
-    }
-}
-
-/// Whether the parallel-speedup gate applies: the w4 run spawned
-/// nothing, so it must cost what w1 does, and w1 ran long enough for
-/// the timer to tell.
-fn spawn_free(w1: &RunMetrics, w4: &RunMetrics) -> bool {
-    w4.parallel_rounds == 0 && w1.wall_ms >= 5.0
-}
-
-/// How many times each configuration of a workload runs.
-#[derive(Clone, Copy)]
-struct Repeats {
-    /// Every configuration, interleaved.
-    all: usize,
-    /// w1 and w4 of a [`spawn_free`] workload, alternating: the run
-    /// pairs the speedup gate takes its median over (with the `all`
-    /// runs).
-    speedup: usize,
-}
-
-fn median(xs: &[f64]) -> f64 {
-    let mut xs = xs.to_vec();
-    xs.sort_by(f64::total_cmp);
-    let mid = xs.len() / 2;
-    if xs.len() % 2 == 1 {
-        xs[mid]
-    } else {
-        (xs[mid - 1] + xs[mid]) / 2.0
     }
 }
 
@@ -331,9 +258,9 @@ fn run_workload(
     db: &Database,
     task: &Task,
     configs: &[Config],
-    repeats: Repeats,
+    repeats: usize,
 ) -> WorkloadResult {
-    let mut runs: Vec<(String, RunMetrics)> = Vec::new();
+    let mut runs: Vec<(&'static str, RunMetrics)> = Vec::new();
     let mut reference: Option<Answer> = None;
     for &config in configs {
         let (_, metrics, answer) = run_once(rb, db, task, config);
@@ -350,28 +277,11 @@ fn run_workload(
     // Wall time is the minimum over all runs; counters are
     // deterministic across repeats. Repeats are interleaved across
     // configurations so a scheduler hiccup lands on all of them
-    // rather than skewing one configuration's burst. A spawn-free
-    // workload then runs w1 and w4 alternately up to `speedup` each.
-    let rerun = |runs: &mut Vec<(String, RunMetrics)>, i: usize| {
-        let (wall, _, _) = run_once(rb, db, task, configs[i]);
-        runs[i].1.wall_ms = runs[i].1.wall_ms.min(wall);
-        runs[i].1.walls.push(wall);
-    };
-    for _ in 1..repeats.all {
-        for i in 0..configs.len() {
-            rerun(&mut runs, i);
-        }
-    }
-    let semi = |workers| configs.iter().position(|&c| c == Config::Semi { workers });
-    if let (Some(w1), Some(w4)) = (semi(1), semi(PAR_WORKERS)) {
-        if spawn_free(&runs[w1].1, &runs[w4].1) {
-            // Every other pair runs w4 first, so a drift within a pair
-            // does not always count against the same configuration.
-            for k in repeats.all..repeats.speedup {
-                let pair = if k % 2 == 0 { [w1, w4] } else { [w4, w1] };
-                rerun(&mut runs, pair[0]);
-                rerun(&mut runs, pair[1]);
-            }
+    // rather than skewing one configuration's burst.
+    for _ in 1..repeats {
+        for (i, &config) in configs.iter().enumerate() {
+            let (wall, _, _) = run_once(rb, db, task, config);
+            runs[i].1.wall_ms = runs[i].1.wall_ms.min(wall);
         }
     }
     for (label, metrics) in &runs {
@@ -392,14 +302,13 @@ fn run_workload(
 fn json(results: &[WorkloadResult], mode: &str, threads: usize) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"bench_fixpoint/v2\",");
+    let _ = writeln!(out, "  \"schema\": \"bench_fixpoint/v3\",");
     let _ = writeln!(
         out,
         "  \"command\": \"cargo run --release -p hdl-bench --bin fixpoint\","
     );
     let _ = writeln!(out, "  \"mode\": \"{mode}\",");
     let _ = writeln!(out, "  \"host_threads\": {threads},");
-    let _ = writeln!(out, "  \"parallel_workers\": {PAR_WORKERS},");
     out.push_str("  \"workloads\": [\n");
     for (wi, w) in results.iter().enumerate() {
         out.push_str("    {\n");
@@ -416,11 +325,6 @@ fn json(results: &[WorkloadResult], mode: &str, threads: usize) -> String {
             "      \"wall_ratio_naive_over_semi\": {:.2},",
             w.wall_ratio_naive_over_semi()
         );
-        let _ = writeln!(
-            out,
-            "      \"parallel_speedup_w1_over_w{PAR_WORKERS}\": {:.2},",
-            w.parallel_speedup()
-        );
         if let Some(r) = w.magic_attempts_ratio() {
             let _ = writeln!(out, "      \"attempts_ratio_semi_over_magic\": {r:.2},");
         }
@@ -431,13 +335,12 @@ fn json(results: &[WorkloadResult], mode: &str, threads: usize) -> String {
                 out,
                 "\"config\": \"{label}\", \"wall_ms\": {:.3}, \"attempts\": {}, \
                  \"rounds\": {}, \"index_probes\": {}, \"index_hits\": {}, \
-                 \"parallel_rounds\": {}, \"magic_rules\": {}, \"demand_facts\": {}, ",
+                 \"magic_rules\": {}, \"demand_facts\": {}, ",
                 m.wall_ms,
                 m.attempts,
                 m.rounds,
                 m.index_probes,
                 m.index_hits,
-                m.parallel_rounds,
                 m.magic_rules,
                 m.demand_facts
             );
@@ -480,17 +383,8 @@ fn main() {
         .unwrap_or_else(|| "BENCH_fixpoint.json".into());
     // Quick mode gates wall-clock ratios in CI, so it takes more
     // repeats: the min over five runs is stable against scheduler
-    // noise that a min over two is not. The speedup gate takes the
-    // median over w1/w4 run pairs, which needs more samples: fifteen
-    // pairs, on the spawn-free workloads only.
-    let repeats = if quick {
-        Repeats {
-            all: 5,
-            speedup: 15,
-        }
-    } else {
-        Repeats { all: 3, speedup: 3 }
-    };
+    // noise that a min over two is not.
+    let repeats = if quick { 5 } else { 3 };
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!(
         "fixpoint benchmark — mode {}, {} host threads",
@@ -528,8 +422,8 @@ fn main() {
         repeats,
     ));
 
-    // Dense random TC: few rounds with wide deltas — the workload where
-    // intra-round parallel firing pays (the wall-clock gate).
+    // Dense random TC: few rounds with wide deltas — the most join work
+    // per round (the naive/semi wall-clock gate).
     let (n, d) = if quick { (64, 0.10) } else { (200, 0.035) };
     let g = random_digraph(n, d, 7);
     let (rb, db, mut syms) = tc_program(&g);
@@ -690,12 +584,11 @@ fn main() {
         .collect();
     eprintln!(
         "gates: tc_chain attempts ratio {:.2}x, hamiltonian attempts ratio {:.2}x, \
-         tc wall naive/semi {:.2}x|{:.2}x, tc_dense parallel speedup {:.2}x",
+         tc wall naive/semi {:.2}x|{:.2}x",
         tc_chain.attempts_ratio(),
         ham.attempts_ratio(),
         tc_chain.wall_ratio_naive_over_semi(),
         tc_dense.wall_ratio_naive_over_semi(),
-        tc_dense.parallel_speedup(),
     );
     for w in &point {
         eprintln!(
@@ -761,29 +654,6 @@ fn main() {
         if whatif < 5.0 {
             eprintln!("GATE FAILED: whatif_point semi/magic attempts ratio {whatif:.2} < 5");
             failed = true;
-        }
-        // Spawn-gate regression guard: when every round's delta falls
-        // below `PARALLEL_MIN_DELTA` the w4 run spawns nothing, so it
-        // must cost nothing — speedup ≥ 0.95× of single-threaded, as
-        // the median over back-to-back run pairs (the two do the same
-        // work, so one pair of timings is a coin toss at 0.95).
-        // Workloads that do spawn are excluded (a low-core host pays
-        // thread overhead it cannot recoup), as are runs under 5 ms
-        // where timer noise dominates the ratio.
-        for w in &results {
-            let w4 = w.metrics(&format!("semi_naive_w{PAR_WORKERS}"));
-            if !spawn_free(w.metrics("semi_naive_w1"), w4) {
-                continue;
-            }
-            let speedup = w.median_parallel_speedup();
-            eprintln!("gates: {} median parallel speedup {speedup:.2}x", w.name);
-            if speedup < 0.95 {
-                eprintln!(
-                    "GATE FAILED: {} skipped all parallel rounds yet speedup {speedup:.2} < 0.95",
-                    w.name
-                );
-                failed = true;
-            }
         }
         if failed {
             std::process::exit(1);

@@ -19,8 +19,8 @@
 //! ([`crate::engine::fixpoint`], DESIGN.md §3.11): delta rotation after
 //! round 0, full re-fire of rules whose hypothetical premise can read the
 //! growing model (the degenerate `add ⊆ DB` case over a same-stratum
-//! goal), and pure firings fanned out across scoped worker threads (see
-//! [`BottomUpEngine::set_parallelism`]). This engine's part is the
+//! goal), and pure firings seeded on their first (or rotated) premise's
+//! matches. This engine's part is the
 //! resolver: every premise reads the layered model, and a hypothetical
 //! premise recurses into the model of the modified database.
 //!
@@ -115,19 +115,6 @@ impl<'rb> BottomUpEngine<'rb> {
     /// Replaces the resource limits.
     pub fn with_limits(mut self, limits: Limits) -> Self {
         self.fx.limits = limits;
-        self
-    }
-
-    /// Sets the number of worker threads used for pure-rule firings
-    /// within a fixpoint round (clamped to at least 1). The computed
-    /// model is identical for every setting; only wall-clock changes.
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.fx.workers = workers.max(1);
-    }
-
-    /// Builder form of [`BottomUpEngine::set_parallelism`].
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.set_parallelism(workers);
         self
     }
 

@@ -395,7 +395,6 @@ pub struct MagicEngine<'rb> {
     ctx: Context<'rb>,
     limits: Limits,
     budget: Budget,
-    workers: usize,
     /// One past the largest symbol id in the rulebase/database — the
     /// floor for invented predicate names.
     sym_base: u32,
@@ -437,7 +436,6 @@ impl<'rb> MagicEngine<'rb> {
             ctx,
             limits: Limits::default(),
             budget: Budget::default(),
-            workers: 1,
             sym_base: max,
             stats: EngineStats::default(),
         })
@@ -446,17 +444,6 @@ impl<'rb> MagicEngine<'rb> {
     /// Replaces the resource limits.
     pub fn with_limits(mut self, limits: Limits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Sets worker threads for the inner engine's pure-rule firings.
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// Builder form of [`MagicEngine::set_parallelism`].
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.set_parallelism(workers);
         self
     }
 
@@ -587,12 +574,10 @@ impl<'rb> MagicEngine<'rb> {
     }
 
     /// A fresh inner semi-naive engine over `rb` and `db`, grounding
-    /// over the accumulated domain, with this engine's limits,
-    /// parallelism and budget.
+    /// over the accumulated domain, with this engine's limits and budget.
     fn inner_engine<'a>(&self, rb: &'a Rulebase, db: &Database) -> Result<BottomUpEngine<'a>> {
-        let mut eng = BottomUpEngine::new_with_constants(rb, db, &self.ctx.domain)?
-            .with_limits(self.limits)
-            .with_parallelism(self.workers);
+        let mut eng =
+            BottomUpEngine::new_with_constants(rb, db, &self.ctx.domain)?.with_limits(self.limits);
         eng.set_budget(self.budget.clone());
         Ok(eng)
     }

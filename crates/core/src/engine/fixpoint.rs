@@ -12,9 +12,8 @@
 //! - the scheduler: full evaluation in round 0, delta rotations after it
 //!   (DESIGN.md §3.11), full re-fire of `hyp_sensitive` rules, pure
 //!   firings seeded on their first (or rotated) premise's matches;
-//! - the pure runner: inline, or — once a round is at least
-//!   [`PARALLEL_MIN_DELTA`] seed rows wide — chunked over scoped worker
-//!   threads;
+//! - the pure runner, which fires the round's pure tasks inline, one
+//!   after another, on the engine's thread;
 //! - the premise walk: layered atoms, negation over its outer and inner
 //!   variables, hypothetical groundings and head emission, in cost
 //!   order (below);
@@ -40,7 +39,7 @@
 //! and memory working set. The walk is generic over it, so the calls
 //! dispatch statically.
 //!
-//! Matching, grounding and head emission reuse per-round and per-thread
+//! Matching, grounding and head emission reuse per-round and per-engine
 //! buffers: seed rows, replayed match rows and derived heads are flat
 //! runs of constants (DESIGN.md §3.6, §3.11), so the only allocations
 //! left in a round store its new facts in the model's layers.
@@ -54,17 +53,7 @@ use hdl_base::{
     Atom, Bindings, Database, DbId, Error, MatchCounters, Result, Symbol, Term, Var, VarList,
 };
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Minimum total seed rows (delta width) in a round before worker
-/// threads are spawned; below this the per-round scope/merge cost
-/// outweighs the join work and parallel firing *loses* — tc_chain's
-/// ~190-fact rounds ran 2× slower at 4 workers under the old 128-row
-/// threshold. Rounds skipped by this gate are counted in
-/// `parallel_skipped`, and the fixpoint bench gates
-/// `parallel_speedup ≥ 0.95` so parallelism can no longer regress.
-pub const PARALLEL_MIN_DELTA: usize = 1024;
 
 /// Static classification of one rule for semi-naive scheduling and for
 /// the premise walk, relative to the group whose fixpoint it belongs to.
@@ -72,7 +61,7 @@ pub const PARALLEL_MIN_DELTA: usize = 1024;
 pub struct RuleClass {
     /// Every premise resolves against the layered model alone (no
     /// hypothetical recursion, no oracle calls): a firing needs only
-    /// shared reads, so it can run on a worker thread.
+    /// shared reads, so it is seeded on a premise's matches up front.
     pub pure: bool,
     /// Some premise outside the rotatable set can change value while the
     /// fixpoint grows (e.g. a degenerate hypothetical reading the growing
@@ -157,8 +146,6 @@ pub(crate) struct Fixpoint {
     pub groups: Vec<Arc<[usize]>>,
     /// Per-rule classification, indexed like `rb.rules`.
     pub classes: Vec<RuleClass>,
-    /// Worker threads for pure firings within a round (1 = inline).
-    pub workers: usize,
     /// Semi-naive delta rotation (the default). Off re-fires every rule
     /// fully each round — the naive closure kept as the reference
     /// baseline (see [`crate::engine::reference::NaiveEngine`]).
@@ -172,8 +159,8 @@ pub(crate) struct Fixpoint {
     /// Fact-store size when the budget was installed; the fact cap
     /// bounds growth past this, not absolute size (engines are reused).
     facts_baseline: u64,
-    /// Match rows replayed by the premise walks on the engine's thread,
-    /// used as a stack (see [`ModelLayers::collect_rows`]).
+    /// Match rows replayed by the premise walks, used as a stack (see
+    /// [`ModelLayers::collect_rows`]).
     rows: Vec<Symbol>,
 }
 
@@ -182,7 +169,6 @@ impl Fixpoint {
         Fixpoint {
             groups,
             classes,
-            workers: 1,
             semi_naive: true,
             limits: Limits::default(),
             start: QueryStart::default(),
@@ -306,7 +292,7 @@ pub(crate) fn saturate<'rb, R: Resolver<'rb>>(
                 &mut seeds,
                 &mut impure,
             );
-            run_pure(r, db, &older, &delta, tasks, &seeds, &mut fresh)?;
+            run_pure(r, db, &older, &delta, &tasks, &seeds, &mut fresh)?;
             for &(rule_idx, rot_j) in &impure {
                 fire_impure(r, db, rule_idx, rot_j, &older, &delta, &mut fresh)?;
             }
@@ -353,7 +339,7 @@ pub(crate) fn saturate<'rb, R: Resolver<'rb>>(
     Ok(())
 }
 
-/// Heads derived in one round (or one task), in derivation order, as
+/// Heads derived in one round, in derivation order, as
 /// flat runs of constants: the allocation-free form of a
 /// `Vec<GroundAtom>`.
 #[derive(Default)]
@@ -372,11 +358,6 @@ impl Heads {
             Term::Const(c) => c,
             Term::Var(v) => bindings.get(v).expect("head grounded"),
         }));
-    }
-
-    fn append(&mut self, other: &Heads) {
-        self.preds.extend_from_slice(&other.preds);
-        self.args.extend_from_slice(&other.args);
     }
 
     fn clear(&mut self) {
@@ -417,8 +398,7 @@ struct PureTask {
 }
 
 /// Builds the round's work list: pure tasks, each seeded on one premise
-/// whose matches go to `seeds`, and impure `(rule, rot_j)` firings for
-/// the sequential path.
+/// whose matches go to `seeds`, and impure `(rule, rot_j)` firings.
 #[allow(clippy::too_many_arguments)]
 fn schedule<'rb, R: Resolver<'rb>>(
     r: &mut R,
@@ -458,9 +438,8 @@ fn schedule<'rb, R: Resolver<'rb>>(
                 continue;
             }
             // Full evaluation, seeded on the first positive premise
-            // (layered, since the rule is pure) so its matches can be
-            // chunked across workers. A positive premise with no matches
-            // kills the rule.
+            // (layered, since the rule is pure). A positive premise with
+            // no matches kills the rule.
             let first_atom = rule.premises.iter().enumerate().find_map(|(i, p)| match p {
                 Premise::Atom(atom) => Some((i, atom)),
                 _ => None,
@@ -507,184 +486,39 @@ fn schedule<'rb, R: Resolver<'rb>>(
     tasks
 }
 
-/// Splits each seeded task into up to `chunks` contiguous row chunks, so
-/// a round dominated by one rule (e.g. transitive closure) still spreads
-/// across the pool.
-fn chunk_tasks(tasks: Vec<PureTask>, chunks: usize) -> Vec<PureTask> {
-    let mut out = Vec::new();
-    for task in tasks {
-        match task.seed {
-            Some(seed) if seed.rows > 1 => {
-                let per = seed.rows.div_ceil(chunks);
-                for first in (0..seed.rows).step_by(per) {
-                    out.push(PureTask {
-                        seed: Some(Seed {
-                            at: seed.at + first * seed.width,
-                            rows: per.min(seed.rows - first),
-                            ..seed
-                        }),
-                        ..task
-                    });
-                }
-            }
-            _ => out.push(task),
-        }
-    }
-    out
-}
-
-/// Whether `tasks` would split into more than one task for the pool.
-fn splits(tasks: &[PureTask]) -> bool {
-    match tasks {
-        [] => false,
-        [task] => task.seed.is_some_and(|s| s.rows > 1),
-        _ => true,
-    }
-}
-
-/// Runs the round's pure tasks — chunked over scoped worker threads when
-/// the pool and the workload justify it, inline otherwise. Results are
-/// appended to `fresh` in task order, so the outcome is deterministic
-/// for every pool size.
+/// Runs the round's pure tasks inline, in task order, appending their
+/// heads to `fresh`.
 fn run_pure<'rb, R: Resolver<'rb>>(
     r: &mut R,
     db: DbId,
     older: &Database,
     delta: &Database,
-    tasks: Vec<PureTask>,
+    tasks: &[PureTask],
     seeds: &[Symbol],
     fresh: &mut Heads,
 ) -> Result<()> {
     if tasks.is_empty() {
         return Ok(());
     }
-    let weight: usize = tasks.iter().map(|t| t.seed.map_or(64, |s| s.rows)).sum();
     let (ctx, fx, stats) = r.split();
-    // Decided before chunking, which only spawning rounds pay for.
-    let eligible = fx.workers > 1 && splits(&tasks);
-    let spawn = eligible && weight >= PARALLEL_MIN_DELTA;
-    if eligible && !spawn {
-        stats.parallel_skipped += 1;
-    }
-    let ctx: &Context<'rb> = ctx;
-    let layers = ModelLayers::new(ctx.dbs.view(db), older, delta);
     let mut counters = MatchCounters::default();
-    let result = if spawn {
-        stats.parallel_rounds += 1;
-        let tasks = chunk_tasks(tasks, fx.workers);
-        run_pure_parallel(
-            ctx,
-            fx,
-            layers,
-            R::FIRE_SITE,
-            &tasks,
-            seeds,
-            &mut counters,
-            fresh,
-        )
-    } else {
-        let mut env = Pure {
-            ctx,
-            classes: &fx.classes,
-            layers,
-            budget: &mut fx.budget,
-            counters: &mut counters,
-            rows: &mut fx.rows,
-        };
-        tasks
-            .iter()
-            .try_for_each(|task| env.fire(task, seeds, R::FIRE_SITE, fresh))
+    let mut env = Pure {
+        ctx,
+        classes: &fx.classes,
+        layers: ModelLayers::new(ctx.dbs.view(db), older, delta),
+        budget: &mut fx.budget,
+        counters: &mut counters,
+        rows: &mut fx.rows,
     };
+    let result = tasks
+        .iter()
+        .try_for_each(|task| env.fire(task, seeds, R::FIRE_SITE, fresh));
     stats.absorb_matches(counters);
     result
 }
 
-/// Fans `tasks` out over the pool's scoped threads. Each worker claims
-/// tasks from a shared cursor, carries its own budget clone (deadline and
-/// cancellation token still observed, failpoints probed per task), match
-/// counters and row stack, and buffers derived heads per task; buffers
-/// are merged into `fresh` in task order at the barrier, so the outcome
-/// is deterministic for every pool size. Returns the first worker error.
-#[allow(clippy::too_many_arguments)]
-fn run_pure_parallel(
-    ctx: &Context<'_>,
-    fx: &Fixpoint,
-    layers: ModelLayers<'_>,
-    site: &'static str,
-    tasks: &[PureTask],
-    seeds: &[Symbol],
-    counters: &mut MatchCounters,
-    fresh: &mut Heads,
-) -> Result<()> {
-    let next = &AtomicUsize::new(0);
-    let abort = &AtomicBool::new(false);
-    type WorkerOut = (Vec<(usize, Heads)>, MatchCounters, Option<Error>);
-    let worker_results: Vec<WorkerOut> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..fx.workers.min(tasks.len()))
-            .map(|_| {
-                let mut budget = fx.budget.clone();
-                s.spawn(move || {
-                    let mut outs: Vec<(usize, Heads)> = Vec::new();
-                    let mut counters = MatchCounters::default();
-                    let mut rows = Vec::new();
-                    let mut err = None;
-                    let mut env = Pure {
-                        ctx,
-                        classes: &fx.classes,
-                        layers,
-                        budget: &mut budget,
-                        counters: &mut counters,
-                        rows: &mut rows,
-                    };
-                    while !abort.load(Ordering::Relaxed) {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= tasks.len() {
-                            break;
-                        }
-                        let mut out = Heads::default();
-                        match env.fire(&tasks[t], seeds, site, &mut out) {
-                            Ok(()) => outs.push((t, out)),
-                            Err(e) => {
-                                err = Some(e);
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                    (outs, counters, err)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                // An injected failpoint panic on a worker resurfaces on
-                // the caller, where the service layer's catch_unwind
-                // isolation can see it.
-                Err(p) => std::panic::resume_unwind(p),
-            })
-            .collect()
-    });
-    let mut merged: Vec<(usize, Heads)> = Vec::new();
-    let mut first_err = None;
-    for (outs, c, err) in worker_results {
-        merged.extend(outs);
-        counters.merge(c);
-        first_err = first_err.or(err);
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    merged.sort_by_key(|(t, _)| *t);
-    for (_, out) in &merged {
-        fresh.append(out);
-    }
-    Ok(())
-}
-
-/// Fires one impure rule (it has hypothetical or oracle premises) on the
-/// caller's thread: resolving those premises needs `&mut` the engine.
+/// Fires one impure rule (it has hypothetical or oracle premises):
+/// resolving those premises needs `&mut` the engine.
 fn fire_impure<'rb, R: Resolver<'rb>>(
     r: &mut R,
     db: DbId,
@@ -708,9 +542,9 @@ fn fire_impure<'rb, R: Resolver<'rb>>(
 }
 
 /// What one firing's premise walk reads, charges and resolves through.
-/// [`Pure`] serves pure firings (possibly on a worker thread), which
-/// read every premise from the layered model; [`Impure`] serves impure
-/// firings and reaches the engine's [`Resolver`].
+/// [`Pure`] serves pure firings, which read every premise from the
+/// layered model; [`Impure`] serves impure firings and reaches the
+/// engine's [`Resolver`].
 trait Env<'rb> {
     fn ctx(&self) -> &Context<'rb>;
     fn class(&self, rule_idx: usize) -> &RuleClass;
@@ -720,10 +554,10 @@ trait Env<'rb> {
     /// attempt each) into the run's counters.
     fn charge(&mut self, c: MatchCounters);
     /// Appends the rows of `atom`'s matches in `part` (the values of
-    /// `vars`) to the thread's row stack, charging the work; returns how
-    /// many there are.
+    /// `vars`) to the row stack, charging the work; returns how many
+    /// there are.
     fn collect(&mut self, part: Part, atom: &Atom, vars: &[Var], b: &mut Bindings) -> usize;
-    /// The thread's row stack.
+    /// The row stack.
     fn rows(&mut self) -> &mut Vec<Symbol>;
     fn layered(&self, head: Symbol, pred: Symbol) -> bool;
     fn handed_below(&mut self);
@@ -748,8 +582,8 @@ const ONE_STEP: MatchCounters = MatchCounters {
     hits: 0,
 };
 
-/// A pure firing's environment: shared reads plus its own budget,
-/// counters and row stack.
+/// A pure firing's environment: shared reads plus the engine's budget
+/// and row stack, and the round's counters.
 struct Pure<'a, 'rb> {
     ctx: &'a Context<'rb>,
     classes: &'a [RuleClass],
@@ -762,8 +596,7 @@ struct Pure<'a, 'rb> {
 impl<'rb> Pure<'_, 'rb> {
     /// Fires one pure task: replays each of its seed rows (stored in
     /// `seeds`) into the bindings and walks the remaining premises.
-    /// `site` is the engine's failpoint, probed once per task so
-    /// injection stays live inside worker loops.
+    /// `site` is the engine's failpoint, probed once per task.
     fn fire(
         &mut self,
         task: &PureTask,
@@ -1115,7 +948,7 @@ impl<'rb> Firing<'rb> {
             Premise::Atom(atom) if env.layered(head, atom.pred) => {
                 // Provable instances are exactly the layered model slice
                 // the rotation assigns to this position. Rows go on the
-                // thread's row stack first: the walk below needs `&mut`
+                // row stack first: the walk below needs `&mut`
                 // the env while the view borrows the store. Deeper walks
                 // push above them and truncate back before returning.
                 let part = part_for(env.class(self.rule_idx), self.rot_j, idx);

@@ -75,16 +75,6 @@ impl<'rb> Engine<'rb> {
         }
     }
 
-    /// Sets worker threads for pure-rule firings in a fixpoint round
-    /// (see DESIGN.md §3.11); the top-down engine ignores it.
-    pub fn set_parallelism(&mut self, workers: usize) {
-        match self {
-            Engine::TopDown(_) => {}
-            Engine::BottomUp(e) => e.set_parallelism(workers),
-            Engine::Magic(e) => e.set_parallelism(workers),
-        }
-    }
-
     /// Evaluates a query premise against the base database.
     pub fn holds(&mut self, query: &Premise) -> Result<bool> {
         match self {

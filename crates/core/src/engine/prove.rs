@@ -54,7 +54,7 @@ pub struct ProveStats {
     /// (`goal_expansions`, the unit [`Limits::max_expansions`] bounds),
     /// the Σ search's calls, memo hits, maximum depth and hypothetical
     /// databases created, and the Δ fixpoint's rounds, index probes,
-    /// worker rounds, delta trajectory and overlay snapshot.
+    /// delta trajectory and overlay snapshot.
     pub engine: EngineStats,
 }
 
@@ -150,19 +150,6 @@ impl<'rb> ProveEngine<'rb> {
         self
     }
 
-    /// Sets the number of worker threads used for pure Δ-rule firings
-    /// within a fixpoint round (clamped to at least 1). The computed
-    /// models are identical for every setting; only wall-clock changes.
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.fx.workers = workers.max(1);
-    }
-
-    /// Builder form of [`ProveEngine::set_parallelism`].
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.set_parallelism(workers);
-        self
-    }
-
     /// Replaces the evaluation budget (deadline / cancellation token).
     /// A tripped budget unwinds without recording in-flight verdicts, so
     /// memoized answers and Δ models stay sound for later queries.
@@ -211,7 +198,7 @@ impl<'rb> ProveEngine<'rb> {
     /// resolves premises over lower-defined predicates through
     /// [`Prover::subgoal`] (the `PROVE_Σᵢ₋₁` oracle). Oracle premises
     /// are round-invariant, so rules carrying them still rotate on their
-    /// layered premises; pure rules fan out across worker threads.
+    /// layered premises.
     fn delta_model(&mut self, stratum: usize, db: DbId) -> Result<Arc<Database>> {
         let key = (stratum, db);
         if let Some(m) = self.delta_models.get(&key) {

@@ -4,11 +4,10 @@
 //! [`NaiveEngine`] evaluates exactly like [`BottomUpEngine`] did before
 //! the semi-naive rewrite (DESIGN.md §3.11): every fixpoint round
 //! re-fires every rule of the stratum against the entire model, with no
-//! delta-rotation and no intra-round parallelism. It exists for two
-//! reasons:
+//! delta-rotation. It exists for two reasons:
 //!
 //! - **Oracle.** The property suite (`tests/props.rs`) checks that the
-//!   semi-naive parallel closure derives exactly the same perfect model
+//!   semi-naive closure derives exactly the same perfect model
 //!   as this engine on randomized rulebases and databases, including
 //!   under hypothetical `add:` branching.
 //! - **Baseline.** The fixpoint benchmarks (`crates/bench`, emitting

@@ -33,13 +33,6 @@ pub struct EngineStats {
     pub index_probes: u64,
     /// Index probes that found at least one candidate.
     pub index_hits: u64,
-    /// Fixpoint rounds whose pure-rule firings ran on worker threads.
-    pub parallel_rounds: u64,
-    /// Fixpoint rounds that were eligible for worker threads but ran
-    /// inline because the round's delta was narrower than
-    /// [`crate::engine::fixpoint::PARALLEL_MIN_DELTA`] — rule-level
-    /// splitting loses to scope/merge overhead on narrow deltas.
-    pub parallel_skipped: u64,
     /// Magic/guard rules emitted by the demand rewrite for the last
     /// query (magic engine only).
     pub magic_rules: u64,
@@ -95,8 +88,6 @@ impl EngineStats {
         self.delta_facts_per_round = other.delta_facts_per_round.clone();
         self.index_probes += other.index_probes;
         self.index_hits += other.index_hits;
-        self.parallel_rounds += other.parallel_rounds;
-        self.parallel_skipped += other.parallel_skipped;
         self.magic_rules += other.magic_rules;
         self.demand_facts += other.demand_facts;
         self.adorned_strata = other.adorned_strata.max(self.adorned_strata);
@@ -115,8 +106,6 @@ impl EngineStats {
             ("calls", n(self.calls)),
             ("max_depth", n(self.max_depth)),
             ("rounds", n(self.rounds)),
-            ("parallel_rounds", n(self.parallel_rounds)),
-            ("parallel_skipped", n(self.parallel_skipped)),
             ("magic_rules", n(self.magic_rules)),
             ("demand_facts", n(self.demand_facts)),
             ("adorned_strata", n(self.adorned_strata)),

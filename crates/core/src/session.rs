@@ -77,7 +77,6 @@ pub struct Session {
     /// Write-ahead observer; offered every op before commit.
     observer: Option<Box<dyn SessionObserver>>,
     engine: EngineKind,
-    parallelism: usize,
     deadline: Option<Duration>,
     last_stats: Option<EngineStats>,
     arities: hdl_base::FxHashMap<Symbol, usize>,
@@ -149,19 +148,6 @@ impl Session {
     /// The currently selected evaluation engine.
     pub fn engine(&self) -> EngineKind {
         self.engine
-    }
-
-    /// Sets the worker count for intra-round parallel rule firing in
-    /// the bottom-up engine (see DESIGN.md §3.11). `0` and `1` both
-    /// mean single-threaded; the top-down engine ignores this.
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.parallelism = workers;
-    }
-
-    /// Builder-style [`Session::set_parallelism`].
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.set_parallelism(workers);
-        self
     }
 
     /// Sets (or clears) a per-query wall-clock deadline. Queries that
@@ -443,11 +429,10 @@ impl Session {
     ) -> Result<T> {
         let database = self.effective_database();
         let (rulebase, database) = (&self.rulebase, database.as_ref());
-        let (kind, budget, workers) = (self.engine, self.budget(), self.parallelism);
+        let (kind, budget) = (self.engine, self.budget());
         let (r, stats) = call_with_deep_stack(move || -> Result<(T, EngineStats)> {
             let mut eng = Engine::new(kind, rulebase, database)?;
             eng.set_budget(budget);
-            eng.set_parallelism(workers);
             let r = query(&mut eng)?;
             Ok((r, eng.stats().clone()))
         })?;
@@ -621,10 +606,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_bottom_up_session_reports_seminaive_counters() {
-        let mut s = Session::new()
-            .with_engine(EngineKind::BottomUp)
-            .with_parallelism(4);
+    fn bottom_up_session_reports_seminaive_counters() {
+        let mut s = Session::new().with_engine(EngineKind::BottomUp);
         s.load(
             "edge(a, b). edge(b, c). edge(c, d).
              tc(X, Y) :- edge(X, Y).

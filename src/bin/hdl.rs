@@ -896,9 +896,6 @@ fn repl_main(args: &[String]) -> i32 {
     };
     shell.session.set_engine(opts.engine);
     shell.session.set_deadline(opts.deadline);
-    // In the REPL, --workers drives intra-round parallel rule firing of
-    // the bottom-up engine (batch/serve give it to the service pool).
-    shell.session.set_parallelism(opts.workers);
     let interactive = io::stdin().is_terminal();
     if interactive {
         println!("hypothetical Datalog shell — :help for commands");
@@ -1245,11 +1242,7 @@ fn render_stats(s: &hdl_core::engine::EngineStats) -> String {
         "  calls                  {:>12}   max_depth {}",
         s.calls, s.max_depth
     );
-    let _ = writeln!(
-        out,
-        "  rounds                 {:>12}   parallel_rounds {} (skipped {})",
-        s.rounds, s.parallel_rounds, s.parallel_skipped
-    );
+    let _ = writeln!(out, "  rounds                 {:>12}", s.rounds);
     if s.magic_rules > 0 || s.demand_facts > 0 {
         let _ = writeln!(
             out,

@@ -3,7 +3,7 @@
 //! Compiled only with `--features failpoints`. The fault-tolerance suite
 //! in `crates/service` checks that injected faults *degrade* the service;
 //! this one checks the complementary engine-level property: faults that
-//! do not abort a fixpoint (delays on worker threads) must not change the
+//! do not abort a fixpoint (delays on rule firings) must not change the
 //! computed model, and faults that do (spurious resource errors) must
 //! surface as structured errors — never as a wrong model.
 #![cfg(feature = "failpoints")]
@@ -35,9 +35,8 @@ impl Drop for FaultLab {
     }
 }
 
-/// A dense transitive closure whose delta rounds are wide enough to
-/// spawn worker threads, plus a variable-bounded hypothetical branch so
-/// the impure path runs too.
+/// A dense transitive closure, whose rounds fire pure rules, plus a
+/// variable-bounded hypothetical branch so the impure path runs too.
 fn workload(syms: &mut SymbolTable) -> (hdl_core::ast::Rulebase, Database) {
     let mut src = String::from(
         "tc(X, Y) :- edge(X, Y).
@@ -59,18 +58,14 @@ fn workload(syms: &mut SymbolTable) -> (hdl_core::ast::Rulebase, Database) {
 }
 
 #[test]
-fn delays_on_worker_firings_leave_the_model_unchanged() {
+fn delays_on_firings_leave_the_model_unchanged() {
     let _lab = FaultLab::begin();
     let mut syms = SymbolTable::new();
     let (rb, db) = workload(&mut syms);
     let expected = NaiveEngine::new(&rb, &db).unwrap().model().unwrap();
-    // Delays perturb worker scheduling but not semantics.
+    // Delays perturb timing but not semantics.
     failpoint::configure("bottomup::fire", FaultSpec::delaying(1, 5), 11);
-    let got = BottomUpEngine::new(&rb, &db)
-        .unwrap()
-        .with_parallelism(4)
-        .model()
-        .unwrap();
+    let got = BottomUpEngine::new(&rb, &db).unwrap().model().unwrap();
     assert_eq!(expected, got);
     let (hits, _) = failpoint::counters("bottomup::fire");
     assert!(hits > 0, "the armed site must actually be exercised");
@@ -82,22 +77,16 @@ fn injected_errors_surface_structurally_not_as_wrong_models() {
     let mut syms = SymbolTable::new();
     let (rb, db) = workload(&mut syms);
     failpoint::configure("bottomup::fire", FaultSpec::erroring(1).fires(1), 13);
-    let err = BottomUpEngine::new(&rb, &db)
-        .unwrap()
-        .with_parallelism(4)
-        .model()
-        .unwrap_err();
+    let err = BottomUpEngine::new(&rb, &db).unwrap().model().unwrap_err();
     assert!(
         matches!(err, hdl_base::Error::ResourceExhausted { .. }),
         "{err}"
     );
+    let (hits, _) = failpoint::counters("bottomup::fire");
+    assert!(hits > 0, "the armed site must actually be exercised");
     // The spent failpoint stops firing; a fresh engine recovers fully.
     let expected = NaiveEngine::new(&rb, &db).unwrap().model().unwrap();
-    let got = BottomUpEngine::new(&rb, &db)
-        .unwrap()
-        .with_parallelism(4)
-        .model()
-        .unwrap();
+    let got = BottomUpEngine::new(&rb, &db).unwrap().model().unwrap();
     assert_eq!(expected, got);
 }
 
@@ -134,11 +123,7 @@ fn prove_delta_equivalence_holds_with_armed_delays() {
     let q = parse_query("?- tc(n0, n15).", &mut syms).unwrap();
     let clean = ProveEngine::new(&rb, &db).unwrap().holds(&q).unwrap();
     failpoint::configure("prove::delta_fire", FaultSpec::delaying(1, 5), 17);
-    let armed = ProveEngine::new(&rb, &db)
-        .unwrap()
-        .with_parallelism(4)
-        .holds(&q)
-        .unwrap();
+    let armed = ProveEngine::new(&rb, &db).unwrap().holds(&q).unwrap();
     assert_eq!(clean, armed);
     let (hits, _) = failpoint::counters("prove::delta_fire");
     assert!(hits > 0, "the armed site must actually be exercised");

@@ -849,7 +849,7 @@ proptest! {
 
     /// On hypothesis-free programs, `hdl_datalog::naive` — written
     /// independently of `hdl-core` — derives exactly the model of
-    /// `BottomUpEngine`'s semi-naive kernel, inline and on four workers.
+    /// `BottomUpEngine`'s semi-naive kernel.
     #[test]
     fn naive_oracle_equals_bottom_up_kernel(
         rules in program_strategy(true),
@@ -859,16 +859,13 @@ proptest! {
         let Some((projected, db, oracle)) = oracle_case(&src, &facts) else {
             return Ok(());
         };
-        for workers in [1, 4] {
-            let mut eng = BottomUpEngine::new(&projected, &db)
-                .unwrap()
-                .with_limits(small_limits())
-                .with_parallelism(workers);
-            let Ok(model) = eng.model() else {
-                return Ok(()); // resource-limited case: skip
-            };
-            prop_assert_eq!(&oracle, &model, "workers={}\n{}", workers, src);
-        }
+        let mut eng = BottomUpEngine::new(&projected, &db)
+            .unwrap()
+            .with_limits(small_limits());
+        let Ok(model) = eng.model() else {
+            return Ok(()); // resource-limited case: skip
+        };
+        prop_assert_eq!(&oracle, &model, "{}", src);
     }
 
     /// On hypothesis-free programs, core's stratum solver and
@@ -979,8 +976,7 @@ mod premise_order {
     /// its premise bit sets: every round after the first seeds on it,
     /// and the walk must still take every premise between the set and
     /// the seed. One shape has more variables than the sets hold, one
-    /// fewer. Both models must equal `hdl_datalog::naive`'s, inline and
-    /// on four workers.
+    /// fewer. Both models must equal `hdl_datalog::naive`'s.
     #[test]
     fn a_recursive_premise_past_the_bit_sets_seeds_sound_rounds() {
         let chain: Vec<String> = (0..65).map(|i| format!("e(X{i}, X{})", i + 1)).collect();
@@ -1006,19 +1002,14 @@ mod premise_order {
             }
             db.insert(GroundAtom::new(b, vec![nodes[140]]));
             let oracle = hdl_datalog::naive::evaluate(&dl_rules, &db).unwrap();
-            for workers in [1, 4] {
-                let mut eng = BottomUpEngine::new(&rb, &db)
-                    .unwrap()
-                    .with_parallelism(workers);
-                let model = eng.model().unwrap();
-                assert_eq!(oracle, model, "workers={workers}\n{src}");
-            }
+            let model = BottomUpEngine::new(&rb, &db).unwrap().model().unwrap();
+            assert_eq!(oracle, model, "{src}");
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Semi-naive, parallel bottom-up closure ≡ retained naive reference.
+// Semi-naive bottom-up closure ≡ retained naive reference.
 // ---------------------------------------------------------------------
 
 mod seminaive_equivalence {
@@ -1028,56 +1019,25 @@ mod seminaive_equivalence {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The semi-naive, index-driven closure — delta-rotation plus
-        /// worker-thread rule firing — derives exactly the perfect model
-        /// of the retained naive reference on random hypothetical
-        /// programs (including `add:` branching), at every pool size.
+        /// The semi-naive, index-driven closure derives exactly the
+        /// perfect model of the retained naive reference on random
+        /// hypothetical programs (including `add:` branching).
         #[test]
-        fn parallel_seminaive_model_matches_naive_reference(
+        fn seminaive_model_matches_naive_reference(
             rules in program_strategy(true),
             facts in facts_strategy(),
-            workers in 1usize..=4,
         ) {
             let (rb, db, _) = build(&rules, &facts);
             let Ok(naive) = NaiveEngine::new(&rb, &db) else { return Ok(()) };
             let mut naive = naive.with_limits(small_limits());
             let mut semi = BottomUpEngine::new(&rb, &db)
                 .unwrap()
-                .with_limits(small_limits())
-                .with_parallelism(workers);
+                .with_limits(small_limits());
             let (m_naive, m_semi) = (naive.model(), semi.model());
             let (Ok(m_naive), Ok(m_semi)) = (m_naive, m_semi) else {
                 return Ok(()); // resource-limited case: skip
             };
-            prop_assert_eq!(
-                m_naive,
-                m_semi,
-                "workers={}\n{}",
-                workers,
-                render_program(&rules)
-            );
-        }
-
-        /// `PROVE_Δᵢ`'s semi-naive fixpoint answers identically with and
-        /// without worker threads on random linearly stratified programs.
-        #[test]
-        fn prove_delta_parallelism_is_transparent(
-            rules in program_strategy(true),
-            facts in facts_strategy(),
-        ) {
-            let (rb, db, mut syms) = build(&rules, &facts);
-            let Ok(seq) = ProveEngine::new(&rb, &db) else { return Ok(()) };
-            let mut seq = seq.with_limits(small_limits());
-            let mut par = ProveEngine::new(&rb, &db)
-                .unwrap()
-                .with_limits(small_limits())
-                .with_parallelism(4);
-            for q in ground_queries(&mut syms) {
-                let (Ok(a), Ok(b)) = (seq.holds(&q), par.holds(&q)) else {
-                    return Ok(());
-                };
-                prop_assert_eq!(a, b, "on {:?}\n{}", q, render_program(&rules));
-            }
+            prop_assert_eq!(m_naive, m_semi, "{}", render_program(&rules));
         }
     }
 }

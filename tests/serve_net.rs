@@ -528,8 +528,6 @@ const ENGINE_KEYS: &[&str] = &[
     "calls",
     "max_depth",
     "rounds",
-    "parallel_rounds",
-    "parallel_skipped",
     "magic_rules",
     "demand_facts",
     "adorned_strata",
