@@ -1,9 +1,9 @@
 //! Stable binary serialization for the base vocabulary.
 //!
 //! The durability layer (`hdl-persist`) writes checkpoints and a
-//! write-ahead log whose payloads are built from the codecs here: symbols,
-//! ground atoms, databases, and the [`DbStore`](crate::DbStore) overlay
-//! DAG. The format is deliberately simple — fixed-width little-endian
+//! write-ahead log whose payloads are built from the codecs here: symbols
+//! and ground atoms; the [`DbStore`](crate::DbStore) overlay DAG encodes
+//! itself with them. The format is deliberately simple — fixed-width little-endian
 //! integers, length-prefixed byte strings — so that a torn or corrupted
 //! byte stream is detected either by the [`crc32`] frame checksum around
 //! it or by a structural decode error; decoding never panics on untrusted
@@ -14,7 +14,6 @@
 //! strings in `hdl-persist` (`HDLWAL01` / `HDLCKPT1`).
 
 use crate::atom::GroundAtom;
-use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::symbol::{Symbol, SymbolTable};
 
@@ -233,28 +232,6 @@ pub fn decode_symbol(dec: &mut Decoder<'_>, symbols: &SymbolTable) -> Result<Sym
     Ok(Symbol(id))
 }
 
-/// Encodes a database as a fact list (deterministic iteration order).
-pub fn encode_database(enc: &mut Encoder, db: &Database) {
-    enc.u32(db.len() as u32);
-    let mut facts: Vec<GroundAtom> = db.iter_facts().collect();
-    // Database iteration is only run-deterministic; sort for a canonical
-    // byte encoding so equal databases encode identically.
-    facts.sort();
-    for f in &facts {
-        encode_ground_atom(enc, f);
-    }
-}
-
-/// Decodes a database written by [`encode_database`].
-pub fn decode_database(dec: &mut Decoder<'_>, symbols: &SymbolTable) -> Result<Database> {
-    let n = dec.len_prefix(8)?;
-    let mut db = Database::new();
-    for _ in 0..n {
-        db.insert(decode_ground_atom(dec, symbols)?);
-    }
-    Ok(db)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,27 +300,5 @@ mod tests {
         encode_ground_atom(&mut enc, &fact);
         let bytes = enc.finish();
         assert!(decode_ground_atom(&mut Decoder::new(&bytes), &t).is_err());
-    }
-
-    #[test]
-    fn database_roundtrip_is_canonical() {
-        let mut t = SymbolTable::new();
-        let p = t.intern("p");
-        let (a, b) = (t.intern("a"), t.intern("b"));
-        let mut db1 = Database::new();
-        db1.insert(GroundAtom::new(p, vec![a, b]));
-        db1.insert(GroundAtom::new(p, vec![b, a]));
-        let mut db2 = Database::new();
-        db2.insert(GroundAtom::new(p, vec![b, a]));
-        db2.insert(GroundAtom::new(p, vec![a, b]));
-        let encode = |db: &Database| {
-            let mut e = Encoder::new();
-            encode_database(&mut e, db);
-            e.finish()
-        };
-        assert_eq!(encode(&db1), encode(&db2), "canonical byte encoding");
-        let bytes = encode(&db1);
-        let back = decode_database(&mut Decoder::new(&bytes), &t).unwrap();
-        assert_eq!(back, db1);
     }
 }

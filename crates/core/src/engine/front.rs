@@ -9,7 +9,7 @@
 //! go through here.
 
 use crate::ast::{Premise, Rulebase};
-use crate::engine::{BottomUpEngine, Budget, Context, EngineStats, MagicEngine, TopDownEngine};
+use crate::engine::{BottomUpEngine, Budget, EngineStats, MagicEngine, TopDownEngine};
 use hdl_base::{Atom, Bindings, Database, Error, Result, Symbol, SymbolTable, Term};
 
 /// Which engine evaluates a query.
@@ -109,15 +109,6 @@ impl<'rb> Engine<'rb> {
             Engine::TopDown(e) => e.stats(),
             Engine::BottomUp(e) => e.stats(),
             Engine::Magic(e) => e.stats(),
-        }
-    }
-
-    /// The evaluation context (base database, domain, overlay store).
-    pub fn context(&self) -> &Context<'rb> {
-        match self {
-            Engine::TopDown(e) => e.context(),
-            Engine::BottomUp(e) => e.context(),
-            Engine::Magic(e) => e.context(),
         }
     }
 }

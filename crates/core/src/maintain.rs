@@ -35,9 +35,7 @@
 
 use crate::ast::{HypRule, Premise, Rulebase};
 use crate::engine::BottomUpEngine;
-use hdl_base::{
-    Atom, Bindings, Database, FxHashMap, FxHashSet, GroundAtom, Json, Result, Symbol, Term,
-};
+use hdl_base::{Bindings, Database, FxHashMap, FxHashSet, GroundAtom, Json, Result, Symbol};
 
 /// Counters describing how a [`MaterializedModel`] has been maintained.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -424,28 +422,6 @@ fn recompute_closure(rulebase: &Rulebase, affected: &FxHashSet<Symbol>) -> FxHas
     out
 }
 
-fn rule_num_vars(rule: &HypRule) -> usize {
-    rule.head
-        .vars()
-        .chain(rule.premises.iter().flat_map(|p| p.vars()))
-        .map(|v| v.index() + 1)
-        .max()
-        .unwrap_or(0)
-}
-
-fn ground_head(head: &Atom, bindings: &Bindings) -> GroundAtom {
-    GroundAtom::new(
-        head.pred,
-        head.args
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => *c,
-                Term::Var(v) => bindings.get(*v).expect("head var bound by positive body"),
-            })
-            .collect(),
-    )
-}
-
 /// Fires `rule` (all premises positive) once per choice of delta
 /// position: premise `i` joins against `delta`, the rest against `full`.
 /// Duplicate derivations across positions are fine — callers insert into
@@ -466,7 +442,7 @@ fn fire_rule_with_delta(
         let order: Vec<usize> = std::iter::once(pos)
             .chain((0..rule.premises.len()).filter(|&j| j != pos))
             .collect();
-        let mut bindings = Bindings::new(rule_num_vars(rule));
+        let mut bindings = Bindings::new(rule.num_vars);
         join_positions(rule, &order, 0, delta, full, &mut bindings, out);
     }
 }
@@ -481,7 +457,11 @@ fn join_positions(
     out: &mut Vec<GroundAtom>,
 ) {
     if k == order.len() {
-        out.push(ground_head(&rule.head, bindings));
+        out.push(
+            rule.head
+                .ground(bindings)
+                .expect("head var bound by positive body"),
+        );
         return;
     }
     let Premise::Atom(a) = &rule.premises[order[k]] else {
@@ -498,7 +478,7 @@ fn join_positions(
 /// satisfied by `model` — the rederivation test of DRed's second phase.
 fn has_one_step_derivation(rulebase: &Rulebase, model: &Database, fact: &GroundAtom) -> bool {
     for rule in rulebase.definition(fact.pred) {
-        let mut bindings = Bindings::new(rule_num_vars(rule));
+        let mut bindings = Bindings::new(rule.num_vars);
         let Some(trail) = bindings.match_atom(&rule.head, fact) else {
             continue;
         };

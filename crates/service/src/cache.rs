@@ -1,7 +1,7 @@
 //! The shared cross-query answer cache.
 //!
-//! Keys combine the snapshot **epoch**, the engine, the database the
-//! query runs against, and a *canonical* rendering of the goal
+//! Keys combine the snapshot **epoch**, the engine, and a *canonical*
+//! rendering of the goal
 //! (pretty-printing normalizes whitespace and alpha-renames variables,
 //! so `?- tc(X,Y).` and `?-  tc(A, B) .` share an entry). Because every
 //! published snapshot carries a globally unique epoch, a publish
@@ -20,7 +20,7 @@
 //! fast queries arrive.
 
 use crate::outcome::Outcome;
-use hdl_base::{DbId, FxHashMap};
+use hdl_base::FxHashMap;
 use hdl_core::session::EngineKind;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -32,15 +32,6 @@ pub struct CacheKey {
     pub epoch: u64,
     /// Engine that computed (or would compute) the answer.
     pub engine: EngineKind,
-    /// Database the goal is evaluated in.
-    pub db: DbId,
-    /// Fingerprint of the database's *negative* overlay (deleted-fact
-    /// deltas). `DbId` interning canonicalizes by represented set, but a
-    /// `del:` branch and a positive-only overlay can momentarily share a
-    /// canonical hash while their masked views differ; keying on the
-    /// fingerprint makes such aliasing impossible (it is `0` for every
-    /// deletion-free database, so positive-only keys are unchanged).
-    pub neg_fingerprint: u64,
     /// Canonical goal text, prefixed with the request kind
     /// (`ask`/`rows`).
     pub goal: String,
@@ -138,8 +129,6 @@ mod tests {
         CacheKey {
             epoch,
             engine: EngineKind::TopDown,
-            db: DbId(0),
-            neg_fingerprint: 0,
             goal: goal.to_owned(),
         }
     }
@@ -160,22 +149,6 @@ mod tests {
         cache.put(key(1, "ask q"), Outcome::Cancelled);
         cache.put(key(1, "ask r"), Outcome::Error("nope".into()));
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn negative_fingerprints_partition_del_branches() {
-        // A del-branch can share DbId-level identity with a positive-only
-        // overlay of the same canonical set; the fingerprint must keep
-        // their answers apart.
-        let cache = AnswerCache::new();
-        let positive = key(1, "ask p");
-        let mut del_branch = key(1, "ask p");
-        del_branch.neg_fingerprint = 0xdead_beef;
-        cache.put(positive.clone(), Outcome::True);
-        assert_eq!(cache.get(&del_branch), None, "no aliasing");
-        cache.put(del_branch.clone(), Outcome::False);
-        assert_eq!(cache.get(&positive), Some(Outcome::True));
-        assert_eq!(cache.get(&del_branch), Some(Outcome::False));
     }
 
     #[test]

@@ -635,15 +635,11 @@ fn process<'rb>(
 
     // Canonical key: pretty-printing normalizes whitespace and
     // alpha-renames variables, so textual variants of one goal share a
-    // cache entry across all workers. The negative-delta fingerprint
-    // distinguishes deletion overlays whose DbId could alias a
-    // positive-only database with the same canonical set.
-    let base_db = eng.context().base_db;
+    // cache entry across all workers. Every query starts from the
+    // snapshot's base database, so the epoch names it.
     let key = CacheKey {
         epoch: snap.epoch(),
         engine: kind,
-        db: base_db,
-        neg_fingerprint: eng.context().dbs.neg_fingerprint(base_db),
         goal: format!("{tag} {}", pretty::premise(&query, symbols)),
     };
     if let Some(cached) = shared.cache.get(&key) {

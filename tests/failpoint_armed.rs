@@ -128,3 +128,25 @@ fn prove_delta_equivalence_holds_with_armed_delays() {
     let (hits, _) = failpoint::counters("prove::delta_fire");
     assert!(hits > 0, "the armed site must actually be exercised");
 }
+
+/// The firing failpoints count one hit per firing that walks: every
+/// impure firing, and every pure one whose seed premise has rows. A
+/// seeded fault sequence replays only while these counts hold. `dead`'s
+/// seed premise has no facts, so its firings never count.
+#[test]
+fn firing_probe_counts_are_pinned() {
+    let _lab = FaultLab::begin();
+    let mut syms = SymbolTable::new();
+    let (mut rb, db) = workload(&mut syms);
+    let extra = parse_program("dead(X) :- missing(X), tc(X, Y).", &mut syms).unwrap();
+    rb.rules.extend(split_facts(extra).0.rules);
+    let q = parse_query("?- tc(n0, n15).", &mut syms).unwrap();
+    // Counted, never fired.
+    for site in ["bottomup::fire", "prove::delta_fire"] {
+        failpoint::configure(site, FaultSpec::erroring(1).fires(0), 23);
+    }
+    BottomUpEngine::new(&rb, &db).unwrap().model().unwrap();
+    ProveEngine::new(&rb, &db).unwrap().holds(&q).unwrap();
+    assert_eq!(failpoint::counters("bottomup::fire"), (20, 0));
+    assert_eq!(failpoint::counters("prove::delta_fire"), (5, 0));
+}
