@@ -202,11 +202,6 @@ pub struct DbEntry {
     set_hash: u64,
     /// Extension distance from an interned root (roots are 0).
     depth: u32,
-    /// Whether this node only exists as a derived artifact of evaluation
-    /// (an engine's hypothetical extension), as opposed to session state.
-    /// Derived nodes are skipped by [`DbStore::encode_dag`] and recomputed
-    /// on demand after a restore.
-    derived: bool,
     /// Materialized set + predicate index; `Some` exactly on flat nodes.
     flat: Option<FlatRepr>,
 }
@@ -280,19 +275,6 @@ impl DbEntry {
     #[inline]
     pub fn depth(&self) -> u32 {
         self.depth
-    }
-
-    /// Whether this node is an evaluation artifact skipped by
-    /// [`DbStore::encode_dag`].
-    #[inline]
-    pub fn is_derived(&self) -> bool {
-        self.derived
-    }
-
-    /// Whether this node is a DAG root (its own parent).
-    #[inline]
-    pub fn is_root(&self) -> bool {
-        self.depth == 0
     }
 }
 
@@ -659,7 +641,6 @@ impl DbStore {
                 len: new_len,
                 set_hash: new_hash,
                 depth: new_depth,
-                derived: false,
                 flat: Some(FlatRepr {
                     facts,
                     by_pred,
@@ -679,7 +660,6 @@ impl DbStore {
                 len: new_len,
                 set_hash: new_hash,
                 depth: new_depth,
-                derived: false,
                 flat: None,
             }
         };
@@ -696,180 +676,6 @@ impl DbStore {
         self.iter_fact_ids(id)
             .map(|f| self.store.fact(f).clone())
             .collect()
-    }
-
-    /// Marks node `id` as a derived evaluation artifact.
-    ///
-    /// Derived nodes are omitted from [`DbStore::encode_dag`] — after a
-    /// restore the engines recompute them on demand — unless they are
-    /// roots (a root anchors every chain hanging off it).
-    pub fn mark_derived(&mut self, id: DbId) {
-        self.entries[id.index()].derived = true;
-    }
-
-    /// Serializes the DAG in topological order (parents before children).
-    ///
-    /// Nodes marked [`DbStore::mark_derived`] are skipped (roots always
-    /// kept); each kept non-root node is written as a delta against its
-    /// nearest kept ancestor, which is well-defined because extension only
-    /// ever grows a chain. Returns the kept [`DbId`]s in encoded order so
-    /// callers can address specific nodes by ordinal after a decode.
-    ///
-    /// The encoding is self-contained: a compact table of the referenced
-    /// ground facts precedes the node list, so the decoder rebuilds its
-    /// own [`FactStore`] (fact ids are not stable across encode/decode,
-    /// fact *sets* are).
-    pub fn encode_dag(&self, enc: &mut crate::serialize::Encoder) -> Vec<DbId> {
-        // Ids are allocated parent-first, so ascending id order is a
-        // topological order of the DAG.
-        let kept: Vec<DbId> = (0..self.entries.len() as u32)
-            .map(DbId)
-            .filter(|&id| {
-                let e = &self.entries[id.index()];
-                !e.derived || e.is_root()
-            })
-            .collect();
-        let ordinal: FxHashMap<DbId, u32> = kept
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i as u32))
-            .collect();
-        // Per kept node: the signed fact-id delta it contributes (full set
-        // for roots; adds and dels over the nearest kept ancestor else).
-        type Contribution = (Option<u32>, Vec<FactId>, Vec<FactId>);
-        let mut contributions: Vec<Contribution> = Vec::with_capacity(kept.len());
-        for &id in &kept {
-            let e = &self.entries[id.index()];
-            if e.is_root() {
-                contributions.push((None, self.iter_fact_ids(id).collect(), Vec::new()));
-            } else {
-                // Walk the parent chain to the nearest kept ancestor;
-                // roots are always kept, so this terminates.
-                let mut anc = e.parent;
-                while !ordinal.contains_key(&anc) {
-                    anc = self.entries[anc.index()].parent;
-                }
-                let anc_facts: Vec<FactId> = self.iter_fact_ids(anc).collect();
-                let adds: Vec<FactId> = self
-                    .iter_fact_ids(id)
-                    .filter(|f| anc_facts.binary_search(f).is_err())
-                    .collect();
-                let dels: Vec<FactId> = anc_facts
-                    .iter()
-                    .copied()
-                    .filter(|&f| !self.contains(id, f))
-                    .collect();
-                contributions.push((Some(ordinal[&anc]), adds, dels));
-            }
-        }
-        // Compact fact table: only the facts the kept nodes reference.
-        let mut fact_index: FxHashMap<FactId, u32> = FxHashMap::default();
-        let mut fact_list: Vec<FactId> = Vec::new();
-        for (_, adds, dels) in &contributions {
-            for &f in adds.iter().chain(dels) {
-                fact_index.entry(f).or_insert_with(|| {
-                    fact_list.push(f);
-                    fact_list.len() as u32 - 1
-                });
-            }
-        }
-        enc.u32(fact_list.len() as u32);
-        for &f in &fact_list {
-            crate::serialize::encode_ground_atom(enc, self.store.fact(f));
-        }
-        enc.u32(kept.len() as u32);
-        for (anc, adds, dels) in &contributions {
-            match anc {
-                None => enc.u8(0),
-                // Tag 1 (adds-only) is kept distinct from tag 2 (signed) so
-                // positive-only DAGs encode exactly as they did before
-                // negative overlays existed.
-                Some(a) if dels.is_empty() => {
-                    enc.u8(1);
-                    enc.u32(*a);
-                }
-                Some(a) => {
-                    enc.u8(2);
-                    enc.u32(*a);
-                }
-            }
-            enc.u32(adds.len() as u32);
-            for &f in adds {
-                enc.u32(fact_index[&f]);
-            }
-            if !dels.is_empty() {
-                enc.u32(dels.len() as u32);
-                for &f in dels {
-                    enc.u32(fact_index[&f]);
-                }
-            }
-        }
-        kept
-    }
-
-    /// Decodes a DAG written by [`DbStore::encode_dag`] into this store.
-    ///
-    /// Returns the [`DbId`]s of the decoded nodes, index-aligned with the
-    /// ordinals returned by the encoder. Fact sets round-trip exactly;
-    /// ids and flat/chain placement may differ (canonical interning).
-    pub fn decode_dag(
-        &mut self,
-        dec: &mut crate::serialize::Decoder<'_>,
-        symbols: &crate::symbol::SymbolTable,
-    ) -> crate::error::Result<Vec<DbId>> {
-        use crate::error::Error;
-        let nfacts = dec.len_prefix(8)?;
-        let mut fact_ids = Vec::with_capacity(nfacts);
-        for _ in 0..nfacts {
-            let fact = crate::serialize::decode_ground_atom(dec, symbols)?;
-            fact_ids.push(self.intern_fact(fact));
-        }
-        let nnodes = dec.len_prefix(6)?;
-        let mut ids: Vec<DbId> = Vec::with_capacity(nnodes);
-        for pos in 0..nnodes {
-            let tag = dec.u8()?;
-            let (anc, signed) = match tag {
-                0 => (None, false),
-                1 | 2 => {
-                    let a = dec.u32()? as usize;
-                    if a >= pos {
-                        return Err(Error::Invalid(format!(
-                            "DAG node {pos} references ancestor {a} out of order"
-                        )));
-                    }
-                    (Some(ids[a]), tag == 2)
-                }
-                other => {
-                    return Err(Error::Invalid(format!(
-                        "unknown DAG node tag {other} at node {pos}"
-                    )))
-                }
-            };
-            let read_facts = |dec: &mut crate::serialize::Decoder<'_>| {
-                let count = dec.len_prefix(4)?;
-                let mut out = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let idx = dec.u32()? as usize;
-                    let &f = fact_ids.get(idx).ok_or_else(|| {
-                        Error::Invalid(format!("fact index {idx} out of range ({nfacts} facts)"))
-                    })?;
-                    out.push(f);
-                }
-                Ok::<_, Error>(out)
-            };
-            let mut adds = read_facts(dec)?;
-            let dels = if signed { read_facts(dec)? } else { Vec::new() };
-            let id = match anc {
-                None => {
-                    adds.sort_unstable();
-                    adds.dedup();
-                    self.intern_sorted(adds)
-                }
-                Some(base) => self.apply(base, &adds, &dels),
-            };
-            ids.push(id);
-        }
-        Ok(ids)
     }
 
     /// Whether `cand`'s fact set equals `(croot ∖ neg_overlay) ∪ overlay`.
@@ -954,7 +760,6 @@ impl DbStore {
             len,
             set_hash,
             depth: 0,
-            derived: false,
             flat: Some(FlatRepr {
                 facts,
                 by_pred,
@@ -1175,77 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn dag_roundtrip_preserves_fact_sets_and_skips_derived() {
-        use crate::serialize::{Decoder, Encoder};
-        use crate::symbol::SymbolTable;
-        let mut syms = SymbolTable::new();
-        for i in 0..64 {
-            syms.intern(&format!("s{i}"));
-        }
-        let mut dbs = DbStore::new();
-        let root = dbs.intern_facts((0..3).map(|i| fact(0, &[i])));
-        let mut chain = vec![root];
-        for i in 3..40 {
-            let f = dbs.intern_fact(fact(0, &[i]));
-            chain.push(dbs.extend(*chain.last().unwrap(), &[f]));
-        }
-        // A side branch marked derived: must be skipped, and the node
-        // after it must re-anchor on the nearest kept ancestor.
-        let f = dbs.intern_fact(fact(1, &[7]));
-        let derived = dbs.extend(root, &[f]);
-        let g = dbs.intern_fact(fact(1, &[8]));
-        let kept_child = dbs.extend(derived, &[g]);
-        dbs.mark_derived(derived);
-
-        let mut enc = Encoder::new();
-        let kept = dbs.encode_dag(&mut enc);
-        assert!(!kept.contains(&derived));
-        assert!(kept.contains(&kept_child));
-        let bytes = enc.finish();
-
-        let mut back = DbStore::new();
-        let ids = back
-            .decode_dag(&mut Decoder::new(&bytes), &syms)
-            .expect("decode");
-        assert_eq!(ids.len(), kept.len());
-        for (old, new) in kept.iter().zip(ids.iter()) {
-            assert_eq!(
-                dbs.to_database(*old),
-                back.to_database(*new),
-                "fact set of node {old:?} survives the roundtrip"
-            );
-        }
-        // The restored chain reports the same lengths (flatten threshold
-        // was crossed, exercising flat-node re-encoding).
-        assert!(dbs.overlay_stats().flattens > 0);
-    }
-
-    #[test]
-    fn dag_decode_rejects_corruption() {
-        use crate::serialize::{Decoder, Encoder};
-        use crate::symbol::SymbolTable;
-        let mut syms = SymbolTable::new();
-        syms.intern("s0");
-        let mut dbs = DbStore::new();
-        dbs.intern_facts([fact(0, &[0])]);
-        let mut enc = Encoder::new();
-        dbs.encode_dag(&mut enc);
-        let bytes = enc.finish();
-        // Truncations at every prefix must error, never panic.
-        for cut in 0..bytes.len() {
-            let mut fresh = DbStore::new();
-            let _ = fresh.decode_dag(&mut Decoder::new(&bytes[..cut]), &syms);
-        }
-        // Flipping the node tag to garbage errors out.
-        let mut bad = bytes.clone();
-        let tag_pos = bytes.len() - 9; // u8 tag + u32 count + u32 fact idx
-        bad[tag_pos] = 9;
-        assert!(DbStore::new()
-            .decode_dag(&mut Decoder::new(&bad), &syms)
-            .is_err());
-    }
-
-    #[test]
     fn shrink_with_absent_facts_is_identity() {
         let mut dbs = DbStore::new();
         let base = dbs.intern_facts([fact(0, &[1])]);
@@ -1333,36 +1067,6 @@ mod tests {
         assert!(e.is_flat(), "mask crossing the threshold must flatten");
         assert_eq!(e.len(), FLATTEN_THRESHOLD);
         assert!(!e.has_neg_overlay(), "flat nodes mask nothing");
-    }
-
-    #[test]
-    fn dag_roundtrip_preserves_negative_overlays() {
-        use crate::serialize::{Decoder, Encoder};
-        use crate::symbol::SymbolTable;
-        let mut syms = SymbolTable::new();
-        for i in 0..32 {
-            syms.intern(&format!("s{i}"));
-        }
-        let mut dbs = DbStore::new();
-        let root = dbs.intern_facts((0..10).map(|i| fact(0, &[i])));
-        let f = dbs.intern_fact(fact(0, &[4]));
-        let g = dbs.intern_fact(fact(1, &[1]));
-        let h = dbs.intern_fact(fact(0, &[7]));
-        let shrunk = dbs.shrink(root, &[f]);
-        let mixed = dbs.apply(shrunk, &[g], &[h]);
-
-        let mut enc = Encoder::new();
-        let kept = dbs.encode_dag(&mut enc);
-        assert!(kept.contains(&shrunk) && kept.contains(&mixed));
-        let bytes = enc.finish();
-
-        let mut back = DbStore::new();
-        let ids = back
-            .decode_dag(&mut Decoder::new(&bytes), &syms)
-            .expect("decode");
-        for (old, new) in kept.iter().zip(ids.iter()) {
-            assert_eq!(dbs.to_database(*old), back.to_database(*new));
-        }
     }
 
     #[test]

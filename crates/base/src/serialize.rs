@@ -2,16 +2,15 @@
 //!
 //! The durability layer (`hdl-persist`) writes checkpoints and a
 //! write-ahead log whose payloads are built from the codecs here: symbols
-//! and ground atoms; the [`DbStore`](crate::DbStore) overlay DAG encodes
-//! itself with them. The format is deliberately simple — fixed-width little-endian
+//! and ground atoms. The format is deliberately simple — fixed-width little-endian
 //! integers, length-prefixed byte strings — so that a torn or corrupted
 //! byte stream is detected either by the [`crc32`] frame checksum around
 //! it or by a structural decode error; decoding never panics on untrusted
 //! input, it returns [`Error::Invalid`].
 //!
 //! Stability contract: the integer widths and field orders in this module
-//! are an on-disk format. Changing them requires bumping the magic/version
-//! strings in `hdl-persist` (`HDLWAL01` / `HDLCKPT1`).
+//! are an on-disk format. Changing them requires bumping the WAL magic
+//! (`HDLWAL01`) or the checkpoint version in `hdl-persist`.
 
 use crate::atom::GroundAtom;
 use crate::error::{Error, Result};

@@ -8,7 +8,8 @@
 //!   pays per acked mutation.
 //! - **Checkpoint scaling** vs overlay depth: serialize time, image
 //!   size, and cold-restore time for a session whose assumption stack
-//!   is `d` frames deep over a fixed base.
+//!   is `d` frames deep over a fixed base. Each restore must return the
+//!   base in its iteration order and every frame exactly.
 //! - **Cold-restore latency** on the Hamiltonian-with-reachability and
 //!   QBF workloads, restored two ways: replaying the WAL from scratch
 //!   and loading a checkpoint (WAL empty). Every restore is verified
@@ -166,13 +167,18 @@ fn bench_checkpoint(depth: usize, base_facts: usize, frame_facts: usize) -> Ckpt
     session.checkpoint().expect("checkpoint");
     let checkpoint_ms = start.elapsed().as_secs_f64() * 1e3;
     let image_bytes = dir_file_size(&dir.0, "ckpt-");
+    let base: Vec<GroundAtom> = session.database().iter_facts().collect();
+    let frames = session.assumptions().to_vec();
     drop(session);
 
     let start = Instant::now();
     let restored = DurableSession::open(&dir.0, FsyncPolicy::Never).expect("restore");
     let restore_ms = start.elapsed().as_secs_f64() * 1e3;
     let report = restored.recovery_report().expect("durable").clone();
-    assert_eq!(restored.assumptions().len(), depth, "frames restored");
+    let restored_base: Vec<GroundAtom> = restored.database().iter_facts().collect();
+    assert_eq!(restored_base, base, "base restored in order");
+    assert_eq!(restored.assumptions(), frames, "frames restored exactly");
+    assert_eq!(frames.len(), depth);
     CkptRun {
         depth,
         base_facts,

@@ -57,6 +57,14 @@ impl Premise {
         }
     }
 
+    /// The constants of the atoms this premise hypothetically adds:
+    /// those Definition 3 joins to a hypothetical query's domain.
+    pub fn add_constants(&self) -> impl Iterator<Item = Symbol> + '_ {
+        self.adds()
+            .iter()
+            .flat_map(|a| a.args.iter().filter_map(|t| t.as_const()))
+    }
+
     /// The atoms hypothetically removed by this premise (empty unless
     /// `Hyp` with a `del:` list).
     pub fn dels(&self) -> &[Atom] {

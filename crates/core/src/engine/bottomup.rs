@@ -185,8 +185,16 @@ impl<'rb> BottomUpEngine<'rb> {
 
     /// Evaluates a query premise against the base database (same free-
     /// variable conventions as the top-down engine).
+    ///
+    /// A hypothetical query runs under its own domain (see
+    /// [`Context::widen_domain`]). The memoized models were closed under
+    /// another domain (their negation and hypothetical groundings range
+    /// over it), so they are dropped whenever the domain changes.
     pub fn holds(&mut self, query: &Premise) -> Result<bool> {
         self.fx.start = QueryStart::of(&self.stats);
+        if self.ctx.widen_domain(query) {
+            self.models.clear();
+        }
         let base = self.ctx.base_db;
         let num_vars = query.vars().map(|v| v.index() + 1).max().unwrap_or(0);
         let mut bindings = Bindings::new(num_vars);
@@ -200,22 +208,13 @@ impl<'rb> BottomUpEngine<'rb> {
                 Ok(!self.exists_in_model(base, atom, &mut bindings))
             }
             Premise::Hyp { goal, adds, dels } => {
-                // Definition 3: the goal is proved in `(DB ∖ C̄) ∪ B̄`, so
-                // constants the query's `add:` atoms introduce belong to
-                // that world's domain. Memoized models were closed under
-                // the smaller domain (their negation and hypothetical
-                // groundings never ranged over the fresh constants), so
-                // they are stale the moment the domain grows.
-                let fresh = adds
-                    .iter()
-                    .flat_map(|a| a.args.iter().filter_map(|t| t.as_const()));
-                if self.ctx.extend_domain(fresh) {
-                    self.models.clear();
-                }
                 let free = collect_free(goal, adds, dels, &bindings);
                 self.exists_hyp(goal, adds, dels, &free, 0, &mut bindings, base)
             }
         };
+        if self.ctx.narrow_domain() {
+            self.models.clear();
+        }
         self.stats.record_overlay(self.ctx.dbs.overlay_stats());
         result
     }

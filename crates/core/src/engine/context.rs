@@ -32,11 +32,15 @@ pub struct RulePlan {
 pub struct Context<'rb> {
     /// The rulebase under evaluation.
     pub rb: &'rb Rulebase,
-    /// `dom(R, DB)`: all constants in the rulebase and the base database,
-    /// fixed for the lifetime of the context (Definition 3).
+    /// `dom(R, DB)`: all constants in the rulebase and the base database
+    /// (Definition 3), plus, while a query runs, the fresh constants of
+    /// its `add:` atoms (see [`Context::widen_domain`]). Sorted.
     pub domain: Vec<Symbol>,
     /// Membership view of [`Context::domain`].
     pub domain_set: hdl_base::FxHashSet<Symbol>,
+    /// The constants [`Context::widen_domain`] joined to the domain for
+    /// the running query.
+    widened: Vec<Symbol>,
     /// The database lattice.
     pub dbs: DbStore,
     /// The interned base database all queries start from.
@@ -92,6 +96,7 @@ impl<'rb> Context<'rb> {
             rb,
             domain,
             domain_set,
+            widened: Vec::new(),
             dbs,
             base_db,
             defs,
@@ -104,32 +109,48 @@ impl<'rb> Context<'rb> {
         self.defs.contains_key(&p)
     }
 
-    /// Joins `extra` constants into `dom(R, DB)`, returning whether the
-    /// domain actually grew.
+    /// Joins the constants of `query`'s `add:` atoms into the domain for
+    /// that query, returning whether the domain grew.
     ///
     /// Definition 3 evaluates `A[add: B̄, del: C̄]` in `(DB ∖ C̄) ∪ B̄`,
     /// whose domain includes every constant of `B̄` — even ones the base
     /// world and the rulebase never mention. Query-level `add:` premises
     /// can therefore introduce fresh constants that rule groundings must
     /// range over (`?- tc(a, c)[add: edge(b, c)].` needs `c` in the
-    /// domain to instantiate the recursive rule). Engines call this from
-    /// their query entry points; when it returns `true`, any memoized
-    /// verdicts or models were computed under the smaller domain and
-    /// must be dropped.
-    pub fn extend_domain(&mut self, extra: impl IntoIterator<Item = Symbol>) -> bool {
-        let mut grew = false;
-        for c in extra {
+    /// domain to instantiate the recursive rule). Those constants belong
+    /// to that query's world only: the engine calls
+    /// [`Context::narrow_domain`] when the query ends. Whenever either
+    /// call changes the domain, the verdicts and models the engine
+    /// memoized were computed under another domain and must be dropped.
+    pub fn widen_domain(&mut self, query: &Premise) -> bool {
+        let before = self.widened.len();
+        for c in query.add_constants() {
             if self.domain_set.insert(c) {
                 self.domain.push(c);
-                grew = true;
+                self.widened.push(c);
             }
         }
+        let grew = self.widened.len() > before;
         if grew {
             // Keep the enumeration order deterministic (domain order is
             // observable through `answers` and proof witnesses).
             self.domain.sort_unstable();
         }
         grew
+    }
+
+    /// Takes the constants [`Context::widen_domain`] joined back out of
+    /// the domain, returning whether there were any.
+    pub fn narrow_domain(&mut self) -> bool {
+        if self.widened.is_empty() {
+            return false;
+        }
+        for c in self.widened.drain(..) {
+            self.domain_set.remove(&c);
+        }
+        let kept = &self.domain_set;
+        self.domain.retain(|c| kept.contains(c));
+        true
     }
 
     /// Whether constant `c` belongs to `dom(R, DB)`. Goal atoms supplied

@@ -462,17 +462,18 @@ impl<'rb> MagicEngine<'rb> {
         &self.ctx
     }
 
-    /// True if any constant of `atom` is outside `dom(R, DB)` — no fact
-    /// can match it, so positive goals fail and negated goals hold
-    /// without touching the engine.
-    fn atom_foreign(&self, atom: &Atom) -> bool {
-        atom.args
-            .iter()
-            .any(|t| t.as_const().is_some_and(|c| !self.ctx.in_domain(c)))
+    /// True if any constant of `atom` is outside `dom(R, DB)` and the
+    /// query's `extra` constants — no fact can match it, so positive
+    /// goals fail and negated goals hold without touching the engine.
+    fn atom_foreign(&self, atom: &Atom, extra: &[Symbol]) -> bool {
+        atom.args.iter().any(|t| {
+            t.as_const()
+                .is_some_and(|c| !self.ctx.in_domain(c) && !extra.contains(&c))
+        })
     }
 
-    /// First symbol id safely above the rulebase, database, accumulated
-    /// domain, and this query.
+    /// First symbol id safely above the rulebase, database, domain, and
+    /// this query.
     fn first_fresh<'a>(&self, query_atoms: impl Iterator<Item = &'a Atom>) -> u32 {
         let mut max = self.sym_base;
         for a in query_atoms {
@@ -501,27 +502,28 @@ impl<'rb> MagicEngine<'rb> {
     /// Evaluates a query premise against the base database (same free-
     /// variable conventions as the other engines).
     pub fn holds(&mut self, query: &Premise) -> Result<bool> {
+        // Definition 3: the fresh constants a query's `add:` atoms bring
+        // join the grounding domain of that query only; the inner engine
+        // gets them, this engine's domain stays `dom(R, DB)`.
+        let extra: Vec<Symbol> = query
+            .add_constants()
+            .filter(|&c| !self.ctx.in_domain(c))
+            .collect();
         let query = match query {
             Premise::Atom(a) => {
-                if self.atom_foreign(a) {
+                if self.atom_foreign(a, &extra) {
                     return Ok(false);
                 }
                 query.clone()
             }
             Premise::Neg(a) => {
-                if self.atom_foreign(a) {
+                if self.atom_foreign(a, &extra) {
                     return Ok(true);
                 }
                 query.clone()
             }
             Premise::Hyp { goal, adds, dels } => {
-                // Definition 3: fresh constants introduced by `add:`
-                // join the grounding domain for this and later queries.
-                self.ctx.extend_domain(
-                    adds.iter()
-                        .flat_map(|a| a.args.iter().filter_map(|t| t.as_const())),
-                );
-                if self.atom_foreign(goal) {
+                if self.atom_foreign(goal, &extra) {
                     return Ok(false);
                 }
                 // A `del:` atom naming a foreign constant can match no
@@ -530,7 +532,7 @@ impl<'rb> MagicEngine<'rb> {
                 // negation grounds).
                 let dels: Vec<Atom> = dels
                     .iter()
-                    .filter(|d| !self.atom_foreign(d))
+                    .filter(|d| !self.atom_foreign(d, &extra))
                     .cloned()
                     .collect();
                 Premise::Hyp {
@@ -540,27 +542,27 @@ impl<'rb> MagicEngine<'rb> {
                 }
             }
         };
-        match self.run_rewritten(&[], &query, |inner, answer| {
+        match self.run_rewritten(&[], &query, &extra, |inner, answer| {
             inner.holds(&Premise::Atom(answer))
         }) {
             Some(r) => r,
-            None => self.fallback(|eng| eng.holds(&query))?,
+            None => self.fallback(&extra, |eng| eng.holds(&query))?,
         }
     }
 
     /// All derivable instances of `pattern`, sorted and deduplicated —
     /// same row conventions as [`BottomUpEngine::answers_partial`].
     pub fn answers_partial(&mut self, pattern: &Atom) -> (Vec<Vec<Symbol>>, Option<Error>) {
-        if self.atom_foreign(pattern) {
+        if self.atom_foreign(pattern, &[]) {
             return (Vec::new(), None);
         }
         let query = Premise::Atom(pattern.clone());
-        match self.run_rewritten(&pattern.args, &query, |inner, answer| {
+        match self.run_rewritten(&pattern.args, &query, &[], |inner, answer| {
             inner.answers_partial(&answer)
         }) {
             Some(r) => r,
             None => self
-                .fallback(|eng| eng.answers_partial(pattern))
+                .fallback(&[], |eng| eng.answers_partial(pattern))
                 .unwrap_or_else(|e| (Vec::new(), Some(e))),
         }
     }
@@ -574,10 +576,20 @@ impl<'rb> MagicEngine<'rb> {
     }
 
     /// A fresh inner semi-naive engine over `rb` and `db`, grounding
-    /// over the accumulated domain, with this engine's limits and budget.
-    fn inner_engine<'a>(&self, rb: &'a Rulebase, db: &Database) -> Result<BottomUpEngine<'a>> {
-        let mut eng =
-            BottomUpEngine::new_with_constants(rb, db, &self.ctx.domain)?.with_limits(self.limits);
+    /// over this engine's domain plus the query's `extra` constants,
+    /// with this engine's limits and budget.
+    fn inner_engine<'a>(
+        &self,
+        rb: &'a Rulebase,
+        db: &Database,
+        extra: &[Symbol],
+    ) -> Result<BottomUpEngine<'a>> {
+        let domain = if extra.is_empty() {
+            std::borrow::Cow::Borrowed(&self.ctx.domain[..])
+        } else {
+            std::borrow::Cow::Owned([&self.ctx.domain[..], extra].concat())
+        };
+        let mut eng = BottomUpEngine::new_with_constants(rb, db, &domain)?.with_limits(self.limits);
         eng.set_budget(self.budget.clone());
         Ok(eng)
     }
@@ -591,13 +603,14 @@ impl<'rb> MagicEngine<'rb> {
         &mut self,
         head_args: &[Term],
         query: &Premise,
+        extra: &[Symbol],
         eval: impl FnOnce(&mut BottomUpEngine<'_>, Atom) -> T,
     ) -> Option<T> {
         let mut db = self.ctx.dbs.to_database(self.ctx.base_db);
         let fresh0 = self.first_fresh(query.atoms());
         let out = rewrite(self.rb, head_args, vec![query.clone()], fresh0).ok()?;
         db.insert(out.seed.clone());
-        let mut inner = self.inner_engine(&out.rb, &db).ok()?;
+        let mut inner = self.inner_engine(&out.rb, &db, extra).ok()?;
         let r = eval(&mut inner, Atom::new(out.answer_pred, head_args.to_vec()));
         self.finish(&out, &inner);
         Some(r)
@@ -605,9 +618,13 @@ impl<'rb> MagicEngine<'rb> {
 
     /// Whole-query degradation to plain semi-naive evaluation of the
     /// original rulebase; counted as one fallback per rulebase predicate.
-    fn fallback<T>(&mut self, eval: impl FnOnce(&mut BottomUpEngine<'rb>) -> T) -> Result<T> {
+    fn fallback<T>(
+        &mut self,
+        extra: &[Symbol],
+        eval: impl FnOnce(&mut BottomUpEngine<'rb>) -> T,
+    ) -> Result<T> {
         let base = self.ctx.dbs.to_database(self.ctx.base_db);
-        let mut eng = self.inner_engine(self.rb, &base)?;
+        let mut eng = self.inner_engine(self.rb, &base, extra)?;
         let r = eval(&mut eng);
         self.stats.merge_run(eng.stats());
         self.stats.unbound_fallbacks += self.ctx.defs.len() as u64;

@@ -15,9 +15,10 @@
 //!   groundings, negation over its outer and inner variables with its
 //!   `∃` sub-search, and hypothetical groundings through one database
 //!   helper that counts and bounds the databases created;
-//! - the query entry points — `first_proof` (and through it `holds`)
-//!   with the domain growth for fresh `add:` constants, and
-//!   `answers_partial` — and the grounding enumerator.
+//! - the query entry points — `first_proof` (and through it `holds`),
+//!   run in a domain that holds a query's fresh `add:` constants for
+//!   that query only, and `answers_partial` — and the grounding
+//!   enumerator.
 //!
 //! Ground goals are pairs `(fact, database)`. Function-free proofs never
 //! need to repeat a pair along a branch, so a branch that revisits an
@@ -32,7 +33,7 @@
 //! only `Σ`-defined ones to it. The `Prover` trait carries that
 //! difference, plus the engine's failpoint and limit names, its
 //! per-expansion and success hooks and the tables it drops when the
-//! domain grows. The walk is generic over it, so the calls dispatch
+//! domain changes. The walk is generic over it, so the calls dispatch
 //! statically.
 //!
 //! The search recurses on the host stack, so the required stack is
@@ -157,7 +158,7 @@ pub(crate) trait Prover<'rb>: Sized {
     /// Called when `(goal, db)` is proven: by membership (`by = None`),
     /// or by the instance of rule `by.0` under bindings `by.1`.
     fn proved(&mut self, _goal: FactId, _db: DbId, _by: Option<(usize, &Bindings)>) {}
-    /// Drops the engine's own tables computed under a smaller domain.
+    /// Drops the engine's own tables computed under another domain.
     fn forget(&mut self) {}
 }
 
@@ -424,16 +425,38 @@ fn for_each_grounding<'rb, R: Prover<'rb>>(
     Ok(false)
 }
 
+/// Runs `f` under `query`'s domain: `dom(R, DB)` plus the fresh
+/// constants of its `add:` atoms (see [`Context::widen_domain`]).
+/// Memoized verdicts depend on the domain — a negation judged true
+/// because no witness existed may gain one — so the goal tables and the
+/// engine's own tables are dropped whenever the domain changes: when it
+/// grows for the query and when it shrinks back after it.
+pub(crate) fn in_query_domain<'rb, R: Prover<'rb>, T>(
+    r: &mut R,
+    query: &Premise,
+    f: impl FnOnce(&mut R) -> T,
+) -> T {
+    if r.split().0.widen_domain(query) {
+        forget_all(r);
+    }
+    let out = f(r);
+    if r.split().0.narrow_domain() {
+        forget_all(r);
+    }
+    out
+}
+
+/// Drops the goal tables and the engine's own tables.
+fn forget_all<'rb, R: Prover<'rb>>(r: &mut R) {
+    r.split().1.forget_verdicts();
+    r.forget();
+}
+
 /// The first proven ground instance of a query premise in `db` (domain
 /// order), with the database it holds in. Free variables are quantified
 /// existentially; a `Neg` query looks for an instance of its atom, so
-/// `~select(Y)` reads "no `Y` is selectable".
-///
-/// Definition 3 proves `A[add: B̄, del: C̄]` in `(DB ∖ C̄) ∪ B̄`, whose
-/// domain includes `B̄`'s constants even when they are fresh. Memoized
-/// verdicts were computed under the smaller domain — a negation judged
-/// true because no witness existed may gain one — so a growth drops them
-/// along with the engine's own tables.
+/// `~select(Y)` reads "no `Y` is selectable". A hypothetical query runs
+/// under the domain [`in_query_domain`] sets up.
 pub(crate) fn first_proof<'rb, R: Prover<'rb>>(
     r: &mut R,
     query: &Premise,
@@ -448,13 +471,6 @@ pub(crate) fn first_proof<'rb, R: Prover<'rb>>(
             first_instance(r, atom, &free, &mut bindings, db, 0).map(|f| f.map(|f| (f, db)))
         }
         Premise::Hyp { goal, adds, dels } => {
-            let fresh = adds
-                .iter()
-                .flat_map(|a| a.args.iter().filter_map(|t| t.as_const()));
-            if r.split().0.extend_domain(fresh) {
-                r.split().1.forget_verdicts();
-                r.forget();
-            }
             let free = collect_free(goal, adds, dels, &bindings);
             let mut found = None;
             let walked = for_each_grounding(r, &free, &mut bindings, &mut |r, b| {
@@ -481,7 +497,7 @@ fn begin_query<'rb, R: Prover<'rb>>(r: &mut R) {
 
 /// Whether a query premise holds in `db` (see [`first_proof`]).
 pub(crate) fn holds<'rb, R: Prover<'rb>>(r: &mut R, query: &Premise, db: DbId) -> Result<bool> {
-    let found = first_proof(r, query, db)?.is_some();
+    let found = in_query_domain(r, query, |r| first_proof(r, query, db))?.is_some();
     Ok(found != matches!(query, Premise::Neg(_)))
 }
 

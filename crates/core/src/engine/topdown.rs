@@ -129,9 +129,11 @@ impl<'rb> TopDownEngine<'rb> {
         self.tables.forget_verdicts();
         let base = self.ctx.base_db;
         self.explaining = true;
-        let found = search::first_proof(self, query, base);
-        self.explaining = false;
-        Ok(found?.and_then(|(f, d)| self.reconstruct(f, d)))
+        search::in_query_domain(self, query, |s| {
+            let found = search::first_proof(s, query, base);
+            s.explaining = false;
+            Ok(found?.and_then(|(f, d)| s.reconstruct(f, d)))
+        })
     }
 
     /// Rebuilds the proof tree for a proven `(fact, db)` goal from the

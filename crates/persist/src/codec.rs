@@ -1,17 +1,16 @@
 //! Binary codecs for everything the durability layer puts on disk.
 //!
 //! Builds on the primitive `Encoder`/`Decoder` in `hdl_base::serialize`
-//! (which already covers symbols, ground atoms, databases, and the
-//! overlay DAG) and adds the rule AST, the WAL record set, and the
-//! checkpoint image. All decoders are *total*: arbitrary bytes produce
-//! `Err(Error::Invalid)` — never a panic and never an unvalidated
-//! symbol or absurd allocation — because the WAL tail after a crash is
-//! untrusted input by construction.
+//! (which covers symbols and ground atoms) and adds the rule AST, the
+//! WAL record set, and the checkpoint image. All decoders are *total*:
+//! arbitrary bytes produce `Err(Error::Invalid)` — never a panic and
+//! never an unvalidated symbol or absurd allocation — because the WAL
+//! tail after a crash is untrusted input by construction.
 
 use hdl_base::serialize::{
     decode_ground_atom, decode_symbol, decode_symbols, encode_ground_atom, encode_symbols,
 };
-use hdl_base::{crc32, Atom, DbStore, Decoder, Encoder, Error, GroundAtom, Result, SymbolTable};
+use hdl_base::{crc32, Atom, Decoder, Encoder, Error, GroundAtom, Result, SymbolTable};
 use hdl_base::{Database, Term, Var};
 use hdl_core::{HypRule, Op, Premise, Rulebase};
 
@@ -312,8 +311,10 @@ pub fn decode_record(payload: &[u8], symbols: &SymbolTable) -> Result<WalRecord>
 
 /// Magic prefix of every checkpoint file.
 pub const CKPT_MAGIC: &[u8; 8] = b"HDLCKPT1";
-/// Current checkpoint format version.
-pub const CKPT_VERSION: u32 = 1;
+/// Current checkpoint format version (see [`encode_checkpoint`]).
+pub const CKPT_VERSION: u32 = 2;
+/// The overlay-DAG layout older lineages hold, read by [`decode_v1_state`].
+const CKPT_VERSION_V1: u32 = 1;
 
 /// Everything a checkpoint restores: the full session state plus the
 /// snapshot-epoch watermark active when it was taken.
@@ -336,13 +337,12 @@ pub struct CheckpointState {
 
 /// Serializes a full checkpoint image, including magic and CRC trailer.
 ///
-/// The base database and assumption frames are stored as a chain in a
-/// canonical overlay DAG (`DbStore::encode_dag`): the base interns as the
-/// root and each frame extends its predecessor, so parents precede deltas
-/// and shared prefixes are stored once. Because the store canonicalizes,
-/// a frame that adds nothing new collapses onto its predecessor's node;
-/// the chain-ordinal list after the DAG keeps one entry per frame anyway,
-/// so such frames restore as (correctly) empty.
+/// After the version, epoch, watermark, symbols and rulebase come the
+/// base as one fact list in [`Database::iter`] order, then the frame
+/// count and each frame as the session holds it — the fact lists the
+/// WAL's `Assume` records use. A frame keeps the facts it repeats from
+/// the base or an earlier frame, so a `retract` of the base copy leaves
+/// them holding.
 pub fn encode_checkpoint(
     epoch: u64,
     watermark: u64,
@@ -357,22 +357,10 @@ pub fn encode_checkpoint(
     enc.u64(watermark);
     encode_symbols(&mut enc, symbols);
     encode_rulebase(&mut enc, rulebase);
-
-    let mut store = DbStore::new();
-    let mut chain = vec![store.intern_database(base)];
+    encode_fact_list(&mut enc, &base.iter_facts().collect::<Vec<_>>());
+    enc.u32(frames.len() as u32);
     for frame in frames {
-        let ids: Vec<_> = frame.iter().map(|f| store.intern_fact(f.clone())).collect();
-        let prev = *chain.last().expect("chain has a root");
-        chain.push(store.extend(prev, &ids));
-    }
-    let ordered = store.encode_dag(&mut enc);
-    enc.u32(chain.len() as u32);
-    for id in &chain {
-        let ordinal = ordered
-            .iter()
-            .position(|kept| kept == id)
-            .expect("chain nodes are never derived, so encode_dag keeps them");
-        enc.u32(ordinal as u32);
+        encode_fact_list(&mut enc, frame);
     }
 
     let payload = enc.finish();
@@ -384,6 +372,7 @@ pub fn encode_checkpoint(
 }
 
 /// Decodes and verifies a checkpoint image (magic, CRC, then structure).
+/// Version 1 images, which older releases wrote, are read too.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointState> {
     if bytes.len() < CKPT_MAGIC.len() + 4 || &bytes[..CKPT_MAGIC.len()] != CKPT_MAGIC {
         return Err(Error::Invalid("not a checkpoint file".into()));
@@ -396,7 +385,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointState> {
 
     let mut dec = Decoder::new(payload);
     let version = dec.u32()?;
-    if version != CKPT_VERSION {
+    if version != CKPT_VERSION && version != CKPT_VERSION_V1 {
         return Err(Error::Invalid(format!(
             "unsupported checkpoint version {version}"
         )));
@@ -405,35 +394,19 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointState> {
     let watermark = dec.u64()?;
     let symbols = decode_symbols(&mut dec)?;
     let rulebase = decode_rulebase(&mut dec, &symbols)?;
-
-    let mut store = DbStore::new();
-    let ordered = store.decode_dag(&mut dec, &symbols)?;
-    let chain_len = dec.len_prefix(4)?;
-    if chain_len == 0 {
-        return Err(Error::Invalid("checkpoint chain is empty".into()));
-    }
-    let mut chain = Vec::with_capacity(chain_len);
-    for _ in 0..chain_len {
-        let ordinal = dec.u32()? as usize;
-        let id = *ordered
-            .get(ordinal)
-            .ok_or_else(|| Error::Invalid(format!("chain ordinal {ordinal} out of range")))?;
-        chain.push(id);
-    }
+    let (base, frames) = if version == CKPT_VERSION_V1 {
+        decode_v1_state(&mut dec, &symbols)?
+    } else {
+        let base = decode_fact_list(&mut dec, &symbols)?.into_iter().collect();
+        let n = dec.len_prefix(4)?;
+        let mut frames = Vec::with_capacity(n);
+        for _ in 0..n {
+            frames.push(decode_fact_list(&mut dec, &symbols)?);
+        }
+        (base, frames)
+    };
     if !dec.is_done() {
         return Err(Error::Invalid("trailing bytes after checkpoint".into()));
-    }
-
-    let base = store.to_database(chain[0]);
-    let mut frames = Vec::with_capacity(chain_len - 1);
-    for w in chain.windows(2) {
-        let (prev, cur) = (w[0], w[1]);
-        let frame: Vec<GroundAtom> = store
-            .iter_fact_ids(cur)
-            .filter(|&fid| !store.contains(prev, fid))
-            .map(|fid| store.facts().fact(fid).clone())
-            .collect();
-        frames.push(frame);
     }
 
     Ok(CheckpointState {
@@ -444,6 +417,101 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointState> {
         base,
         frames,
     })
+}
+
+/// Reads the base and frames of a version 1 image, which stored them as
+/// a chain in an overlay DAG: a table of distinct facts; nodes in
+/// topological order, each a root (tag 0, its fact indexes) or a delta
+/// over an earlier node (tag 1, added indexes; tag 2, added then removed
+/// indexes); then the chain, one node ordinal for the base and one per
+/// frame. The base is chain node 0 and frame `i` is node `i` minus node
+/// `i - 1`, both in fact-table order.
+///
+/// The DAG stored fact *sets*, so a frame fact already present below the
+/// frame was lost when the image was written; this reads back what was
+/// kept.
+fn decode_v1_state(
+    dec: &mut Decoder<'_>,
+    symbols: &SymbolTable,
+) -> Result<(Database, Vec<Vec<GroundAtom>>)> {
+    let facts = decode_fact_list(dec, symbols)?;
+    let read_indexes = |dec: &mut Decoder<'_>| -> Result<Vec<u32>> {
+        let n = dec.len_prefix(4)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let i = dec.u32()?;
+            if i as usize >= facts.len() {
+                return Err(Error::Invalid(format!(
+                    "fact index {i} out of range ({} facts)",
+                    facts.len()
+                )));
+            }
+            out.push(i);
+        }
+        out.sort_unstable();
+        out.dedup();
+        Ok(out)
+    };
+    let nnodes = dec.len_prefix(6)?;
+    let mut nodes: Vec<Vec<u32>> = Vec::with_capacity(nnodes);
+    for pos in 0..nnodes {
+        let set = match dec.u8()? {
+            0 => read_indexes(dec)?,
+            tag @ (1 | 2) => {
+                let anc = dec.u32()? as usize;
+                let Some(anc) = nodes.get(anc) else {
+                    return Err(Error::Invalid(format!(
+                        "DAG node {pos} references ancestor {anc} out of order"
+                    )));
+                };
+                let adds = read_indexes(dec)?;
+                let dels = if tag == 2 {
+                    read_indexes(dec)?
+                } else {
+                    Vec::new()
+                };
+                let mut set: Vec<u32> = anc
+                    .iter()
+                    .copied()
+                    .filter(|i| dels.binary_search(i).is_err())
+                    .chain(adds)
+                    .collect();
+                set.sort_unstable();
+                set.dedup();
+                set
+            }
+            tag => {
+                return Err(Error::Invalid(format!(
+                    "unknown DAG node tag {tag} at node {pos}"
+                )))
+            }
+        };
+        nodes.push(set);
+    }
+    let chain_len = dec.len_prefix(4)?;
+    if chain_len == 0 {
+        return Err(Error::Invalid("checkpoint chain is empty".into()));
+    }
+    let mut chain = Vec::with_capacity(chain_len);
+    for _ in 0..chain_len {
+        let ordinal = dec.u32()? as usize;
+        let node = nodes
+            .get(ordinal)
+            .ok_or_else(|| Error::Invalid(format!("chain ordinal {ordinal} out of range")))?;
+        chain.push(node);
+    }
+    let fact = |&i: &u32| facts[i as usize].clone();
+    let base = chain[0].iter().map(fact).collect();
+    let frames = chain
+        .windows(2)
+        .map(|w| {
+            w[1].iter()
+                .filter(|i| w[0].binary_search(i).is_err())
+                .map(fact)
+                .collect()
+        })
+        .collect();
+    Ok((base, frames))
 }
 
 #[cfg(test)]
@@ -539,29 +607,31 @@ mod tests {
         assert!(decode_record(&retract, &empty).is_err());
     }
 
+    /// The facts of `db` in [`Database::iter`] order.
+    fn listed(db: &Database) -> Vec<GroundAtom> {
+        db.iter_facts().collect()
+    }
+
     #[test]
-    fn checkpoint_roundtrips_base_and_frames() {
-        let (symbols, rules, base, frames) = sample();
+    fn checkpoint_roundtrips_base_and_frames_exactly() {
+        let (symbols, rules, base, mut frames) = sample();
+        // Frames that repeat a base fact, an earlier frame's fact, and
+        // one of their own keep every copy, in order.
+        let base_fact = listed(&base)[1].clone();
+        frames.push(vec![base_fact.clone(), frames[0][0].clone()]);
+        frames.push(vec![
+            frames[2][0].clone(),
+            base_fact.clone(),
+            frames[2][0].clone(),
+        ]);
         let bytes = encode_checkpoint(7, 42, &symbols, &rules, &base, &frames);
         let state = decode_checkpoint(&bytes).unwrap();
         assert_eq!(state.epoch, 7);
         assert_eq!(state.watermark, 42);
         assert_eq!(state.symbols.len(), symbols.len());
         assert_eq!(state.rulebase, rules);
-        assert_eq!(state.base.len(), base.len());
-        let mut want: Vec<GroundAtom> = base.iter_facts().collect();
-        let mut got: Vec<GroundAtom> = state.base.iter_facts().collect();
-        want.sort();
-        got.sort();
-        assert_eq!(want, got);
-        assert_eq!(state.frames.len(), frames.len());
-        for (got, want) in state.frames.iter().zip(frames.iter()) {
-            let mut got = got.clone();
-            let mut want = want.clone();
-            got.sort();
-            want.sort();
-            assert_eq!(got, want);
-        }
+        assert_eq!(listed(&state.base), listed(&base));
+        assert_eq!(state.frames, frames);
     }
 
     #[test]
@@ -576,5 +646,100 @@ mod tests {
             bad[i] ^= 0x40;
             assert!(decode_checkpoint(&bad).is_err(), "bitflip at {i} accepted");
         }
+    }
+
+    /// A version 1 image an earlier release wrote (see
+    /// `tests/fixtures/checkpoint-v1/`).
+    const V1_IMAGE: &[u8] = include_bytes!("../../../tests/fixtures/checkpoint-v1/ckpt-1.bin");
+
+    /// The payload between an image's magic and its CRC.
+    fn payload(image: &[u8]) -> &[u8] {
+        &image[CKPT_MAGIC.len()..image.len() - 4]
+    }
+
+    /// `payload` framed with magic and a valid CRC, so only its structure
+    /// is checked.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = CKPT_MAGIC.to_vec();
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        bytes
+    }
+
+    /// The symbols of `payload` and the offset of the state that follows
+    /// its rulebase.
+    fn state_offset(payload: &[u8]) -> (SymbolTable, usize) {
+        let mut dec = Decoder::new(payload);
+        dec.u32().unwrap();
+        dec.u64().unwrap();
+        dec.u64().unwrap();
+        let symbols = decode_symbols(&mut dec).unwrap();
+        decode_rulebase(&mut dec, &symbols).unwrap();
+        (symbols, payload.len() - dec.remaining())
+    }
+
+    /// Every truncation of `payload`, an unknown version, trailing bytes
+    /// and `u32::MAX` written at each of `indexes` are refused, each
+    /// framed with a valid CRC.
+    fn refuses_damage(payload: &[u8], indexes: &[usize]) {
+        assert!(decode_checkpoint(&framed(payload)).is_ok());
+        for cut in 0..payload.len() {
+            assert!(
+                decode_checkpoint(&framed(&payload[..cut])).is_err(),
+                "cut at {cut}"
+            );
+        }
+        for version in [0u32, 3] {
+            let mut bad = payload.to_vec();
+            bad[..4].copy_from_slice(&version.to_le_bytes());
+            assert!(
+                decode_checkpoint(&framed(&bad)).is_err(),
+                "version {version}"
+            );
+        }
+        let mut long = payload.to_vec();
+        long.push(0);
+        assert!(decode_checkpoint(&framed(&long)).is_err(), "trailing byte");
+        for &at in indexes {
+            let mut bad = payload.to_vec();
+            bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(decode_checkpoint(&framed(&bad)).is_err(), "index at {at}");
+        }
+    }
+
+    #[test]
+    fn v2_images_refuse_structural_damage() {
+        let (symbols, rules, base, frames) = sample();
+        let image = encode_checkpoint(1, 1, &symbols, &rules, &base, &frames);
+        let payload = payload(&image);
+        // The first base fact's predicate, and the first frame fact's.
+        let (_, at) = state_offset(payload);
+        let base_len = 4 + base
+            .iter()
+            .map(|(_, args)| 8 + 4 * args.len())
+            .sum::<usize>();
+        refuses_damage(payload, &[at + 4, at + base_len + 8]);
+    }
+
+    #[test]
+    fn v1_images_restore_and_refuse_structural_damage() {
+        let state = decode_checkpoint(V1_IMAGE).unwrap();
+        assert_eq!(state.base.len(), 8);
+        let sizes: Vec<usize> = state.frames.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [2, 1, 0, 1], "the frame facts a v1 image kept");
+
+        let payload = payload(V1_IMAGE);
+        let (symbols, at) = state_offset(payload);
+        let mut dec = Decoder::new(&payload[at..]);
+        decode_fact_list(&mut dec, &symbols).unwrap();
+        let nodes = payload.len() - dec.remaining();
+        // The root node: tag, index count, first fact index.
+        let (tag, first_index) = (nodes + 4, nodes + 9);
+        let mut bad = payload.to_vec();
+        bad[tag] = 9;
+        assert!(decode_checkpoint(&framed(&bad)).is_err(), "node tag 9");
+        // The fact table's first predicate, the root's first fact index,
+        // and the last chain ordinal.
+        refuses_damage(payload, &[at + 4, first_index, payload.len() - 4]);
     }
 }

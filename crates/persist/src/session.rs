@@ -393,6 +393,24 @@ mod tests {
         assert!(!s.ask("?- tc(d, c).").unwrap());
     }
 
+    /// A frame fact the base also holds is part of the frame: it still
+    /// holds after a restore and a retract of the base copy, as it does
+    /// in the process that assumed it.
+    #[test]
+    fn frame_facts_repeated_below_survive_a_checkpoint() {
+        let dir = TempDir::new("durable-repeat");
+        {
+            let mut s = DurableSession::open(dir.path(), FsyncPolicy::Always).unwrap();
+            s.load("f(a).").unwrap();
+            s.apply_text(OpText::Assume("f(a)")).unwrap();
+            assert_eq!(s.checkpoint().unwrap(), 1);
+        }
+        let mut s = DurableSession::open(dir.path(), FsyncPolicy::Always).unwrap();
+        assert_eq!(s.recovery_report().unwrap().records_replayed, 0);
+        s.apply_text(OpText::Retract("f(a)")).unwrap();
+        assert!(s.ask("?- f(a).").unwrap());
+    }
+
     /// An injected append fault must abort the mutation without
     /// committing it to memory *or* leaving a durable trace.
     #[cfg(feature = "failpoints")]

@@ -1,6 +1,7 @@
 //! Snapshot isolation: publishing never perturbs in-flight queries, and
 //! cache epochs keep answers from leaking across publishes.
 
+use hdl_core::engine::EngineKind;
 use hdl_core::snapshot::Snapshot;
 use hdl_encodings::qbf::build::{n, p};
 use hdl_encodings::qbf::{encode_qbf, Qbf, Quant};
@@ -194,4 +195,28 @@ fn workers_rebuild_engines_per_snapshot() {
     }
     assert_eq!(service.stats().snapshots_published, 2);
     service.shutdown();
+}
+
+#[test]
+fn a_queries_fresh_constants_stay_in_that_query() {
+    // `zz` occurs only in the first query's `add:`. The one worker keeps
+    // its engine for the snapshot, so a domain that kept `zz` after that
+    // query would make `r(zz)` hold and list it among `r`'s answers.
+    let program = "s(a). e(a, b). r(X) :- ~s(X). p(X) :- e(X, Y).";
+    for engine in [EngineKind::TopDown, EngineKind::BottomUp, EngineKind::Magic] {
+        let service = QueryService::new(Snapshot::from_program(program).unwrap(), 1);
+        let run = |request: QueryRequest| service.submit(request.with_engine(engine)).wait();
+        assert_eq!(run(QueryRequest::ask("p(a)[add: e(zz, a)]")), Outcome::True);
+        assert_eq!(
+            run(QueryRequest::ask("r(zz)")),
+            Outcome::False,
+            "{engine:?}"
+        );
+        assert_eq!(
+            run(QueryRequest::answers("r(X)")),
+            Outcome::Answers(vec![vec!["b".to_owned()]]),
+            "{engine:?}"
+        );
+        service.shutdown();
+    }
 }
